@@ -3,7 +3,7 @@ groups: exact symbolic chains, twisted cohomology, the cup-product pairing,
 the extended two-form with its momentum map, and a numerical relator solver.
 """
 
-from .config import DEFAULT_TOL, RunConfig, Tolerances
+from .config import DEFAULT_TOL, Tolerances
 from .presentations import (
     ExtensionPresentation,
     PlanarPresentation,

@@ -23,6 +23,7 @@ from .errors import (
     MalformedInput,
     NotFound,
     PlanarepError,
+    UnsupportedModel,
 )
 from .foxcalc import abelianized_boundary, fundamental_cycle
 from .liegroup import get_model
@@ -43,7 +44,7 @@ EXIT_INFEASIBLE = 3
 EXIT_TOLERANCE = 4
 EXIT_INTERNAL = 5
 
-SCHEMA = "planarep/1"
+SCHEMA = "planarep/2"
 
 
 class ToleranceExceeded(PlanarepError):
@@ -59,16 +60,24 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--tol-rank", type=float, default=1e-8)
     sub.add_argument("--tol-grp", type=float, default=1e-8)
-    sub.add_argument("--quad-nodes", type=int, default=32)
     sub.add_argument("--json-out", default=None, help="also write report to this file")
     sub.add_argument("--no-timestamp", action="store_true",
                      help="omit timestamp for byte-reproducible reports")
 
 
+def _add_solve(sub: argparse.ArgumentParser) -> None:
+    """Options of the commands backed by a solved point."""
+    _add_common(sub)
+    sub.add_argument("--classes", default=None, help="class indices, e.g. 1,1,2")
+    sub.add_argument("--target", default="e",
+                     help="central target: e or -e (write --target=-e)")
+
+
 def _tolerances(args) -> Tolerances:
-    return Tolerances(
-        rank_rel=args.tol_rank, tau_grp=args.tol_grp, quad_nodes=args.quad_nodes
-    )
+    try:
+        return Tolerances(rank_rel=args.tol_rank, tau_grp=args.tol_grp)
+    except ValueError as e:
+        raise MalformedInput(str(e)) from None
 
 
 def _presentation(args) -> PlanarPresentation:
@@ -265,7 +274,7 @@ def cmd_momenttest(args) -> None:
             np.linalg.norm(Q @ coords),
             1.0,
         )
-        worst = max(worst, check_moment_identity(pt, X, t, calib, tol.quad_nodes) / scale)
+        worst = max(worst, check_moment_identity(pt, X, t, calib) / scale)
     payload = {
         "group": model.name,
         "presentation": pres.to_json(),
@@ -295,35 +304,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = subs.add_parser("cohomology", help="twisted cohomology at a solved point")
-    _add_common(p)
-    p.add_argument("--classes", default=None, help="class indices, e.g. 1,1,2")
-    p.add_argument("--target", default="e", help="central target: e or -e")
+    _add_solve(p)
     p.set_defaults(func=cmd_cohomology)
 
     p = subs.add_parser("symplectic", help="pairing rank / degeneracy report")
-    _add_common(p)
-    p.add_argument("--classes", default=None)
-    p.add_argument("--target", default="e")
+    _add_solve(p)
     p.set_defaults(func=cmd_symplectic)
 
     p = subs.add_parser("components", help="torsion class enumeration and weights")
-    _add_common(p)
-    p.add_argument("--classes", default=None)
-    p.add_argument("--target", default="e")
+    _add_solve(p)
     p.add_argument("--with-point", action="store_true",
                    help="also solve for a point and report its stratum")
     p.set_defaults(func=cmd_components)
 
     p = subs.add_parser("solve", help="find a representation in prescribed classes")
-    _add_common(p)
-    p.add_argument("--classes", default=None)
-    p.add_argument("--target", default="e")
+    _add_solve(p)
     p.set_defaults(func=cmd_solve)
 
     p = subs.add_parser("momenttest", help="verify the momentum identity numerically")
-    _add_common(p)
-    p.add_argument("--classes", default=None)
-    p.add_argument("--target", default="e")
+    _add_solve(p)
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--threshold", type=float, default=1e-8)
     p.add_argument("--recalibrate", action="store_true",
@@ -342,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.func(args)
         return 0
-    except MalformedInput as e:
+    except (MalformedInput, UnsupportedModel) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except (InfeasibleSpec, NotFound) as e:

@@ -9,6 +9,8 @@ matrices of the relators pushed through Ad.
 from __future__ import annotations
 
 import warnings
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -16,7 +18,7 @@ import numpy as np
 
 from .config import Tolerances, DEFAULT_TOL
 from .errors import RelatorConstraintViolated, ToleranceAmbiguity
-from .foxcalc import GroupRingElt, fox_derivative
+from .foxcalc import GroupRingElt
 from .liegroup import LieModel
 from .presentations import PlanarPresentation
 from .words import Word
@@ -50,16 +52,42 @@ class RepPoint:
             out = out @ (g if s > 0 else np.linalg.inv(g))
         return out
 
+    def prefix_walk(self, w: Word) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """One prefix-Ad pass along w: (E_p, Ad_{phi(p)}) for every prefix p,
+        from the empty word up to w.
+
+        E_p (d x N, N = d * #generators) is the Ad-evaluated Fox row of p: a
+        letter s after prefix q adds Ad_q to the block of s, a letter s^-1
+        subtracts Ad_{q s^-1}.  Terms are added in ring_matrix's order, so
+        block i equals ring_matrix(fox_derivative(p, i)) bit for bit.  E_p is
+        updated in place by the next step.
+        """
+        d = self.model.d
+        E = np.zeros((d, d * self.pres.num_generators))
+        P = np.eye(d)
+        yield E, P
+        for s in w:
+            i = abs(s) - 1
+            block = E[:, i * d : (i + 1) * d]
+            if s > 0:
+                block += P
+                P = P @ self.ad_gens[i]
+            else:
+                P = P @ self.ad_gens_inv[i]
+                block -= P
+            yield E, P
+
+    def walk(self, w: Word) -> tuple[np.ndarray, np.ndarray]:
+        """(E_w, Ad_{phi(w)}), the end of prefix_walk(w)."""
+        return deque(self.prefix_walk(w), maxlen=1)[0]
+
     def ad_value(self, w: Word) -> np.ndarray:
         """Ad_{phi(w)} in basis coordinates."""
-        out = np.eye(self.model.d)
-        for s in w:
-            A = self.ad_gens[abs(s) - 1] if s > 0 else self.ad_gens_inv[abs(s) - 1]
-            out = out @ A
-        return out
+        return self.walk(w)[1]
 
     def ring_matrix(self, elt: GroupRingElt) -> np.ndarray:
-        """Evaluate a group-ring element through Ad with rational coefficients."""
+        """Evaluate a group-ring element through Ad with rational coefficients
+        (the exact reference for walk)."""
         out = np.zeros((self.model.d, self.model.d))
         for w, q in elt.terms.items():
             out += float(q) * self.ad_value(w)
@@ -111,18 +139,7 @@ def random_fnat_point(
 def cocycle_extend(pt: RepPoint, u: list[np.ndarray], w: Word) -> np.ndarray:
     """Extend a generator assignment u to the word w by the cocycle rule
     u(gh) = u(g) + Ad_{phi(g)} u(h), u(s^-1) = -Ad_{phi(s)}^{-1} u(s)."""
-    d = pt.model.d
-    acc = np.zeros(d)
-    ad_prefix = np.eye(d)
-    for s in w:
-        i = abs(s) - 1
-        if s > 0:
-            acc = acc + ad_prefix @ u[i]
-            ad_prefix = ad_prefix @ pt.ad_gens[i]
-        else:
-            ad_prefix = ad_prefix @ pt.ad_gens_inv[i]
-            acc = acc - ad_prefix @ u[i]
-    return acc
+    return pt.walk(w)[0] @ np.concatenate(u)
 
 
 def delta0(pt: RepPoint) -> np.ndarray:
@@ -132,20 +149,10 @@ def delta0(pt: RepPoint) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def _fox_rows(pres: PlanarPresentation) -> list[list[GroupRingElt]]:
-    rels = [pres.long_relator, *pres.torsion_relators]
-    return [
-        [fox_derivative(rel, i) for i in range(pres.num_generators)] for rel in rels
-    ]
-
-
 def delta1_free(pt: RepPoint) -> np.ndarray:
     """(( 1+n)d x (2l+n)d) matrix of Ad-evaluated Fox derivatives."""
-    d = pt.model.d
-    rows = []
-    for row in _fox_rows(pt.pres):
-        rows.append(np.hstack([pt.ring_matrix(e) for e in row]))
-    return np.vstack(rows)
+    p = pt.pres
+    return np.vstack([pt.walk(r)[0] for r in (p.long_relator, *p.torsion_relators)])
 
 
 def torsion_fixed_dims(pt: RepPoint, tol: Tolerances = DEFAULT_TOL) -> list[int]:
@@ -225,9 +232,7 @@ def delta1_projective(
     (d x dim columns, expressed in the basis Q)."""
     if Q is None:
         Q = projective_subspace(pt, tol)
-    d = pt.model.d
-    row_r = delta1_free(pt)[:d]
-    return row_r @ Q
+    return pt.walk(pt.pres.long_relator)[0] @ Q
 
 
 @dataclass

@@ -1,8 +1,8 @@
-"""Numerical tolerances and run configuration."""
+"""Numerical tolerances."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 
 @dataclass(frozen=True)
@@ -11,39 +11,18 @@ class Tolerances:
 
     rank_rel   -- relative SVD threshold for rank decisions.
     tau_grp    -- group membership / relator residual tolerance.
-    tau_alg    -- Lie algebra membership tolerance.
-    tau_cx     -- chain-complex residual (delta1 @ delta0) tolerance.
-    quad_nodes -- Gauss-Legendre node count for the radial homotopy integral.
     """
 
     rank_rel: float = 1e-8
     tau_grp: float = 1e-8
-    tau_alg: float = 1e-8
-    tau_cx: float = 1e-10
-    quad_nodes: int = 32
 
     def __post_init__(self):
-        for name in ("rank_rel", "tau_grp", "tau_alg", "tau_cx"):
+        for name in ("rank_rel", "tau_grp"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"tolerance {name} must be positive")
-        if self.quad_nodes < 2:
-            raise ValueError("quad_nodes must be at least 2")
 
     def to_json(self) -> dict:
         return asdict(self)
 
 
 DEFAULT_TOL = Tolerances()
-
-
-@dataclass
-class RunConfig:
-    """One CLI invocation's worth of settings."""
-
-    presentation: str = ""
-    group: str = "SU2"
-    seed: int = 0
-    tol: Tolerances = field(default_factory=Tolerances)
-    json_out: str | None = None
-    no_timestamp: bool = False
-    recalibrate: bool = False

@@ -6,18 +6,19 @@ class PlanarepError(Exception):
 
 
 class MalformedInput(PlanarepError):
-    """Presentation text does not match the accepted grammar."""
+    """User input is malformed: presentation text outside the accepted
+    grammar, or a presentation or parameter list of the wrong shape."""
 
 
-class TorsionOrderTooSmall(PlanarepError):
+class TorsionOrderTooSmall(MalformedInput):
     """A torsion order m_j < 2 was supplied."""
 
 
-class RelatorShapeMismatch(PlanarepError):
+class RelatorShapeMismatch(MalformedInput):
     """Explicit-form relators do not have the planar-group shape."""
 
 
-class ArityMismatch(PlanarepError):
+class ArityMismatch(MalformedInput):
     """Parameter list length does not match the torsion count."""
 
 

@@ -248,13 +248,6 @@ def fill_word(w: Word) -> BarChain:
     return fill
 
 
-def _letter_cells(w: Word) -> BarChain:
-    out = BarChain(1)
-    for s in w:
-        out.add(((s,),), 1)
-    return out
-
-
 def relator_filling_chain(p: PlanarPresentation) -> BarChain:
     """The chain c with boundary [r] - sum_j (1/m_j) [r_j], exactly.
 

@@ -17,7 +17,6 @@ import numpy as np
 from .components import TorsionClass
 from .cohomology import RepPoint
 from .errors import InfeasibleSpec, NotFound
-from .foxcalc import fox_derivative
 from .liegroup import LieModel
 from .presentations import PlanarPresentation
 
@@ -198,15 +197,16 @@ def _residual_matrix(spec: SolveSpec, pt: RepPoint) -> np.ndarray:
     return pt.long_relator_value() @ np.linalg.inv(spec.zeta) - spec.model.identity
 
 
-def _jacobian(spec: SolveSpec, pt: RepPoint, fox_rows) -> np.ndarray:
+def _jacobian(spec: SolveSpec, pt: RepPoint) -> np.ndarray:
     """Real Jacobian of vec(r(phi) zeta^-1) w.r.t. right-translated moves of
     the free generators and the class conjugators."""
     model, p = spec.model, spec.pres
-    d, n = model.d, model.n
+    d = model.d
     rtail = pt.long_relator_value() @ np.linalg.inv(spec.zeta)
+    row = pt.walk(p.long_relator)[0]
     cols = []
     for i in range(p.num_generators):
-        A = pt.ring_matrix(fox_rows[i])  # d x d, coords -> coords of u(r)
+        A = row[:, i * d : (i + 1) * d]  # coords -> coords of u(r)
         if i >= 2 * p.genus:
             # z_j = k c k^-1: right-translated derivative is (1 - Ad_{z_j}) xi
             A = A @ (np.eye(d) - pt.ad_gens[i])
@@ -216,14 +216,11 @@ def _jacobian(spec: SolveSpec, pt: RepPoint, fox_rows) -> np.ndarray:
     return np.array(cols).T
 
 
-def _solve_once(
-    spec: SolveSpec, rng: np.random.Generator, fox_rows
-) -> tuple[RepPoint, float]:
+def _solve_once(spec: SolveSpec, rng: np.random.Generator) -> tuple[RepPoint, float]:
     model, p = spec.model, spec.pres
     d = model.d
     free = [model.random_element(rng) for _ in range(2 * p.genus)]
     conj = [model.random_element(rng) for _ in range(p.n_torsion)]
-    nvars = p.num_generators
     lam = 1e-8
     pt = _assemble(spec, free, conj)
     E = _residual_matrix(spec, pt)
@@ -231,22 +228,30 @@ def _solve_once(
     for _ in range(spec.max_iters):
         if np.sqrt(f) < spec.tol:
             break
-        J = _jacobian(spec, pt, fox_rows)
+        J = _jacobian(spec, pt)
         r = np.concatenate([E.real.ravel(), E.imag.ravel()])
         JtJ = J.T @ J + lam * np.eye(J.shape[1])
-        step = -np.linalg.solve(JtJ, J.T @ r)
+        try:
+            step = -np.linalg.solve(JtJ, J.T @ r)
+        except np.linalg.LinAlgError:
+            return pt, float("inf")  # singular normal equations end the restart
         # backtracking on the retracted update
         t = 1.0
         improved = False
         for _ in range(30):
             xi = t * step
-            nf = [model.exp(model.unvec(xi[i * d : (i + 1) * d])) @ g
-                  for i, g in enumerate(free)]
-            nc = [model.exp(model.unvec(xi[(2 * p.genus + j) * d : (2 * p.genus + j + 1) * d])) @ k
-                  for j, k in enumerate(conj)]
-            npt = _assemble(spec, nf, nc)
-            nE = _residual_matrix(spec, npt)
-            nfval = float(np.linalg.norm(nE) ** 2)
+            # a trial iterate that overflows or is singular is a rejected step
+            with np.errstate(over="ignore", invalid="ignore"):
+                nf = [model.exp(model.unvec(xi[i * d : (i + 1) * d])) @ g
+                      for i, g in enumerate(free)]
+                nc = [model.exp(model.unvec(xi[(2 * p.genus + j) * d : (2 * p.genus + j + 1) * d])) @ k
+                      for j, k in enumerate(conj)]
+                try:
+                    npt = _assemble(spec, nf, nc)
+                    nE = _residual_matrix(spec, npt)
+                    nfval = float(np.linalg.norm(nE) ** 2)
+                except np.linalg.LinAlgError:
+                    nfval = np.inf
             if nfval < f:
                 free, conj, pt, E, f = nf, nc, npt, nE, nfval
                 improved = True
@@ -270,13 +275,11 @@ def solve_relator(spec: SolveSpec) -> SolveResult:
     feas = _feasibility_oracle(spec)
     if feas is False:
         raise InfeasibleSpec("certified infeasible by exact obstruction")
-    p = spec.pres
-    fox_rows = [fox_derivative(p.long_relator, i) for i in range(p.num_generators)]
     rng = np.random.default_rng(spec.seed)
     best: tuple[RepPoint, float] | None = None
     budget = spec.max_restarts if feas is not True else max(spec.max_restarts, 60)
     for restart in range(budget):
-        pt, resid = _solve_once(spec, rng, fox_rows)
+        pt, resid = _solve_once(spec, rng)
         if best is None or resid < best[1]:
             best = (pt, resid)
         if resid < spec.tol:
@@ -289,26 +292,15 @@ def solve_relator(spec: SolveSpec) -> SolveResult:
 
 def sample_fiber(spec: SolveSpec, n: int) -> list[SolveResult]:
     """n independently seeded solves; failures are skipped."""
-    import os
-    from concurrent.futures import ThreadPoolExecutor
-
-    seeds = [spec.seed + 1000003 * i for i in range(n)]
-
-    def run(seed: int):
+    out = []
+    for i in range(n):
         s = SolveSpec(
             spec.pres, spec.model, spec.classes, spec.zeta,
-            seed=seed, max_restarts=spec.max_restarts,
+            seed=spec.seed + 1000003 * i, max_restarts=spec.max_restarts,
             max_iters=spec.max_iters, tol=spec.tol,
         )
         try:
-            return solve_relator(s)
+            out.append(solve_relator(s))
         except (NotFound, InfeasibleSpec):
-            return None
-
-    workers = int(os.environ.get("PLANAREP_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, seeds))
-    else:
-        results = [run(s) for s in seeds]
-    return [r for r in results if r is not None]
+            pass
+    return out

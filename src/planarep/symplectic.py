@@ -7,9 +7,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, asdict
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import expm
 
 from .config import Tolerances, DEFAULT_TOL
 from .cohomology import (
@@ -89,6 +91,16 @@ class ExtendedPoint:
     def model(self) -> LieModel:
         return self.phi.model
 
+    @cached_property
+    def cup(self) -> np.ndarray:
+        """Cup matrix of phi (cup_matrix)."""
+        return cup_matrix(self.phi)
+
+    @cached_property
+    def bform(self) -> np.ndarray:
+        """Uncalibrated B matrix at Lam (bform_matrix)."""
+        return bform_matrix(self.model, self.Lam)
+
     def conjugate(self, g: np.ndarray) -> "ExtendedPoint":
         ginv = np.linalg.inv(g)
         return ExtendedPoint(self.phi.conjugate(g), g @ self.Lam @ ginv)
@@ -132,21 +144,40 @@ def action_field(pt: ExtendedPoint, X: np.ndarray) -> TangentVec:
 # --- cup-product evaluation --------------------------------------------------
 
 
-def _chain_cell_data(pres: PlanarPresentation):
-    """Cells and float coefficients of the filling chain (cached per
-    presentation)."""
-    c = relator_filling_chain(pres)
-    return [(g, h, float(q)) for (g, h), q in c.terms.items()]
+_CELLS: dict = {}
 
 
-_CHAIN_CACHE: dict = {}
-
-
-def _cells(pres: PlanarPresentation):
+def _cells(pres: PlanarPresentation) -> dict:
+    """Cells of the filling chain grouped by first entry, g -> [(h, q)],
+    cached per presentation."""
     key = (pres.genus, pres.torsion)
-    if key not in _CHAIN_CACHE:
-        _CHAIN_CACHE[key] = _chain_cell_data(pres)
-    return _CHAIN_CACHE[key]
+    if key not in _CELLS:
+        cells = _CELLS[key] = {}
+        for (g, h), q in relator_filling_chain(pres).terms.items():
+            cells.setdefault(g, []).append((h, float(q)))
+    return _CELLS[key]
+
+
+def cup_matrix(phi: RepPoint) -> np.ndarray:
+    """Antisymmetric N x N matrix C of the uncalibrated cup pairing,
+    cup_eval(phi, u, v) = flat(u)^T C flat(v).
+
+    A cell q[g|h] of the filling chain adds q E_g^T G Ad_g E_h to M, with
+    (E_w, Ad_w) from RepPoint.walk and G the pairing Gram, and C = (M - M^T)/2.
+    First entries that are relator prefixes are read off one walk along the
+    relator; the others (letters of the cancellation cells) get their own.
+    """
+    p, G = phi.pres, phi.model.pairing_gram
+    rels = (p.long_relator, *p.torsion_relators)
+    todo = dict(_cells(p))
+    own = [g for g in todo if all(r[: len(g)] != g for r in rels)]
+    n = p.num_generators * phi.model.d
+    M = np.zeros((n, n))
+    for w in (*rels, *own):
+        for k, (E, A) in enumerate(phi.prefix_walk(w)):
+            for h, q in todo.pop(w[:k], ()):
+                M += q * ((E.T @ (G @ A)) @ phi.walk(h)[0])
+    return 0.5 * (M - M.T)
 
 
 def cup_eval(
@@ -157,23 +188,7 @@ def cup_eval(
 
     No sign/scale calibration applied; callers multiply by s1 * kappa_norm.
     """
-    model = phi.model
-    G = model.pairing_gram
-    total = 0.0
-    cache_u: dict = {}
-    cache_v: dict = {}
-
-    def ev(cache, vals, w):
-        if w not in cache:
-            cache[w] = cocycle_extend(phi, vals, w)
-        return cache[w]
-
-    for g, h, q in _cells(phi.pres):
-        ug, vg = ev(cache_u, u, g), ev(cache_v, v, g)
-        uh, vh = ev(cache_u, u, h), ev(cache_v, v, h)
-        Ad_g = phi.ad_value(g)
-        total += q * (ug @ G @ (Ad_g @ vh) - vg @ G @ (Ad_g @ uh))
-    return 0.5 * total
+    return float(np.concatenate(u) @ cup_matrix(phi) @ np.concatenate(v))
 
 
 def pairing_H1(
@@ -211,18 +226,18 @@ def bform_O(
     V: np.ndarray,
     W: np.ndarray,
     calib: CalibrationRecord | None = None,
-    nodes: int = DEFAULT_TOL.quad_nodes,
 ) -> float:
     """Radial-homotopy primitive of the exp-pulled-back invariant 3-form:
     B_Lam(V, W) = s2 * int_0^1 t^2 lam~_{t Lam}(Lam, V, W) dt with
     lam~_X(a,b,c) = (1/2) <[D(X)a, D(X)b], D(X)c>, D the dexp operator.
     The 1/2 normalization of the invariant 3-form is what makes the momentum
-    identity hold with unit scale."""
+    identity hold with unit scale.
+
+    Evaluated by 32-node Gauss-Legendre quadrature; the numeric layer uses
+    the closed form bform_matrix, and this definition is its test oracle."""
     calib = calib or default_calibration()
-    for t in (0.5, 1.0):
-        if not model.in_regular_domain(t * Lam):
-            raise OutsideStarDomain("segment [0, Lam] leaves the regular domain")
-    x, wts = np.polynomial.legendre.leggauss(nodes)
+    _check_star_domain(model, Lam)
+    x, wts = np.polynomial.legendre.leggauss(32)
     ts = 0.5 * (x + 1.0)
     wts = 0.5 * wts
     lam_v, v_v, w_v = model.vec(Lam), np.asarray(V), np.asarray(W)
@@ -236,6 +251,33 @@ def bform_O(
     return calib.s2 * total
 
 
+def _check_star_domain(model: LieModel, Lam: np.ndarray) -> None:
+    for t in (0.5, 1.0):
+        if not model.in_regular_domain(t * Lam):
+            raise OutsideStarDomain("segment [0, Lam] leaves the regular domain")
+
+
+def bform_matrix(model: LieModel, Lam: np.ndarray) -> np.ndarray:
+    """Matrix K of the uncalibrated 2-form, B_Lam(V, W) = s2 * V^T K W.
+
+    Closed form of bform_O: with D(t Lam) Lam = Lam and the invariance of the
+    pairing, B_Lam(V, W) = s2 <F(ad_Lam) V, W> with F(z) = (sinh z - z)/z^2,
+    so K = F(ad_Lam)^T G.  F = (phi2(z) - phi2(-z))/2 for
+    phi2(z) = (e^z - 1 - z)/z^2, and both phi2 blocks come from one block
+    exponential: [[A, I, 0], [0, 0, I], [0, 0, 0]] -> phi2(A) top right.
+    """
+    _check_star_domain(model, Lam)
+    A, d = model.ad_matrix(Lam), model.d
+    M = np.zeros((6 * d, 6 * d))
+    for o, S in ((0, A), (3 * d, -A)):
+        M[o : o + d, o : o + d] = S
+        M[o : o + d, o + d : o + 2 * d] = np.eye(d)
+        M[o + d : o + 2 * d, o + 2 * d : o + 3 * d] = np.eye(d)
+    X = expm(M)
+    F = 0.5 * (X[:d, 2 * d : 3 * d] - X[3 * d : 4 * d, 5 * d :])
+    return F.T @ model.pairing_gram
+
+
 # --- extended 2-form, momentum map, identities -------------------------------
 
 
@@ -244,13 +286,12 @@ def omega_extended(
     t1: TangentVec,
     t2: TangentVec,
     calib: CalibrationRecord | None = None,
-    nodes: int = DEFAULT_TOL.quad_nodes,
 ) -> float:
     """omega_ext = s1 kappa * (cup part over the filling chain) - B(V1, V2)."""
     calib = calib or default_calibration()
-    cup = calib.s1 * calib.kappa_norm * cup_eval(pt.phi, t1.u, t2.u)
-    b = bform_O(pt.model, pt.Lam, t1.V, t2.V, calib, nodes)
-    return cup - b
+    cup = np.concatenate(t1.u) @ pt.cup @ np.concatenate(t2.u)
+    b = t1.V @ pt.bform @ t2.V
+    return float(calib.s1 * calib.kappa_norm * cup - calib.s2 * b)
 
 
 def moment(pt: ExtendedPoint) -> np.ndarray:
@@ -269,11 +310,10 @@ def check_moment_identity(
     X: np.ndarray,
     t: TangentVec,
     calib: CalibrationRecord | None = None,
-    nodes: int = DEFAULT_TOL.quad_nodes,
 ) -> float:
     """Residual of omega(X_M, t) = d(X o mu)(t) = -<V_t, X>."""
     calib = calib or default_calibration()
-    lhs = omega_extended(pt, action_field(pt, X), t, calib, nodes)
+    lhs = omega_extended(pt, action_field(pt, X), t, calib)
     rhs = -pt.model.pairing(pt.model.unvec(t.V), X)
     return abs(lhs - rhs)
 
@@ -306,8 +346,8 @@ def _calibration_batch(
             u = unflatten(model, Q @ coords, pres.num_generators)
             t = tangent_from_u(pt, u)
             a = action_field(pt, X)
-            cup = cup_eval(phi, a.u, t.u)
-            b = bform_O(model, pt.Lam, a.V, t.V, CalibrationRecord(1, 1, 1.0))
+            cup = np.concatenate(a.u) @ pt.cup @ np.concatenate(t.u)
+            b = a.V @ pt.bform @ t.V
             target = -model.pairing(model.unvec(t.V), X)
             rows.append((cup, b, target))
     return np.array(rows)
@@ -364,10 +404,6 @@ def calibrate(
     )
 
 
-def save_calibration(rec: CalibrationRecord, path: Path | str = _DATA_PATH) -> None:
-    Path(path).write_text(json.dumps(rec.to_json(), indent=2))
-
-
 # --- degeneracy / rank reports -------------------------------------------------
 
 
@@ -376,39 +412,26 @@ def gram_on_cocycles(
     basis: np.ndarray,
     calib: CalibrationRecord | None = None,
 ) -> np.ndarray:
-    """Gram matrix of the (calibrated) cup pairing on given C^1 columns."""
+    """Gram matrix of the (calibrated) cup pairing on given C^1 columns:
+    s1 kappa Z^T C Z."""
     calib = calib or default_calibration()
-    k = basis.shape[1]
-    n_gens = phi.pres.num_generators
-    cols = [unflatten(phi.model, basis[:, i], n_gens) for i in range(k)]
-    G = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            val = calib.s1 * calib.kappa_norm * cup_eval(phi, cols[i], cols[j])
-            G[i, j], G[j, i] = val, -val
-    return G
+    G = calib.s1 * calib.kappa_norm * (basis.T @ cup_matrix(phi) @ basis)
+    return 0.5 * (G - G.T)
 
 
 def gram_extended(
     pt: ExtendedPoint,
     basis: np.ndarray,
     calib: CalibrationRecord | None = None,
-    nodes: int = DEFAULT_TOL.quad_nodes,
 ) -> np.ndarray:
-    """Gram matrix of omega_ext on tangents spanned by C^1 basis columns."""
+    """Gram matrix of omega_ext on tangents spanned by C^1 basis columns:
+    Q^T (s1 kappa C - s2 T^T K T) Q with T = dexp(Lam)^-1 R, R the Fox row of
+    the long relator, so that T Q holds the V of the basis tangents."""
     calib = calib or default_calibration()
-    n_gens = pt.phi.pres.num_generators
-    k = basis.shape[1]
-    tangents = [
-        tangent_from_u(pt, unflatten(pt.model, basis[:, i], n_gens))
-        for i in range(k)
-    ]
-    G = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            val = omega_extended(pt, tangents[i], tangents[j], calib, nodes)
-            G[i, j], G[j, i] = val, -val
-    return G
+    V = pt._dexp_inv @ pt.phi.walk(pt.phi.pres.long_relator)[0] @ basis
+    G = calib.s1 * calib.kappa_norm * (basis.T @ pt.cup @ basis)
+    G = G - calib.s2 * (V.T @ pt.bform @ V)
+    return 0.5 * (G - G.T)
 
 
 def principal_angles(A: np.ndarray, B: np.ndarray) -> np.ndarray:

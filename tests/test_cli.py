@@ -1,5 +1,8 @@
 import json
 
+import numpy as np
+import pytest
+
 from planarep.cli import main
 
 
@@ -14,7 +17,7 @@ def test_analyze_schema(capsys):
                      "--no-timestamp")
     assert code == 0
     report = json.loads(out)
-    assert report["schema"] == "planarep/1"
+    assert report["schema"] == "planarep/2"
     assert report["measure"] == "1/42"
     assert report["lcm"] == 42
     assert report["fundamental_cycle"] == ["42", "-21", "-14", "-6"]
@@ -102,3 +105,28 @@ def test_json_out_writes_file(tmp_path, capsys):
 def test_argparse_exit_code():
     # main() converts argparse's SystemExit into the parse exit code
     assert main(["not-a-command"]) == 2
+
+
+def test_bad_input_exits_2(capsys):
+    # a torsion order below 2, a group without finite class enumeration and
+    # a tolerance that is not positive
+    assert main(["analyze", "--torsion", "1"]) == 2
+    assert main(["solve", "--group", "SL2R", "--torsion", "3"]) == 2
+    assert main(["analyze", "--tol-rank", "0"]) == 2
+
+
+@pytest.mark.parametrize("seed", [3, 8, 18, 37, 55, 107, 113])
+def test_sl2r_seeds_with_singular_trial_steps(capsys, seed):
+    # trial steps at these seeds overflow to singular generators; they are
+    # rejected, so the solve either verifies r(phi) = e or reports not found
+    code, out = _run(capsys, "solve", "--group", "SL2R", "--genus", "2",
+                     "--seed", str(seed), "--no-timestamp")
+    assert code in (0, 3)
+    if code == 0:
+        gens = [np.array([[complex(re, im) for re, im in row] for row in g])
+                for g in json.loads(out)["result"]["generators"]]
+        r = np.eye(2)
+        for s in (1, 2, -1, -2, 3, 4, -3, -4):
+            g = gens[abs(s) - 1]
+            r = r @ (g if s > 0 else np.linalg.inv(g))
+        assert np.linalg.norm(r - np.eye(2)) < 1e-6

@@ -142,3 +142,23 @@ def test_twisted_su2_point():
     assert data.h0 - data.h1 + data.h2 == expected
     # irreducible points of the twisted component have trivial stabilizer
     assert data.dims == (0, 6, 0)
+
+
+def test_walk_blocks_equal_ring_matrix_bitwise():
+    # the walk adds the prefix Ad's in ring_matrix's order, so the Fox blocks
+    # agree exactly, not just to rounding
+    from planarep.foxcalc import fox_derivative
+
+    rng = np.random.default_rng(5)
+    for name in ("SU2", "U3", "SL2R"):
+        model = get_model(name)
+        pres = PlanarPresentation(2, (3, 4))
+        gens = [model.random_element(rng) for _ in range(pres.num_generators)]
+        pt = RepPoint(pres, model, gens)
+        words = [pres.long_relator, *pres.torsion_relators, (1, -3, -3, 2, 5)]
+        for w in words:
+            E, A = pt.walk(w)
+            for i in range(pres.num_generators):
+                ref = pt.ring_matrix(fox_derivative(w, i))
+                assert np.array_equal(E[:, i * model.d : (i + 1) * model.d], ref)
+            assert np.array_equal(A, pt.ad_value(w))

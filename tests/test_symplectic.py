@@ -1,19 +1,26 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
-from planarep.cohomology import cohomology_data, delta0, projective_subspace
+from planarep.cohomology import RepPoint, cohomology_data, delta0, projective_subspace
 from planarep.components import finite_order_classes
 from planarep.config import DEFAULT_TOL
-from planarep.errors import NotACocycle
+from planarep.errors import LogBranchFailure, NotACocycle, OutsideStarDomain
+from planarep.foxcalc import fox_derivative, relator_filling_chain
 from planarep.liegroup import get_model
 from planarep.presentations import PlanarPresentation
 from planarep.solver import SolveSpec, solve_relator
 from planarep.symplectic import (
+    CalibrationRecord,
     action_field,
+    bform_O,
+    bform_matrix,
     check_moment_identity,
     default_calibration,
     degeneracy_report,
     extend_point,
+    gram_extended,
     gram_on_cocycles,
     moment_pairing,
     omega_extended,
@@ -151,3 +158,126 @@ def test_projective_subspace_contains_coboundaries():
     D0 = delta0(phi)
     resid = np.linalg.norm(D0 - Q @ (Q.T @ D0))
     assert resid < 1e-9
+
+
+# --- the matrix forms against per-pair references ------------------------------
+
+GROUPS = ["SU2", "U2", "U3", "SL2R"]
+UNIT = CalibrationRecord(1, 1, 1.0)
+
+
+def _torsion_element(model, m, rng):
+    """A random conjugate of an element with g^m = e: a random class
+    representative for the unitary models, a rotation by 2 pi / m for SL(2,R)."""
+    if model.kind == "SL2R":
+        c, s = np.cos(2 * np.pi / m), np.sin(2 * np.pi / m)
+        rep = np.array([[c, -s], [s, c]])
+    else:
+        classes = finite_order_classes(model, m)
+        rep = classes[rng.integers(len(classes))].representative(model)
+    g = model.random_element(rng, 0.6)
+    return g @ rep @ np.linalg.inv(g)
+
+
+def _extended_point(model, pres, seed):
+    """A random F-natural extended point with generic (non-central) Lam.
+
+    ||ad_Lam|| is kept below 5: the 32-node quadrature of bform_O loses
+    digits beyond that (to the nodes for real eigenvalues of ad_Lam, to
+    cancellation for large non-normal SL(2,R) Lam), so the oracle, not the
+    closed form, would be off."""
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        gens = [model.random_element(rng, 0.6) for _ in range(2 * pres.genus)]
+        gens += [_torsion_element(model, m, rng) for m in pres.torsion]
+        try:
+            pt = extend_point(RepPoint(pres, model, gens))
+            pt.bform  # refuses Lam outside the star domain
+        except (LogBranchFailure, OutsideStarDomain):
+            continue
+        if np.linalg.norm(model.ad_matrix(pt.Lam), 2) < 5:
+            return pt
+    raise AssertionError("no extended point found")
+
+
+def _fox_row(phi, w):
+    """d x N row of Ad-evaluated Fox derivatives of w, each term through
+    Ad_matrix of its multiplied-out group element."""
+    blocks = []
+    for i in range(phi.pres.num_generators):
+        out = np.zeros((phi.model.d, phi.model.d))
+        for term, q in fox_derivative(w, i).terms.items():
+            out += float(q) * phi.model.Ad_matrix(phi.value(term))
+        blocks.append(out)
+    return np.hstack(blocks)
+
+
+def _cup_reference(phi, cols):
+    """Gram of (1/2) sum over filling-chain cells q[g|h] of
+    <u(g), Ad_g v(h)> - <v(g), Ad_g u(h)>, one pair (u, v) at a time."""
+    G = phi.model.pairing_gram
+    cells = [
+        (_fox_row(phi, g), phi.model.Ad_matrix(phi.value(g)), _fox_row(phi, h), float(q))
+        for (g, h), q in relator_filling_chain(phi.pres).terms.items()
+    ]
+    k = len(cols)
+    ref = np.zeros((k, k))
+    for i in range(k):
+        for j in range(i + 1, k):
+            u, v = cols[i], cols[j]
+            total = 0.0
+            for Eg, Ad_g, Eh, q in cells:
+                ug, vg, uh, vh = Eg @ u, Eg @ v, Eh @ u, Eh @ v
+                total += q * (ug @ G @ Ad_g @ vh - vg @ G @ Ad_g @ uh)
+            ref[i, j], ref[j, i] = 0.5 * total, -0.5 * total
+    return ref
+
+
+def _close(a, b, rtol=1e-11):
+    return np.max(np.abs(a - b)) <= rtol * max(1.0, np.max(np.abs(b)))
+
+
+presentations = st.sampled_from(
+    [(g, t) for g in range(4) for t in ((), (3,), (2, 3)) if (g, t) != (0, ())]
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(GROUPS), presentations, st.integers(0, 10**6))
+def test_matrix_grams_match_per_pair_reference(group, gt, seed):
+    model = get_model(group)
+    pres = PlanarPresentation(*gt)
+    pt = _extended_point(model, pres, seed)
+    k = 4
+    rng = np.random.default_rng(seed + 1)
+    basis = rng.standard_normal((pres.num_generators * model.d, k))
+    cols = list(basis.T)
+    ref_cup = _cup_reference(pt.phi, cols)
+    R = _fox_row(pt.phi, pres.long_relator)
+    Dinv = model.dexp_inv_matrix(pt.Lam)
+    Vs = [Dinv @ R @ u for u in cols]
+    ref_ext = ref_cup.copy()
+    for i in range(k):
+        for j in range(i + 1, k):
+            b = bform_O(model, pt.Lam, Vs[i], Vs[j], UNIT)
+            ref_ext[i, j] -= b
+            ref_ext[j, i] += b
+    assert _close(gram_on_cocycles(pt.phi, basis, UNIT), ref_cup)
+    assert _close(gram_extended(pt, basis, UNIT), ref_ext)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(GROUPS), st.integers(0, 10**6), st.floats(0.1, 1.5))
+def test_closed_form_bform_matches_quadrature(group, seed, scale):
+    model = get_model(group)
+    rng = np.random.default_rng(seed)
+    Lam = model.random_alg(rng, scale)
+    # a central Lam has ad_Lam = 0 and B = 0, which would prove nothing
+    assume(np.linalg.norm(model.ad_matrix(Lam)) > 0.05)
+    try:
+        K = bform_matrix(model, Lam)
+    except OutsideStarDomain:
+        assume(False)
+    V, W = rng.standard_normal(model.d), rng.standard_normal(model.d)
+    quad = bform_O(model, Lam, V, W, UNIT)
+    assert abs(V @ K @ W - quad) <= 1e-12 * max(1.0, np.linalg.norm(V) * np.linalg.norm(W))
