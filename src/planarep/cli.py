@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from datetime import datetime, timezone
+from fractions import Fraction
 
 import numpy as np
 
@@ -90,24 +91,56 @@ def _presentation(args) -> PlanarPresentation:
     return PlanarPresentation(args.genus, torsion)
 
 
-def _pick_classes(model, pres, text: str | None):
-    """Class per torsion generator from comma-separated indices (default:
-    first nontrivial class of each order)."""
+def _pick_classes(model, pres, text: str | None, target: str):
+    """Class per torsion generator from comma-separated indices, or
+    _default_classes without them."""
+    per_gen = [finite_order_classes(model, m) for m in pres.torsion]
+    if not text:
+        return _default_classes(model, per_gen, target)
+    idxs = text.split(",")
+    if len(idxs) != pres.n_torsion:
+        raise MalformedInput("need one class index per torsion generator")
     out = []
-    for j, m in enumerate(pres.torsion):
-        classes = finite_order_classes(model, m)
-        if text:
-            idxs = text.split(",")
-            if len(idxs) != pres.n_torsion:
-                raise MalformedInput("need one class index per torsion generator")
-            i = int(idxs[j])
-        else:
-            i = 1 if len(classes) > 1 else 0
+    for classes, m, i in zip(per_gen, pres.torsion, idxs):
+        try:
+            i = int(i)
+        except ValueError:
+            raise MalformedInput(f"bad class index: {i!r}") from None
         if not 0 <= i < len(classes):
             raise MalformedInput(
                 f"class index {i} out of range for order {m} ({len(classes)} classes)"
             )
         out.append(classes[i])
+    return out
+
+
+def _default_classes(model, per_gen, target: str):
+    """The first class tuple, taking each order's first nontrivial class
+    first, that the solver's determinant test lets through.
+
+    Only U(n) has that test: a tuple passes when the determinants of its
+    classes, exp(2 pi i * sum of the fractions), multiply to det(zeta).  When
+    no tuple passes, the first one is returned and the solver certifies it
+    empty."""
+    prefs = [classes[1:] + classes[:1] for classes in per_gen]
+    if model.kind != "U":
+        return [p[0] for p in prefs]
+
+    def phase(c):  # det(c) = exp(2 pi i phase(c))
+        return sum(c.fractions) % 1
+
+    need = Fraction(model.n, 2) % 1 if target == "-e" else Fraction(0)
+    # reach[j]: the phases the classes of generators j, j+1, ... can add up to
+    reach = [{Fraction(0)}]
+    for classes in reversed(per_gen):
+        reach.insert(0, {(r + phase(c)) % 1 for r in reach[0] for c in classes})
+    if need not in reach[0]:
+        return [p[0] for p in prefs]
+    out = []
+    for p, rest in zip(prefs, reach[1:]):
+        c = next(c for c in p if (need - phase(c)) % 1 in rest)
+        out.append(c)
+        need = (need - phase(c)) % 1
     return out
 
 
@@ -122,8 +155,11 @@ def _zeta(model, text: str):
 def _solved_point(args, tol):
     model = get_model(args.group)
     pres = _presentation(args)
-    classes = _pick_classes(model, pres, getattr(args, "classes", None))
-    zeta = _zeta(model, getattr(args, "target", "e"))
+    if pres.num_generators == 0:
+        raise MalformedInput("the presentation has no generators: nothing to solve")
+    target = getattr(args, "target", "e")
+    zeta = _zeta(model, target)
+    classes = _pick_classes(model, pres, getattr(args, "classes", None), target)
     spec = SolveSpec(pres, model, classes, zeta, seed=args.seed, tol=tol.tau_grp)
     return solve_relator(spec), spec
 
@@ -253,6 +289,10 @@ def cmd_solve(args) -> None:
 
 def cmd_momenttest(args) -> None:
     tol = _tolerances(args)
+    if args.trials < 1:
+        raise MalformedInput(f"--trials must be at least 1, got {args.trials}")
+    if not 0 < args.threshold < float("inf"):
+        raise MalformedInput(f"--threshold must be positive and finite, got {args.threshold}")
     if args.recalibrate:
         calib = calibrate(seed=args.seed, tol=tol)
     else:

@@ -30,26 +30,32 @@ class RepPoint:
 
     pres: PlanarPresentation
     model: LieModel
-    gens: list  # list of (n x n) matrices, one per presentation generator
+    # one (n x n) matrix per presentation generator: a list or a stack
+    gens: list | np.ndarray
 
     def __post_init__(self):
         if len(self.gens) != self.pres.num_generators:
             raise ValueError("one matrix per generator required")
 
     @cached_property
-    def ad_gens(self) -> list[np.ndarray]:
-        return [self.model.Ad_matrix(g) for g in self.gens]
+    def ad_gens(self) -> np.ndarray:
+        """Ad_{phi(s)} of every generator s, stacked (#generators, d, d)."""
+        return self.model.Ad_matrix(np.asarray(self.gens))
 
     @cached_property
-    def ad_gens_inv(self) -> list[np.ndarray]:
-        return [np.linalg.inv(A) for A in self.ad_gens]
+    def ad_gens_inv(self) -> np.ndarray:
+        return np.linalg.inv(self.ad_gens)
+
+    @cached_property
+    def gens_inv(self) -> np.ndarray:
+        """phi(s)^-1 of every generator s, stacked."""
+        return np.linalg.inv(np.asarray(self.gens))
 
     def value(self, w: Word) -> np.ndarray:
         """phi(w) as a group element."""
         out = self.model.identity.copy()
         for s in w:
-            g = self.gens[abs(s) - 1]
-            out = out @ (g if s > 0 else np.linalg.inv(g))
+            out = out @ (self.gens[s - 1] if s > 0 else self.gens_inv[-s - 1])
         return out
 
     def prefix_walk(self, w: Word) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -94,23 +100,28 @@ class RepPoint:
         return out
 
     @cached_property
-    def relator_values(self) -> list[np.ndarray]:
-        return [self.value(self.pres.long_relator)] + [
-            self.value(r) for r in self.pres.torsion_relators
-        ]
+    def _long_value(self) -> np.ndarray:
+        return self.value(self.pres.long_relator)
+
+    @cached_property
+    def torsion_relator_values(self) -> list[np.ndarray]:
+        return [self.value(r) for r in self.pres.torsion_relators]
 
     def long_relator_value(self) -> np.ndarray:
-        return self.relator_values[0]
+        return self._long_value
 
     def is_fnat(self, tol: float = DEFAULT_TOL.tau_grp) -> bool:
         """Torsion relators satisfied: phi(z_j)^{m_j} = e."""
         eye = self.model.identity
         return all(
-            np.linalg.norm(v - eye) < tol for v in self.relator_values[1:]
+            np.linalg.norm(v - eye) < tol for v in self.torsion_relator_values
         )
 
     def relators_central(self, tol: float = DEFAULT_TOL.tau_grp) -> bool:
-        return all(self.model.is_central(v, tol) for v in self.relator_values)
+        return all(
+            self.model.is_central(v, tol)
+            for v in (self._long_value, *self.torsion_relator_values)
+        )
 
     def conjugate(self, g: np.ndarray) -> "RepPoint":
         ginv = np.linalg.inv(g)

@@ -22,6 +22,11 @@ class LieModel:
     kind is one of 'SU', 'U', 'SL2R'; the pairing is -Re tr(XY) for the
     unitary models (positive definite) and tr(XY) for sl(2,R) (indefinite,
     signature (+,+,-) in the basis used here).
+
+    vec, unvec, exp, ad_matrix and Ad_matrix take stacks: leading axes of
+    the argument are carried through, and each slice of the result is
+    bitwise equal to the call on that slice alone, with the same memory
+    layout.  The other methods take one element.
     """
 
     def __init__(self, kind: str, n: int, basis: np.ndarray, name: str):
@@ -31,6 +36,10 @@ class LieModel:
         self.d = len(basis)
         self.name = name
         self.identity = np.eye(n, dtype=basis.dtype)
+        # basis_h[a] is basis[a].conj().T with the same (transposed) layout,
+        # basis_flat row a is basis[a] flattened
+        self._basis_h = basis.conj().transpose(0, 2, 1)
+        self._basis_flat = basis.reshape(self.d, n * n)
         # Gram matrix of the invariant pairing on the chosen basis
         self.pairing_gram = np.array(
             [[self.pairing(X, Y) for Y in basis] for X in basis]
@@ -46,13 +55,19 @@ class LieModel:
         return float(t.real) if self.kind == "SL2R" else -float(t.real)
 
     def vec(self, X: np.ndarray) -> np.ndarray:
-        """Coordinates in the reference-orthonormal basis."""
-        return np.array(
-            [np.trace(B.conj().T @ X).real for B in self.basis]
-        )
+        """Coordinates in the reference-orthonormal basis: (..., n, n) ->
+        (..., d), entry a is Re tr(basis[a]^H X)."""
+        P = self._basis_h @ np.asarray(X)[..., None, :, :]
+        return np.ascontiguousarray(np.trace(P, axis1=-2, axis2=-1).real)
 
     def unvec(self, v: np.ndarray) -> np.ndarray:
-        return np.tensordot(np.asarray(v, dtype=float), self.basis, axes=(0, 0))
+        """Algebra element from coordinates: (..., d) -> (..., n, n).
+
+        One row-times-matrix product per slice; a (k, d) @ (d, n*n) product
+        would round differently."""
+        v = np.asarray(v, dtype=float)
+        flat = np.matmul(v[..., None, :], self._basis_flat)
+        return flat.reshape(v.shape[:-1] + (self.n, self.n))
 
     # -- membership ----------------------------------------------------------
 
@@ -79,6 +94,7 @@ class LieModel:
     # -- exp / log -----------------------------------------------------------
 
     def exp(self, X: np.ndarray) -> np.ndarray:
+        """Matrix exponential; expm maps a stack slice by slice."""
         return expm(X)
 
     def log_principal(self, g: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -102,15 +118,23 @@ class LieModel:
     # -- adjoint structure -----------------------------------------------------
 
     def ad_matrix(self, X: np.ndarray) -> np.ndarray:
-        """Matrix of ad_X on the algebra in basis coordinates (d x d, real)."""
-        cols = [self.vec(X @ B - B @ X) for B in self.basis]
-        return np.array(cols).T
+        """Matrix of ad_X on the algebra in basis coordinates (d x d, real);
+        (..., n, n) -> (..., d, d)."""
+        X = np.asarray(X)[..., None, :, :]
+        return self._columns(X @ self.basis - self.basis @ X)
 
     def Ad_matrix(self, g: np.ndarray) -> np.ndarray:
-        """Matrix of Ad_g = g (.) g^-1 in basis coordinates."""
-        ginv = np.linalg.inv(g)
-        cols = [self.vec(g @ B @ ginv) for B in self.basis]
-        return np.array(cols).T
+        """Matrix of Ad_g = g (.) g^-1 in basis coordinates;
+        (..., n, n) -> (..., d, d)."""
+        ginv = np.linalg.inv(g)[..., None, :, :]
+        return self._columns(np.asarray(g)[..., None, :, :] @ self.basis @ ginv)
+
+    def _columns(self, M: np.ndarray) -> np.ndarray:
+        """(..., d, d) matrix whose column b is vec(M[..., b, :, :]).  Each
+        slice is column-major: the products downstream (the relator walk,
+        the solver Jacobian) round according to the operand layout, and the
+        reports are pinned to this one."""
+        return self.vec(M).swapaxes(-1, -2)
 
     def in_regular_domain(self, X: np.ndarray, tol: float = 1e-9) -> bool:
         """True iff no ad_X eigenvalue lies in 2 pi i Z \\ {0}."""

@@ -11,6 +11,7 @@ steps with backtracking, gradient fallback), seeded random restarts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,14 +40,23 @@ class SolveSpec:
             self.zeta = self.model.identity.copy()
         if not self.model.is_central(self.zeta):
             raise InfeasibleSpec("target zeta is not central")
-        for cls, m in zip(self.classes, self.pres.torsion):
+        for cls, m, rep in zip(self.classes, self.pres.torsion, self.reps):
             if cls.order != m:
                 raise InfeasibleSpec(
                     f"class {cls.class_id} has order {cls.order}, presentation wants {m}"
                 )
-            rep = cls.representative(self.model)
             if np.linalg.norm(np.linalg.matrix_power(rep, m) - self.model.identity) > 1e-9:
                 raise InfeasibleSpec(f"class representative violates g^{m} = e")
+
+    @cached_property
+    def reps(self) -> np.ndarray:
+        """The exact class representatives c_j, stacked (n_torsion, n, n)."""
+        n = self.model.n
+        return np.array([c.representative(self.model) for c in self.classes]).reshape(-1, n, n)
+
+    @cached_property
+    def zeta_inv(self) -> np.ndarray:
+        return np.linalg.inv(self.zeta)
 
     def to_json(self) -> dict:
         return {
@@ -161,8 +171,8 @@ def _feasibility_oracle(spec: SolveSpec) -> bool | None:
     model, p = spec.model, spec.pres
     if model.kind == "U":
         det = complex(np.linalg.det(spec.zeta))
-        for cls in spec.classes:
-            det /= complex(np.linalg.det(cls.representative(model)))
+        for rep in spec.reps:
+            det /= complex(np.linalg.det(rep))
         if abs(det - 1.0) > 1e-9:
             return False
         if model.n == 1:
@@ -180,21 +190,22 @@ def _feasibility_oracle(spec: SolveSpec) -> bool | None:
 
 def _u1_ok(spec: SolveSpec) -> bool:
     prod = complex(spec.zeta[0, 0])
-    for cls in spec.classes:
-        prod /= complex(cls.representative(spec.model)[0, 0])
+    for rep in spec.reps:
+        prod /= complex(rep[0, 0])
     return abs(prod - 1.0) < 1e-9
 
 
-def _assemble(spec: SolveSpec, free: list[np.ndarray], conj: list[np.ndarray]) -> RepPoint:
-    gens = list(free)
-    for k, cls in zip(conj, spec.classes):
-        rep = cls.representative(spec.model)
-        gens.append(k @ rep @ np.linalg.inv(k))
+def _assemble(spec: SolveSpec, G: np.ndarray) -> RepPoint:
+    """The point with free generators G[:2l] and torsion generators
+    k_j c_j k_j^-1 for the conjugators k_j = G[2l:], all stacked."""
+    f = 2 * spec.pres.genus
+    K = G[f:]
+    gens = np.concatenate([G[:f], K @ spec.reps @ np.linalg.inv(K)])
     return RepPoint(spec.pres, spec.model, gens)
 
 
 def _residual_matrix(spec: SolveSpec, pt: RepPoint) -> np.ndarray:
-    return pt.long_relator_value() @ np.linalg.inv(spec.zeta) - spec.model.identity
+    return pt.long_relator_value() @ spec.zeta_inv - spec.model.identity
 
 
 def _jacobian(spec: SolveSpec, pt: RepPoint) -> np.ndarray:
@@ -202,27 +213,26 @@ def _jacobian(spec: SolveSpec, pt: RepPoint) -> np.ndarray:
     the free generators and the class conjugators."""
     model, p = spec.model, spec.pres
     d = model.d
-    rtail = pt.long_relator_value() @ np.linalg.inv(spec.zeta)
+    rtail = pt.long_relator_value() @ spec.zeta_inv
     row = pt.walk(p.long_relator)[0]
-    cols = []
-    for i in range(p.num_generators):
-        A = row[:, i * d : (i + 1) * d]  # coords -> coords of u(r)
-        if i >= 2 * p.genus:
-            # z_j = k c k^-1: right-translated derivative is (1 - Ad_{z_j}) xi
-            A = A @ (np.eye(d) - pt.ad_gens[i])
-        for b in range(d):
-            M = model.unvec(A[:, b]) @ rtail
-            cols.append(np.concatenate([M.real.ravel(), M.imag.ravel()]))
-    return np.array(cols).T
+    # block i maps coords of the move of generator i -> coords of u(r)
+    blocks = [row[:, i * d : (i + 1) * d] for i in range(p.num_generators)]
+    for i in range(2 * p.genus, p.num_generators):
+        # z_j = k c k^-1: right-translated derivative is (1 - Ad_{z_j}) xi
+        blocks[i] = blocks[i] @ (np.eye(d) - pt.ad_gens[i])
+    # one column per (generator, basis direction)
+    M = model.unvec(np.concatenate([A.T for A in blocks])) @ rtail
+    M = M.reshape(len(M), -1)
+    return np.concatenate([M.real, M.imag], axis=1).T
 
 
 def _solve_once(spec: SolveSpec, rng: np.random.Generator) -> tuple[RepPoint, float]:
     model, p = spec.model, spec.pres
-    d = model.d
-    free = [model.random_element(rng) for _ in range(2 * p.genus)]
-    conj = [model.random_element(rng) for _ in range(p.n_torsion)]
+    shape = (p.num_generators, model.d)
+    # the free generators, then the class conjugators
+    G = model.exp(model.unvec(rng.standard_normal(shape)))
     lam = 1e-8
-    pt = _assemble(spec, free, conj)
+    pt = _assemble(spec, G)
     E = _residual_matrix(spec, pt)
     f = float(np.linalg.norm(E) ** 2)
     for _ in range(spec.max_iters):
@@ -232,28 +242,24 @@ def _solve_once(spec: SolveSpec, rng: np.random.Generator) -> tuple[RepPoint, fl
         r = np.concatenate([E.real.ravel(), E.imag.ravel()])
         JtJ = J.T @ J + lam * np.eye(J.shape[1])
         try:
-            step = -np.linalg.solve(JtJ, J.T @ r)
+            step = -np.linalg.solve(JtJ, J.T @ r).reshape(shape)
         except np.linalg.LinAlgError:
             return pt, float("inf")  # singular normal equations end the restart
         # backtracking on the retracted update
         t = 1.0
         improved = False
         for _ in range(30):
-            xi = t * step
             # a trial iterate that overflows or is singular is a rejected step
             with np.errstate(over="ignore", invalid="ignore"):
-                nf = [model.exp(model.unvec(xi[i * d : (i + 1) * d])) @ g
-                      for i, g in enumerate(free)]
-                nc = [model.exp(model.unvec(xi[(2 * p.genus + j) * d : (2 * p.genus + j + 1) * d])) @ k
-                      for j, k in enumerate(conj)]
+                nG = model.exp(model.unvec(t * step)) @ G
                 try:
-                    npt = _assemble(spec, nf, nc)
+                    npt = _assemble(spec, nG)
                     nE = _residual_matrix(spec, npt)
                     nfval = float(np.linalg.norm(nE) ** 2)
                 except np.linalg.LinAlgError:
                     nfval = np.inf
             if nfval < f:
-                free, conj, pt, E, f = nf, nc, npt, nE, nfval
+                G, pt, E, f = nG, npt, nE, nfval
                 improved = True
                 break
             t *= 0.5

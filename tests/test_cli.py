@@ -130,3 +130,58 @@ def test_sl2r_seeds_with_singular_trial_steps(capsys, seed):
             g = gens[abs(s) - 1]
             r = r @ (g if s > 0 else np.linalg.inv(g))
         assert np.linalg.norm(r - np.eye(2)) < 1e-6
+
+
+@pytest.mark.parametrize("group, class_id", [("U2", "U2|m=3|[1/3,2/3]"),
+                                             ("U3", "U3|m=3|[0,1/3,2/3]")])
+def test_default_class_passes_det_test(capsys, group, class_id):
+    # without --classes, U(n) takes the first nontrivial class whose
+    # determinant is det(zeta) = 1, not a class the det test certifies empty
+    code, out = _run(capsys, "solve", "--group", group, "--genus", "1",
+                     "--torsion", "3", "--no-timestamp")
+    assert code == 0
+    assert [c["id"] for c in json.loads(out)["spec"]["classes"]] == [class_id]
+
+
+def test_default_classes_unchanged_for_su2(capsys):
+    code, out = _run(capsys, "solve", "--group", "SU2", "--genus", "0",
+                     "--torsion", "3,4,5", "--seed", "1", "--no-timestamp")
+    assert code == 0
+    ids = [c["id"] for c in json.loads(out)["spec"]["classes"]]
+    assert ids == ["SU2|m=3|[1/3,2/3]", "SU2|m=4|[1/4,3/4]", "SU2|m=5|[1/5,4/5]"]
+
+
+def test_default_class_without_det_compatible_tuple_is_certified(capsys):
+    # det(-e) = -1 in U(3) is no product of cube roots of unity
+    code, _ = _run(capsys, "solve", "--group", "U3", "--genus", "1",
+                   "--torsion", "3", "--target=-e", "--no-timestamp")
+    assert code == 3
+
+
+@pytest.mark.parametrize("extra", [("--trials", "0"), ("--trials", "-1"),
+                                   ("--threshold", "-1"), ("--threshold", "0"),
+                                   ("--threshold", "nan")])
+def test_momenttest_bad_trials_or_threshold_exits_2(capsys, extra):
+    code, out = _run(capsys, "momenttest", "--group", "SU2", "--genus", "1",
+                     "--torsion", "3", "--no-timestamp", *extra)
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["solve", "cohomology", "symplectic",
+                                     "momenttest", "components"])
+def test_empty_presentation_exits_2(capsys, command):
+    extra = ("--with-point",) if command == "components" else ()
+    code, out = _run(capsys, command, "--genus", "0", "--torsion=",
+                     "--no-timestamp", *extra)
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("torsion, classes", [("3,3,3", "a,1,1"), ("", "1")])
+def test_bad_class_index_exits_2(capsys, torsion, classes):
+    # a class index that is no integer, or one for a torsion generator the
+    # presentation does not have
+    code, _ = _run(capsys, "solve", "--genus", "1", "--torsion=" + torsion,
+                   "--classes=" + classes, "--no-timestamp")
+    assert code == 2

@@ -1,5 +1,7 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.linalg import expm
 
 from planarep.errors import LogBranchFailure, SingularDexp, UnsupportedModel
@@ -150,3 +152,80 @@ def test_central_elements():
     for c in cents:
         assert m.is_central(c)
     assert not m.is_central(m.exp(m.basis[1]))
+
+
+# --- stacked kernels against per-element references -------------------------
+#
+# vec, unvec, exp, ad_matrix and Ad_matrix take stacks.  The references below
+# work one element and one basis vector at a time; every slice of a stacked
+# result must equal them bit for bit and share their memory layout, because
+# the products downstream round according to both.
+
+
+def _ref_vec(model, X):
+    return np.array([np.trace(B.conj().T @ X).real for B in model.basis])
+
+
+def _ref_unvec(model, v):
+    return np.tensordot(np.asarray(v, dtype=float), model.basis, axes=(0, 0))
+
+
+def _ref_ad(model, X):
+    return np.array([_ref_vec(model, X @ B - B @ X) for B in model.basis]).T
+
+
+def _ref_Ad(model, g):
+    ginv = np.linalg.inv(g)
+    return np.array([_ref_vec(model, g @ B @ ginv) for B in model.basis]).T
+
+
+def _assert_same(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert (a.flags.c_contiguous, a.flags.f_contiguous) == \
+        (b.flags.c_contiguous, b.flags.f_contiguous)
+
+
+stacks = st.tuples(st.sampled_from(["SU2", "U1", "U2", "U3", "SL2R"]),
+                   st.integers(0, 10**6), st.integers(1, 6),
+                   st.sampled_from([0.1, 1.0, 3.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacks)
+def test_stacked_unvec_and_exp_bitwise(case):
+    name, seed, k, scale = case
+    model = get_model(name)
+    rng = np.random.default_rng(seed)
+    V = scale * rng.standard_normal((k, model.d))
+    X = model.unvec(V)
+    G = model.exp(X)
+    for i in range(k):
+        _assert_same(X[i], _ref_unvec(model, V[i]))
+        _assert_same(model.unvec(V[i]), _ref_unvec(model, V[i]))
+        _assert_same(G[i], expm(X[i]))
+    # strided rows, as the solver Jacobian passes the columns of a block
+    A = rng.standard_normal((model.d, model.d))
+    XA = model.unvec(A.T)
+    for b in range(model.d):
+        _assert_same(XA[b], _ref_unvec(model, A[:, b]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacks)
+def test_stacked_vec_ad_Ad_bitwise(case):
+    name, seed, k, scale = case
+    model = get_model(name)
+    rng = np.random.default_rng(seed)
+    X = model.unvec(scale * rng.standard_normal((k, model.d)))
+    G = model.exp(X) @ model.exp(model.unvec(rng.standard_normal((k, model.d))))
+    v, ad, Ad = model.vec(X), model.ad_matrix(X), model.Ad_matrix(G)
+    for i in range(k):
+        _assert_same(v[i], _ref_vec(model, X[i]))
+        _assert_same(ad[i], _ref_ad(model, X[i]))
+        _assert_same(Ad[i], _ref_Ad(model, G[i]))
+        _assert_same(model.vec(X[i]), _ref_vec(model, X[i]))
+        _assert_same(model.ad_matrix(X[i]), _ref_ad(model, X[i]))
+        _assert_same(model.Ad_matrix(G[i]), _ref_Ad(model, G[i]))
+    # leading axes beyond one are carried through
+    _assert_same(model.Ad_matrix(G[None])[0], Ad)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from planarep import solver
+from planarep.cohomology import RepPoint
 from planarep.components import component_label, finite_order_classes
 from planarep.errors import InfeasibleSpec, NotFound
 from planarep.liegroup import get_model
@@ -140,3 +143,146 @@ def test_feasibility_matches_oracle_on_seeded_specs():
         except NotFound:
             pytest.fail(f"oracle-feasible spec not solved: {ms} {idx}")
         checked += 1
+
+
+# --- the stacked trial step against a per-generator oracle -------------------
+#
+# The oracle is the restart loop one generator at a time: per-element unvec
+# and exp, representatives rebuilt and zeta inverted at every use, r(phi)
+# multiplied out letter by letter, the Jacobian one column at a time.  It
+# takes only the relator walk from RepPoint (stacked Ad_matrix is checked
+# against a per-basis reference in test_liegroup).  The stacked solver must
+# follow the same trajectory bit for bit.
+
+
+def _oracle_unvec(model, v):
+    return np.tensordot(np.asarray(v, dtype=float), model.basis, axes=(0, 0))
+
+
+def _oracle_value(pt, w):
+    out = pt.model.identity.copy()
+    for s in w:
+        g = pt.gens[abs(s) - 1]
+        out = out @ (g if s > 0 else np.linalg.inv(g))
+    return out
+
+
+def _oracle_assemble(spec, free, conj):
+    gens = list(free)
+    for k, cls in zip(conj, spec.classes):
+        gens.append(k @ cls.representative(spec.model) @ np.linalg.inv(k))
+    return RepPoint(spec.pres, spec.model, gens)
+
+
+def _oracle_residual(spec, pt):
+    r = _oracle_value(pt, spec.pres.long_relator)
+    return r @ np.linalg.inv(spec.zeta) - spec.model.identity
+
+
+def _oracle_jacobian(spec, pt):
+    model, p = spec.model, spec.pres
+    d = model.d
+    rtail = _oracle_value(pt, p.long_relator) @ np.linalg.inv(spec.zeta)
+    row = pt.walk(p.long_relator)[0]
+    cols = []
+    for i in range(p.num_generators):
+        A = row[:, i * d : (i + 1) * d]
+        if i >= 2 * p.genus:
+            A = A @ (np.eye(d) - pt.ad_gens[i])
+        for b in range(d):
+            M = _oracle_unvec(model, A[:, b]) @ rtail
+            cols.append(np.concatenate([M.real.ravel(), M.imag.ravel()]))
+    return np.array(cols).T
+
+
+def _oracle_solve_once(spec, rng):
+    model, p = spec.model, spec.pres
+    d = model.d
+    free = [expm(_oracle_unvec(model, rng.standard_normal(d))) for _ in range(2 * p.genus)]
+    conj = [expm(_oracle_unvec(model, rng.standard_normal(d))) for _ in range(p.n_torsion)]
+    lam = 1e-8
+    pt = _oracle_assemble(spec, free, conj)
+    E = _oracle_residual(spec, pt)
+    f = float(np.linalg.norm(E) ** 2)
+    for _ in range(spec.max_iters):
+        if np.sqrt(f) < spec.tol:
+            break
+        J = _oracle_jacobian(spec, pt)
+        r = np.concatenate([E.real.ravel(), E.imag.ravel()])
+        JtJ = J.T @ J + lam * np.eye(J.shape[1])
+        try:
+            step = -np.linalg.solve(JtJ, J.T @ r)
+        except np.linalg.LinAlgError:
+            return pt, float("inf")
+        t = 1.0
+        improved = False
+        for _ in range(30):
+            xi = t * step
+            with np.errstate(over="ignore", invalid="ignore"):
+                nf = [expm(_oracle_unvec(model, xi[i * d : (i + 1) * d])) @ g
+                      for i, g in enumerate(free)]
+                nc = [expm(_oracle_unvec(model, xi[(2 * p.genus + j) * d : (2 * p.genus + j + 1) * d])) @ k
+                      for j, k in enumerate(conj)]
+                try:
+                    npt = _oracle_assemble(spec, nf, nc)
+                    nE = _oracle_residual(spec, npt)
+                    nfval = float(np.linalg.norm(nE) ** 2)
+                except np.linalg.LinAlgError:
+                    nfval = np.inf
+            if nfval < f:
+                free, conj, pt, E, f = nf, nc, npt, nE, nfval
+                improved = True
+                break
+            t *= 0.5
+        if improved:
+            lam = max(lam * 0.3, 1e-12)
+        else:
+            lam *= 10.0
+            if lam > 1e6:
+                break
+    return pt, float(np.sqrt(f))
+
+
+ORACLE_SPECS = [  # group, genus, torsion, class indices, target, seed
+    ("SU2", 0, (3, 3, 3), (1, 1, 1), "e", 7),
+    ("SU2", 1, (4,), (1,), "e", 2),
+    ("SU2", 0, (2, 2, 2), (1, 1, 1), "-e", 5),
+    ("SU2", 2, (), (), "e", 0),
+    ("U1", 1, (3, 3), (1, 2), "e", 0),
+    ("U2", 1, (3,), (4,), "e", 0),
+    ("U2", 0, (3, 3), (1, 2), "e", 3),
+    ("U3", 1, (3,), (4,), "e", 1),
+    ("SL2R", 2, (), (), "e", 3),  # rejects singular trial steps on the way
+    ("SL2R", 1, (), (), "e", 4),
+]
+
+
+def _oracle_spec(group, genus, torsion, idx, target, seed, **kw):
+    model = get_model(group)
+    classes = [finite_order_classes(model, m)[i] for m, i in zip(torsion, idx)]
+    zeta = -model.identity if target == "-e" else None
+    return SolveSpec(PlanarPresentation(genus, torsion), model, classes, zeta,
+                     seed=seed, **kw)
+
+
+@pytest.mark.parametrize("case", ORACLE_SPECS, ids=lambda c: f"{c[0]}-g{c[1]}-{c[2]}-{c[4]}")
+def test_stacked_solver_follows_oracle_bitwise(monkeypatch, case):
+    spec = _oracle_spec(*case)
+    res = solve_relator(spec)
+    monkeypatch.setattr(solver, "_solve_once", _oracle_solve_once)
+    ref = solve_relator(spec)
+    assert res.restarts_used == ref.restarts_used
+    assert res.residual == ref.residual
+    assert len(res.point.gens) == len(ref.point.gens)
+    for g, h in zip(res.point.gens, ref.point.gens):
+        assert np.array_equal(g, h)
+
+
+def test_stacked_solver_not_found_message_matches_oracle(monkeypatch):
+    spec = _oracle_spec("SU2", 0, (3, 3, 3, 3), (1, 0, 0, 0), "e", 0, max_restarts=3)
+    with pytest.raises(NotFound) as got:
+        solve_relator(spec)
+    monkeypatch.setattr(solver, "_solve_once", _oracle_solve_once)
+    with pytest.raises(NotFound) as want:
+        solve_relator(spec)
+    assert str(got.value) == str(want.value)
