@@ -2,13 +2,13 @@
 """Digest the CLI reports of benchmark rounds, one line per request.
 
 Runs the requests of the chosen rounds of a perfbench workload in this
-process, as perfbench/run.py does, and prints for each request its round,
-slot, exit code and the sha256 of its stdout.  Run it in two checkouts and
-diff the outputs: equal lines mean byte-identical reports and exit codes
-(the requests pass --no-timestamp).  It uses the src/ and perfbench/ next to
-this script, so each checkout digests its own code.
+process, as perfbench/run.py does, and prints for each request its
+workload, round, slot, exit code and the sha256 of its stdout.  Run it in two
+checkouts and diff the outputs: equal lines mean byte-identical reports and
+exit codes (the requests pass --no-timestamp).  It uses the src/ and
+perfbench/ next to this script, so each checkout digests its own code.
 
-Usage: python scripts/report_digest.py --workload component-scan --seed 1 --rounds 0,1
+Usage: python scripts/report_digest.py --workload all --seed 1 --rounds 0,1
 """
 
 import os
@@ -44,7 +44,8 @@ def digest(argv: list[str]) -> tuple[int, str]:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    ap.add_argument("--workload", required=True, choices=["all", *sorted(WORKLOADS)],
+                    help="one workload, or all of them in turn")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--rounds", default="0,1", help="comma-separated round indices")
     args = ap.parse_args()
@@ -52,10 +53,12 @@ def main() -> int:
         rounds = [int(r) for r in args.rounds.split(",")]
     except ValueError:
         ap.error(f"bad round list: {args.rounds!r}")
-    for index in rounds:
-        for req in round_requests(args.workload, args.seed, index):
-            code, sha = digest(list(req.argv))
-            print(f"{index} {req.slot} {code} {sha}", flush=True)
+    names = list(WORKLOADS) if args.workload == "all" else [args.workload]
+    for name in names:
+        for index in rounds:
+            for req in round_requests(name, args.seed, index):
+                code, sha = digest(list(req.argv))
+                print(f"{name} {index} {req.slot} {code} {sha}", flush=True)
     return 0
 
 

@@ -2,7 +2,9 @@
 
 Every subcommand emits a single JSON report with a stable schema tag, so runs
 can be diffed and archived.  Exit codes: 0 success, 2 malformed input,
-3 certified infeasible / not found, 4 tolerance failure, 5 internal error.
+3 certified infeasible / not found, 4 tolerance failure or a point on a
+singular locus (log branch cut, outside the regular domain of exp),
+5 internal error.
 """
 
 from __future__ import annotations
@@ -21,9 +23,12 @@ from .config import Tolerances
 from .errors import (
     CalibrationFailed,
     InfeasibleSpec,
+    LogBranchFailure,
     MalformedInput,
     NotFound,
+    OutsideStarDomain,
     PlanarepError,
+    SingularDexp,
     UnsupportedModel,
 )
 from .foxcalc import abelianized_boundary, fundamental_cycle
@@ -157,9 +162,8 @@ def _solved_point(args, tol):
     pres = _presentation(args)
     if pres.num_generators == 0:
         raise MalformedInput("the presentation has no generators: nothing to solve")
-    target = getattr(args, "target", "e")
-    zeta = _zeta(model, target)
-    classes = _pick_classes(model, pres, getattr(args, "classes", None), target)
+    zeta = _zeta(model, args.target)
+    classes = _pick_classes(model, pres, args.classes, args.target)
     spec = SolveSpec(pres, model, classes, zeta, seed=args.seed, tol=tol.tau_grp)
     return solve_relator(spec), spec
 
@@ -186,8 +190,6 @@ def _jsonable(x):
         return float(x)
     if isinstance(x, np.ndarray):
         return x.tolist()
-    if isinstance(x, bool):
-        return x
     raise TypeError(f"not JSON-serializable: {type(x)}")
 
 
@@ -268,7 +270,7 @@ def cmd_components(args) -> None:
         "presentation": pres.to_json(),
         "torsion_classes": per_gen,
     }
-    if getattr(args, "with_point", False):
+    if args.with_point:
         res, _ = _solved_point(args, tol)
         payload["point_stratum"] = stratum_report(res.point, tol)
     _emit(args, "components", payload, tol)
@@ -387,7 +389,8 @@ def main(argv: list[str] | None = None) -> int:
     except (InfeasibleSpec, NotFound) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ToleranceExceeded, CalibrationFailed) as e:
+    except (ToleranceExceeded, CalibrationFailed, LogBranchFailure,
+            OutsideStarDomain, SingularDexp) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_TOLERANCE
     except PlanarepError as e:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -175,26 +175,11 @@ def torsion_fixed_dims(pt: RepPoint, tol: Tolerances = DEFAULT_TOL) -> list[int]
     return out
 
 
-def _svd_nullspace(A: np.ndarray, rel_tol: float) -> tuple[np.ndarray, int, np.ndarray]:
-    """(orthonormal nullspace basis, rank, singular values)."""
-    if A.size == 0 or min(A.shape) == 0:
-        return np.eye(A.shape[1]), 0, np.zeros(0)
-    U, s, Vt = np.linalg.svd(A)
-    smax = s[0] if len(s) else 0.0
-    # matrices here are O(1)-scaled (Ad blocks); flooring smax at 1 keeps
-    # numerically-zero matrices at rank 0
-    thresh = rel_tol * max(smax, 1.0)
-    rank = int(np.sum(s > thresh))
-    _warn_ambiguous(s, thresh)
-    null = Vt[rank:].T
-    return null, rank, s
-
-
-def _rank(A: np.ndarray, tol: Tolerances) -> int:
-    return _svd_nullspace(A, tol.rank_rel)[1]
-
-
-def _warn_ambiguous(s: np.ndarray, thresh: float) -> None:
+def _rank_cut(s: np.ndarray, rel_tol: float) -> int:
+    """Every rank decision: the count of singular values s (descending) above
+    rel_tol * max(s_max, 1), warning ToleranceAmbiguity within a factor 10.
+    Matrices here are O(1)-scaled; the floor keeps zero matrices at rank 0."""
+    thresh = rel_tol * max(s[0] if len(s) else 0.0, 1.0)
     amb = [float(v) for v in s if thresh / 10 < v < thresh * 10]
     if amb:
         warnings.warn(
@@ -202,6 +187,23 @@ def _warn_ambiguous(s: np.ndarray, thresh: float) -> None:
             ToleranceAmbiguity,
             stacklevel=3,
         )
+    return int(np.sum(s > thresh))
+
+
+def _svd_nullspace(
+    A: np.ndarray, rel_tol: float | None = None, *, rank: int | None = None
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """(orthonormal nullspace basis, rank, singular values); the rank is cut
+    at rel_tol by _rank_cut unless a rank already decided is given."""
+    _, s, Vt = np.linalg.svd(A)
+    if rank is None:
+        rank = _rank_cut(s, rel_tol)
+    return Vt[rank:].T, rank, s
+
+
+def _rank(A: np.ndarray, tol: Tolerances) -> int:
+    """Rank of A from its singular values alone."""
+    return _rank_cut(np.linalg.svd(A, compute_uv=False), tol.rank_rel)
 
 
 def projective_subspace(
@@ -248,37 +250,42 @@ def delta1_projective(
 
 @dataclass
 class CochainData:
-    """Numerical summary of the twisted complexes at a point."""
+    """Numerical summary of the twisted complexes at a point.  The bases are
+    built on first read from the ranks behind h0 and h2."""
 
     h0: int
     h1: int
     h2: int
     f_j: list[int]
     proj_basis: np.ndarray  # columns: basis of C^1(P(P), g_phi) in C^1 coords
-    delta0: np.ndarray
     delta0_proj: np.ndarray  # delta0 in projective coordinates
     delta1_proj: np.ndarray
-    harmonic: np.ndarray  # columns: harmonic H^1 basis in projective coords
-    cocycles: np.ndarray  # columns: ker delta1_proj in projective coords
-    singular_tail: list = field(default_factory=list)
 
     @property
     def dims(self) -> tuple[int, int, int]:
         return (self.h0, self.h1, self.h2)
 
-    def to_json(self) -> dict:
-        return {
-            "h0": self.h0,
-            "h1": self.h1,
-            "h2": self.h2,
-            "f_j": self.f_j,
-            "dim_C1_proj": int(self.proj_basis.shape[1]),
-            "singular_tail": self.singular_tail,
-        }
+    @cached_property
+    def cocycles(self) -> np.ndarray:
+        """Columns: orthonormal basis of ker delta1_proj in projective coords."""
+        rank1 = self.delta1_proj.shape[0] - self.h2
+        return _svd_nullspace(self.delta1_proj, rank=rank1)[0]
+
+    @cached_property
+    def harmonic(self) -> np.ndarray:
+        """Columns: orthonormal harmonic H^1 basis in projective coords, the
+        part of ker delta1_proj orthogonal to im delta0_proj."""
+        Z = self.cocycles
+        rank0 = self.delta0_proj.shape[1] - self.h0
+        if not (rank0 and Z.shape[1]):
+            return Z
+        B = np.linalg.svd(self.delta0_proj, full_matrices=False)[0][:, :rank0]
+        U = np.linalg.svd(Z - B @ (B.T @ Z), full_matrices=False)[0]
+        return U[:, : self.h1]
 
 
 def cohomology_data(pt: RepPoint, tol: Tolerances = DEFAULT_TOL) -> CochainData:
-    """Dims and harmonic representatives of H^0, H^1, H^2 at the point.
+    """Dims of H^0, H^1, H^2 at the point, with the complex they come from.
 
     Requires an F-natural point with central long-relator value.
     """
@@ -294,33 +301,16 @@ def cohomology_data(pt: RepPoint, tol: Tolerances = DEFAULT_TOL) -> CochainData:
             f"delta0 leaves the projective subspace (residual {resid:.2e})"
         )
     D1p = delta1_projective(pt, Q, tol)
-    null1, rank1, s1 = _svd_nullspace(D1p, tol.rank_rel)
-    _, rank0, s0 = _svd_nullspace(D0p, tol.rank_rel)
+    rank1, rank0 = _rank(D1p, tol), _rank(D0p, tol)
     d = pt.model.d
-    h0 = d - rank0
-    h1 = null1.shape[1] - rank0
-    h2 = d - rank1
-    # harmonic representatives: ker delta1_proj orthogonal to im delta0
-    if rank0 and null1.shape[1]:
-        B, _, _ = np.linalg.svd(D0p, full_matrices=False)
-        B = B[:, :rank0]
-        M = null1 - B @ (B.T @ null1)
-        U, sv, _ = np.linalg.svd(M, full_matrices=False)
-        harmonic = U[:, : int(np.sum(sv > tol.rank_rel * max(sv[0], 1.0)))]
-    else:
-        harmonic = null1
     return CochainData(
-        h0=h0,
-        h1=h1,
-        h2=h2,
+        h0=d - rank0,
+        h1=Q.shape[1] - rank1 - rank0,
+        h2=d - rank1,
         f_j=torsion_fixed_dims(pt, tol),
         proj_basis=Q,
-        delta0=D0,
         delta0_proj=D0p,
         delta1_proj=D1p,
-        harmonic=harmonic,
-        cocycles=null1,
-        singular_tail=[float(v) for v in s1[-min(3, len(s1)) :]],
     )
 
 

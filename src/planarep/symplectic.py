@@ -16,6 +16,7 @@ from scipy.linalg import expm
 from .config import Tolerances, DEFAULT_TOL
 from .cohomology import (
     RepPoint,
+    _rank_cut,
     cocycle_extend,
     cohomology_data,
     delta1_projective,
@@ -236,7 +237,7 @@ def bform_O(
     Evaluated by 32-node Gauss-Legendre quadrature; the numeric layer uses
     the closed form bform_matrix, and this definition is its test oracle."""
     calib = calib or default_calibration()
-    _check_star_domain(model, Lam)
+    _check_star_domain(model.ad_matrix(Lam))
     x, wts = np.polynomial.legendre.leggauss(32)
     ts = 0.5 * (x + 1.0)
     wts = 0.5 * wts
@@ -251,10 +252,12 @@ def bform_O(
     return calib.s2 * total
 
 
-def _check_star_domain(model: LieModel, Lam: np.ndarray) -> None:
-    for t in (0.5, 1.0):
-        if not model.in_regular_domain(t * Lam):
-            raise OutsideStarDomain("segment [0, Lam] leaves the regular domain")
+def _check_star_domain(ad_Lam: np.ndarray) -> None:
+    """Refuse Lam if t ad_Lam has an eigenvalue in 2 pi i Z \\ {0} for some t
+    in (0, 1]: if ad_Lam has an imaginary eigenvalue of modulus >= 2 pi."""
+    ev = np.linalg.eigvals(ad_Lam)
+    if np.any((np.abs(ev.real) <= 1e-9) & (np.abs(ev.imag) >= 2 * np.pi - 1e-9)):
+        raise OutsideStarDomain("segment [0, Lam] leaves the regular domain")
 
 
 def bform_matrix(model: LieModel, Lam: np.ndarray) -> np.ndarray:
@@ -266,8 +269,8 @@ def bform_matrix(model: LieModel, Lam: np.ndarray) -> np.ndarray:
     phi2(z) = (e^z - 1 - z)/z^2, and both phi2 blocks come from one block
     exponential: [[A, I, 0], [0, 0, I], [0, 0, 0]] -> phi2(A) top right.
     """
-    _check_star_domain(model, Lam)
     A, d = model.ad_matrix(Lam), model.d
+    _check_star_domain(A)
     M = np.zeros((6 * d, 6 * d))
     for o, S in ((0, A), (3 * d, -A)):
         M[o : o + d, o : o + d] = S
@@ -465,7 +468,7 @@ def degeneracy_report(
         "dim_C1_proj": int(data.proj_basis.shape[1]),
     }
     # compare ker(Gram) with im(delta0) inside Z^1 coordinates
-    rank_b1 = np.linalg.matrix_rank(data.delta0_proj, 1e-10)
+    rank_b1 = phi.model.d - data.h0
     if null.shape[1] == 0 or rank_b1 == 0:
         report["nullspace_matches_B1"] = null.shape[1] == rank_b1
         report["max_principal_angle"] = 0.0
@@ -485,9 +488,7 @@ def degeneracy_report(
 
 
 def _gram_nullspace(G: np.ndarray, rel_tol: float):
-    if G.size == 0:
-        return np.zeros((G.shape[0], 0)), 0, np.zeros(0)
-    U, s, Vt = np.linalg.svd(G)
-    thresh = rel_tol * max(s[0] if len(s) else 0.0, 1.0)
-    rank = int(np.sum(s > thresh))
+    """(nullspace basis, rank, singular values) of a Gram matrix."""
+    _, s, Vt = np.linalg.svd(G)
+    rank = _rank_cut(s, rel_tol)
     return Vt[rank:].T, rank, s

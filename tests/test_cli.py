@@ -185,3 +185,12 @@ def test_bad_class_index_exits_2(capsys, torsion, classes):
     code, _ = _run(capsys, "solve", "--genus", "1", "--torsion=" + torsion,
                    "--classes=" + classes, "--no-timestamp")
     assert code == 2
+
+
+def test_relator_at_the_log_branch_cut_exits_4(capsys):
+    # r(phi) = -e in SU(2) has both eigenvalue arguments at pi: the
+    # extended point is refused as a tolerance failure, not an internal error
+    code, out = _run(capsys, "momenttest", "--group", "SU2", "--genus", "1",
+                     "--target=-e", "--seed", "0", "--no-timestamp")
+    assert code == 4
+    assert out == ""

@@ -1,5 +1,7 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 from planarep.cohomology import (
     RepPoint,
@@ -11,7 +13,7 @@ from planarep.cohomology import (
     random_fnat_point,
 )
 from planarep.components import finite_order_classes
-from planarep.errors import RelatorConstraintViolated
+from planarep.errors import InfeasibleSpec, NotFound, RelatorConstraintViolated
 from planarep.liegroup import get_model
 from planarep.presentations import PlanarPresentation
 from planarep.solver import SolveSpec, solve_relator
@@ -162,3 +164,35 @@ def test_walk_blocks_equal_ring_matrix_bitwise():
                 ref = pt.ring_matrix(fox_derivative(w, i))
                 assert np.array_equal(E[:, i * model.d : (i + 1) * model.d], ref)
             assert np.array_equal(A, pt.ad_value(w))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["SU2", "U1", "U2", "U3"]),
+    st.integers(0, 3),
+    st.sampled_from([(), (3,), (2, 3)]),
+    st.integers(0, 10**6),
+)
+def test_bases_built_on_first_read_match_the_dims(group, genus, torsion, seed):
+    model = get_model(group)
+    assume((genus, torsion) != (0, ()))
+    pres = PlanarPresentation(genus, torsion)
+    if group == "U1":
+        pt = random_fnat_point(pres, model, np.random.default_rng(seed))
+    elif genus == 0:
+        # no nontrivial class tuple of one or two cone points solves here (the
+        # solver certifies that or spends seconds on restarts): take the
+        # trivial representation, whose projective complex is empty
+        pt = RepPoint(pres, model, [model.identity.copy()] * pres.num_generators)
+    else:
+        try:
+            pt = _central_point(pres, model, seed)
+        except (InfeasibleSpec, NotFound):
+            assume(False)
+    data = cohomology_data(pt)
+    assert "cocycles" not in vars(data) and "harmonic" not in vars(data)
+    Z, H = data.cocycles, data.harmonic
+    assert Z.shape[1] == data.h1 + model.d - data.h0
+    assert H.shape[1] == data.h1
+    for D, basis in ((data.delta1_proj, Z), (data.delta0_proj.T, H)):
+        assert np.linalg.norm(D @ basis) <= 1e-12 * max(1.0, np.linalg.norm(D))

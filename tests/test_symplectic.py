@@ -266,6 +266,14 @@ def test_matrix_grams_match_per_pair_reference(group, gt, seed):
     assert _close(gram_extended(pt, basis, UNIT), ref_ext)
 
 
+def test_star_domain_is_checked_along_the_whole_segment():
+    # ad eigenvalues +-3 pi i: t Lam meets 2 pi i at t = 2/3, between the
+    # points t = 1/2 and t = 1 that a sampled check would look at
+    Lam = np.diag([1.5j * np.pi, -1.5j * np.pi])
+    with pytest.raises(OutsideStarDomain):
+        bform_matrix(MODEL, Lam)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(GROUPS), st.integers(0, 10**6), st.floats(0.1, 1.5))
 def test_closed_form_bform_matches_quadrature(group, seed, scale):
