@@ -39,17 +39,13 @@ from .components import (
     weight_dictionary,
 )
 from .symplectic import (
-    CalibrationRecord,
     ExtendedPoint,
     TangentVec,
     action_field,
-    calibrate,
     check_moment_identity,
     cup_eval,
-    default_calibration,
     degeneracy_report,
     extend_point,
-    moment,
     omega_extended,
     pairing_H1,
     tangent_from_u,

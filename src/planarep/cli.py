@@ -21,7 +21,6 @@ from .cohomology import cohomology_data, euler_characteristic_expected
 from .components import finite_order_classes, stratum_report, weight_dictionary
 from .config import Tolerances
 from .errors import (
-    CalibrationFailed,
     InfeasibleSpec,
     LogBranchFailure,
     MalformedInput,
@@ -36,9 +35,7 @@ from .liegroup import get_model
 from .presentations import PlanarPresentation
 from .solver import SolveSpec, solve_relator
 from .symplectic import (
-    calibrate,
     check_moment_identity,
-    default_calibration,
     degeneracy_report,
     extend_point,
     tangent_from_u,
@@ -50,7 +47,7 @@ EXIT_INFEASIBLE = 3
 EXIT_TOLERANCE = 4
 EXIT_INTERNAL = 5
 
-SCHEMA = "planarep/2"
+SCHEMA = "planarep/3"
 
 
 class ToleranceExceeded(PlanarepError):
@@ -237,15 +234,13 @@ def cmd_cohomology(args) -> None:
 def cmd_symplectic(args) -> None:
     tol = _tolerances(args)
     res, spec = _solved_point(args, tol)
-    calib = default_calibration()
-    pt = extend_point(res.point)
-    report = degeneracy_report(pt, calib, tol)
+    pt = extend_point(res.point, tol)
+    report = degeneracy_report(pt, tol)
     payload = {
         "group": spec.model.name,
         "presentation": spec.pres.to_json(),
         "classes": [c.to_json() for c in spec.classes],
         "solve_residual": res.residual,
-        "calibration": calib.to_json(),
         "degeneracy": report,
     }
     _emit(args, "symplectic", payload, tol)
@@ -295,12 +290,8 @@ def cmd_momenttest(args) -> None:
         raise MalformedInput(f"--trials must be at least 1, got {args.trials}")
     if not 0 < args.threshold < float("inf"):
         raise MalformedInput(f"--threshold must be positive and finite, got {args.threshold}")
-    if args.recalibrate:
-        calib = calibrate(seed=args.seed, tol=tol)
-    else:
-        calib = default_calibration()
     res, spec = _solved_point(args, tol)
-    pt = extend_point(res.point)
+    pt = extend_point(res.point, tol)
     model, pres = spec.model, spec.pres
     data = cohomology_data(res.point, tol)
     Q = data.proj_basis
@@ -316,11 +307,10 @@ def cmd_momenttest(args) -> None:
             np.linalg.norm(Q @ coords),
             1.0,
         )
-        worst = max(worst, check_moment_identity(pt, X, t, calib) / scale)
+        worst = max(worst, check_moment_identity(pt, X, t) / scale)
     payload = {
         "group": model.name,
         "presentation": pres.to_json(),
-        "calibration": calib.to_json(),
         "solve_residual": res.residual,
         "trials": args.trials,
         "max_relative_residual": worst,
@@ -367,8 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solve(p)
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--threshold", type=float, default=1e-8)
-    p.add_argument("--recalibrate", action="store_true",
-                   help="rerun sign/scale calibration instead of the frozen record")
     p.set_defaults(func=cmd_momenttest)
 
     return parser
@@ -389,8 +377,8 @@ def main(argv: list[str] | None = None) -> int:
     except (InfeasibleSpec, NotFound) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ToleranceExceeded, CalibrationFailed, LogBranchFailure,
-            OutsideStarDomain, SingularDexp) as e:
+    except (ToleranceExceeded, LogBranchFailure, OutsideStarDomain,
+            SingularDexp) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_TOLERANCE
     except PlanarepError as e:

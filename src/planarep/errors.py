@@ -46,10 +46,6 @@ class OutsideStarDomain(PlanarepError):
     """Segment from 0 leaves the regular domain of exp."""
 
 
-class CalibrationFailed(PlanarepError):
-    """No sign/scale choice satisfies the momentum identity tolerance."""
-
-
 class ClassResolutionFailed(PlanarepError):
     """Eigenvalues of a torsion image match no root-of-unity class."""
 

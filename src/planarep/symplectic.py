@@ -1,14 +1,15 @@
 """The geometric core: cup-product pairing on H^1, the 2-form on the regular
-domain, the extended 2-form, the momentum map, and the sign/scale calibration
-that pins the conventions via the momentum identity.
+domain, the extended 2-form and the momentum map.
+
+The conventions are fixed: the extended 2-form is omega = cup - B and the
+momentum map is mu = -<Lam, .>, so that omega(X_M, .) = d(X o mu) holds as a
+theorem, which check_moment_identity tests rather than assumes.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import expm
@@ -21,52 +22,17 @@ from .cohomology import (
     cohomology_data,
     delta1_projective,
     projective_subspace,
-    random_fnat_point,
 )
-from .errors import (
-    CalibrationFailed,
-    LogBranchFailure,
-    NotACocycle,
-    OutsideStarDomain,
-)
+from .errors import NotACocycle, OutsideStarDomain
 from .foxcalc import relator_filling_chain
 from .liegroup import LieModel
 from .presentations import PlanarPresentation
 
 
-@dataclass
-class CalibrationRecord:
-    """Signs and scale of the 2-form conventions, fixed once by the momentum
-    identity on a seeded batch and reused everywhere."""
-
-    s1: int = 1
-    s2: int = 1
-    kappa_norm: float = 1.0
-    batch_seed: int = 0
-    residual: float = 0.0
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CalibrationRecord":
-        return cls(**data)
-
-
-_DATA_PATH = Path(__file__).parent / "data" / "calibration.json"
-_DEFAULT_CALIBRATION: CalibrationRecord | None = None
-
-
-def default_calibration() -> CalibrationRecord:
-    global _DEFAULT_CALIBRATION
-    if _DEFAULT_CALIBRATION is None:
-        if _DATA_PATH.exists():
-            _DEFAULT_CALIBRATION = CalibrationRecord.from_json(
-                json.loads(_DATA_PATH.read_text())
-            )
-        else:
-            _DEFAULT_CALIBRATION = calibrate()
-    return _DEFAULT_CALIBRATION
+def default_calibration() -> None:
+    """No-op.  The form conventions are fixed, so there is nothing to load;
+    kept only for perfbench/setup_probe.py, which still calls it, and goes
+    with that call."""
 
 
 # --- extended points and tangent vectors -----------------------------------
@@ -75,7 +41,8 @@ def default_calibration() -> CalibrationRecord:
 @dataclass
 class ExtendedPoint:
     """(phi, Lambda) with exp(Lambda) = r(phi) and Lambda in the regular
-    domain: a point of the pullback manifold."""
+    domain: a point of the pullback manifold.  Raises SingularDexp when
+    Lambda is outside that domain, where dexp is not invertible."""
 
     phi: RepPoint
     Lam: np.ndarray
@@ -85,8 +52,7 @@ class ExtendedPoint:
         resid = np.linalg.norm(model.exp(self.Lam) - self.phi.long_relator_value())
         if resid > 1e-6:
             raise ValueError(f"exp(Lambda) != r(phi), residual {resid:.2e}")
-        self._dexp = model.dexp_matrix(self.Lam)
-        self._dexp_inv = np.linalg.inv(self._dexp)
+        self._dexp_inv = model.dexp_inv_matrix(self.Lam)
 
     @property
     def model(self) -> LieModel:
@@ -99,7 +65,7 @@ class ExtendedPoint:
 
     @cached_property
     def bform(self) -> np.ndarray:
-        """Uncalibrated B matrix at Lam (bform_matrix)."""
+        """B matrix at Lam (bform_matrix)."""
         return bform_matrix(self.model, self.Lam)
 
     def conjugate(self, g: np.ndarray) -> "ExtendedPoint":
@@ -107,10 +73,11 @@ class ExtendedPoint:
         return ExtendedPoint(self.phi.conjugate(g), g @ self.Lam @ ginv)
 
 
-def extend_point(phi: RepPoint) -> ExtendedPoint:
+def extend_point(phi: RepPoint, tol: Tolerances = DEFAULT_TOL) -> ExtendedPoint:
     """Lift an F-natural point to the pullback manifold on the principal
-    sheet; raises LogBranchFailure for r(phi) outside the principal branch."""
-    Lam = phi.model.log_principal(phi.long_relator_value())
+    sheet; raises LogBranchFailure for r(phi) within tol.tau_grp of the
+    branch cut, since a solved relator value is known only to that tolerance."""
+    Lam = phi.model.log_principal(phi.long_relator_value(), tol.tau_grp)
     return ExtendedPoint(phi, Lam)
 
 
@@ -160,7 +127,7 @@ def _cells(pres: PlanarPresentation) -> dict:
 
 
 def cup_matrix(phi: RepPoint) -> np.ndarray:
-    """Antisymmetric N x N matrix C of the uncalibrated cup pairing,
+    """Antisymmetric N x N matrix C of the cup pairing,
     cup_eval(phi, u, v) = flat(u)^T C flat(v).
 
     A cell q[g|h] of the filling chain adds q E_g^T G Ad_g E_h to M, with
@@ -186,8 +153,6 @@ def cup_eval(
 ) -> float:
     """Antisymmetrized cup product of u, v evaluated on the filling chain:
     (1/2) sum_cells q ( <u(g), Ad_{phi(g)} v(h)> - <v(g), Ad_{phi(g)} u(h)> ).
-
-    No sign/scale calibration applied; callers multiply by s1 * kappa_norm.
     """
     return float(np.concatenate(u) @ cup_matrix(phi) @ np.concatenate(v))
 
@@ -196,11 +161,9 @@ def pairing_H1(
     phi: RepPoint,
     u: list[np.ndarray],
     v: list[np.ndarray],
-    calib: CalibrationRecord | None = None,
     tol: Tolerances = DEFAULT_TOL,
 ) -> float:
     """The alternating 2-form on H^1 evaluated on cocycle representatives."""
-    calib = calib or default_calibration()
     Q = projective_subspace(phi, tol)
     D1p = delta1_projective(phi, Q, tol)
     for w in (u, v):
@@ -210,7 +173,7 @@ def pairing_H1(
         resid += np.linalg.norm(flat - Q @ coords)
         if resid > 1e-6 * max(1.0, np.linalg.norm(flat)):
             raise NotACocycle(f"delta1 residual {resid:.2e}")
-    return calib.s1 * calib.kappa_norm * cup_eval(phi, u, v)
+    return cup_eval(phi, u, v)
 
 
 def unflatten(model: LieModel, flat: np.ndarray, n_gens: int) -> list[np.ndarray]:
@@ -221,22 +184,15 @@ def unflatten(model: LieModel, flat: np.ndarray, n_gens: int) -> list[np.ndarray
 # --- the 2-form B on the regular domain --------------------------------------
 
 
-def bform_O(
-    model: LieModel,
-    Lam: np.ndarray,
-    V: np.ndarray,
-    W: np.ndarray,
-    calib: CalibrationRecord | None = None,
-) -> float:
+def bform_O(model: LieModel, Lam: np.ndarray, V: np.ndarray, W: np.ndarray) -> float:
     """Radial-homotopy primitive of the exp-pulled-back invariant 3-form:
-    B_Lam(V, W) = s2 * int_0^1 t^2 lam~_{t Lam}(Lam, V, W) dt with
+    B_Lam(V, W) = int_0^1 t^2 lam~_{t Lam}(Lam, V, W) dt with
     lam~_X(a,b,c) = (1/2) <[D(X)a, D(X)b], D(X)c>, D the dexp operator.
     The 1/2 normalization of the invariant 3-form is what makes the momentum
     identity hold with unit scale.
 
     Evaluated by 32-node Gauss-Legendre quadrature; the numeric layer uses
     the closed form bform_matrix, and this definition is its test oracle."""
-    calib = calib or default_calibration()
     _check_star_domain(model.ad_matrix(Lam))
     x, wts = np.polynomial.legendre.leggauss(32)
     ts = 0.5 * (x + 1.0)
@@ -249,7 +205,7 @@ def bform_O(
         b = model.unvec(D @ v_v)
         c = model.unvec(D @ w_v)
         total += wt * t * t * 0.5 * model.pairing(a @ b - b @ a, c)
-    return calib.s2 * total
+    return total
 
 
 def _check_star_domain(ad_Lam: np.ndarray) -> None:
@@ -261,10 +217,10 @@ def _check_star_domain(ad_Lam: np.ndarray) -> None:
 
 
 def bform_matrix(model: LieModel, Lam: np.ndarray) -> np.ndarray:
-    """Matrix K of the uncalibrated 2-form, B_Lam(V, W) = s2 * V^T K W.
+    """Matrix K of the 2-form, B_Lam(V, W) = V^T K W.
 
     Closed form of bform_O: with D(t Lam) Lam = Lam and the invariance of the
-    pairing, B_Lam(V, W) = s2 <F(ad_Lam) V, W> with F(z) = (sinh z - z)/z^2,
+    pairing, B_Lam(V, W) = <F(ad_Lam) V, W> with F(z) = (sinh z - z)/z^2,
     so K = F(ad_Lam)^T G.  F = (phi2(z) - phi2(-z))/2 for
     phi2(z) = (e^z - 1 - z)/z^2, and both phi2 blocks come from one block
     exponential: [[A, I, 0], [0, 0, I], [0, 0, 0]] -> phi2(A) top right.
@@ -284,23 +240,11 @@ def bform_matrix(model: LieModel, Lam: np.ndarray) -> np.ndarray:
 # --- extended 2-form, momentum map, identities -------------------------------
 
 
-def omega_extended(
-    pt: ExtendedPoint,
-    t1: TangentVec,
-    t2: TangentVec,
-    calib: CalibrationRecord | None = None,
-) -> float:
-    """omega_ext = s1 kappa * (cup part over the filling chain) - B(V1, V2)."""
-    calib = calib or default_calibration()
+def omega_extended(pt: ExtendedPoint, t1: TangentVec, t2: TangentVec) -> float:
+    """omega_ext = (cup part over the filling chain) - B(V1, V2)."""
     cup = np.concatenate(t1.u) @ pt.cup @ np.concatenate(t2.u)
     b = t1.V @ pt.bform @ t2.V
-    return float(calib.s1 * calib.kappa_norm * cup - calib.s2 * b)
-
-
-def moment(pt: ExtendedPoint) -> np.ndarray:
-    """Coordinates of mu(pt) = -<Lam, .> in the algebra basis."""
-    model = pt.model
-    return -np.array([model.pairing(pt.Lam, B) for B in model.basis])
+    return float(cup - b)
 
 
 def moment_pairing(pt: ExtendedPoint, X: np.ndarray) -> float:
@@ -308,132 +252,28 @@ def moment_pairing(pt: ExtendedPoint, X: np.ndarray) -> float:
     return -pt.model.pairing(pt.Lam, X)
 
 
-def check_moment_identity(
-    pt: ExtendedPoint,
-    X: np.ndarray,
-    t: TangentVec,
-    calib: CalibrationRecord | None = None,
-) -> float:
+def check_moment_identity(pt: ExtendedPoint, X: np.ndarray, t: TangentVec) -> float:
     """Residual of omega(X_M, t) = d(X o mu)(t) = -<V_t, X>."""
-    calib = calib or default_calibration()
-    lhs = omega_extended(pt, action_field(pt, X), t, calib)
+    lhs = omega_extended(pt, action_field(pt, X), t)
     rhs = -pt.model.pairing(pt.model.unvec(t.V), X)
     return abs(lhs - rhs)
-
-
-# --- calibration --------------------------------------------------------------
-
-
-def _calibration_batch(
-    model: LieModel,
-    pres: PlanarPresentation,
-    seed: int,
-    n_points: int,
-    tol: Tolerances,
-):
-    """Seeded (cup, B, target) triples from random extended points."""
-    rng = np.random.default_rng(seed)
-    rows = []
-    made = 0
-    while made < n_points:
-        phi = random_fnat_point(pres, model, rng, scale=0.6)
-        try:
-            pt = extend_point(phi)
-        except LogBranchFailure:
-            continue
-        made += 1
-        Q = projective_subspace(phi, tol)
-        for _ in range(3):
-            X = model.random_alg(rng)
-            coords = rng.standard_normal(Q.shape[1])
-            u = unflatten(model, Q @ coords, pres.num_generators)
-            t = tangent_from_u(pt, u)
-            a = action_field(pt, X)
-            cup = np.concatenate(a.u) @ pt.cup @ np.concatenate(t.u)
-            b = a.V @ pt.bform @ t.V
-            target = -model.pairing(model.unvec(t.V), X)
-            rows.append((cup, b, target))
-    return np.array(rows)
-
-
-def calibrate(
-    model: LieModel | None = None,
-    pres: PlanarPresentation | None = None,
-    seed: int = 2024,
-    n_points: int = 12,
-    tol: Tolerances = DEFAULT_TOL,
-    max_residual: float = 1e-6,
-) -> CalibrationRecord:
-    """Fix (s1, s2, kappa_norm) from the momentum identity on a seeded batch.
-
-    For each sign of B the optimal scale of the cup term is a least-squares
-    solve; the record with the smallest maximum residual wins.  Failure to
-    reach tolerance signals an implementation bug, not a data problem.
-    """
-    from .liegroup import get_model
-    from .presentations import parse_presentation
-
-    model = model or get_model("SU2")
-    pres = pres or parse_presentation("genus=1; torsion=3")
-    rows = _calibration_batch(model, pres, seed, n_points, tol)
-    cup, b, target = rows[:, 0], rows[:, 1], rows[:, 2]
-    best = None
-    for s2 in (1, -1):
-        rhs = target + s2 * b
-        denom = cup @ cup
-        if denom == 0:
-            continue
-        a = float(cup @ rhs) / denom
-        resid = float(np.max(np.abs(a * cup - rhs)))
-        scale = float(np.max(np.abs(target))) or 1.0
-        rel = resid / scale
-        if best is None or rel < best[0]:
-            best = (rel, a, s2)
-    if best is None or best[0] > max_residual:
-        raise CalibrationFailed(
-            f"momentum identity not satisfiable at tolerance {max_residual}: "
-            f"best relative residual {best[0] if best else 'n/a'}"
-        )
-    rel, a, s2 = best
-    snapped = round(2.0 * a) / 2.0
-    if snapped != 0 and abs(a - snapped) < 1e-9:
-        a = snapped
-    return CalibrationRecord(
-        s1=1 if a > 0 else -1,
-        s2=s2,
-        kappa_norm=abs(a),
-        batch_seed=seed,
-        residual=rel,
-    )
 
 
 # --- degeneracy / rank reports -------------------------------------------------
 
 
-def gram_on_cocycles(
-    phi: RepPoint,
-    basis: np.ndarray,
-    calib: CalibrationRecord | None = None,
-) -> np.ndarray:
-    """Gram matrix of the (calibrated) cup pairing on given C^1 columns:
-    s1 kappa Z^T C Z."""
-    calib = calib or default_calibration()
-    G = calib.s1 * calib.kappa_norm * (basis.T @ cup_matrix(phi) @ basis)
+def gram_on_cocycles(phi: RepPoint, basis: np.ndarray) -> np.ndarray:
+    """Gram matrix of the cup pairing on given C^1 columns: Z^T C Z."""
+    G = basis.T @ cup_matrix(phi) @ basis
     return 0.5 * (G - G.T)
 
 
-def gram_extended(
-    pt: ExtendedPoint,
-    basis: np.ndarray,
-    calib: CalibrationRecord | None = None,
-) -> np.ndarray:
+def gram_extended(pt: ExtendedPoint, basis: np.ndarray) -> np.ndarray:
     """Gram matrix of omega_ext on tangents spanned by C^1 basis columns:
-    Q^T (s1 kappa C - s2 T^T K T) Q with T = dexp(Lam)^-1 R, R the Fox row of
+    Q^T (C - T^T K T) Q with T = dexp(Lam)^-1 R, R the Fox row of
     the long relator, so that T Q holds the V of the basis tangents."""
-    calib = calib or default_calibration()
     V = pt._dexp_inv @ pt.phi.walk(pt.phi.pres.long_relator)[0] @ basis
-    G = calib.s1 * calib.kappa_norm * (basis.T @ pt.cup @ basis)
-    G = G - calib.s2 * (V.T @ pt.bform @ V)
+    G = basis.T @ pt.cup @ basis - V.T @ pt.bform @ V
     return 0.5 * (G - G.T)
 
 
@@ -446,20 +286,17 @@ def principal_angles(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def degeneracy_report(
-    point: ExtendedPoint | RepPoint,
-    calib: CalibrationRecord | None = None,
-    tol: Tolerances = DEFAULT_TOL,
+    point: ExtendedPoint | RepPoint, tol: Tolerances = DEFAULT_TOL
 ) -> dict:
     """Rank structure of the pairing: nullspace on Z^1 vs B^1, full rank.
 
     Accepts an ExtendedPoint (full tangent-space Gram included) or a bare
     RepPoint with central relator values (pairing-only variant).
     """
-    calib = calib or default_calibration()
     phi = point.phi if isinstance(point, ExtendedPoint) else point
     data = cohomology_data(phi, tol)
     Z1 = data.proj_basis @ data.cocycles  # cocycle basis in C^1 coordinates
-    Gz = gram_on_cocycles(phi, Z1, calib)
+    Gz = gram_on_cocycles(phi, Z1)
     null, rank_z1, _ = _gram_nullspace(Gz, tol.rank_rel)
     report = {
         "rank_on_Z1": rank_z1,
@@ -480,7 +317,7 @@ def degeneracy_report(
         report["nullspace_matches_B1"] = bool(ok)
         report["max_principal_angle"] = float(np.max(angles))
     if isinstance(point, ExtendedPoint):
-        Gfull = gram_extended(point, data.proj_basis, calib)
+        Gfull = gram_extended(point, data.proj_basis)
         _, rank_full, _ = _gram_nullspace(Gfull, tol.rank_rel)
         report["full_rank"] = rank_full
         report["nondegenerate"] = rank_full == data.proj_basis.shape[1]

@@ -40,7 +40,6 @@ from planarep.solver import (
 )
 from planarep.symplectic import (
     check_moment_identity,
-    default_calibration,
     degeneracy_report,
     extend_point,
     gram_on_cocycles,
@@ -177,7 +176,6 @@ def test_criterion_04_duality_and_euler():
 
 
 def test_criterion_05_pairing_properties():
-    calib = default_calibration()
     rng = np.random.default_rng(5)
     points = []
     for seed in range(9):
@@ -206,14 +204,14 @@ def test_criterion_05_pairing_properties():
             return unflatten(phi.model, Q @ (data.cocycles @ c), n_gens)
 
         u, v = coc(), coc()
-        a = pairing_H1(phi, u, v, calib)
-        worst_anti = max(worst_anti, abs(a + pairing_H1(phi, v, u, calib)))
+        a = pairing_H1(phi, u, v)
+        worst_anti = max(worst_anti, abs(a + pairing_H1(phi, v, u)))
         X = rng.standard_normal(phi.model.d)
         cob = unflatten(phi.model, delta0(phi) @ X, n_gens)
-        worst_cob = max(worst_cob, abs(pairing_H1(phi, u, cob, calib)))
+        worst_cob = max(worst_cob, abs(pairing_H1(phi, u, cob)))
         # nondegeneracy on harmonic representatives
         H = Q @ data.harmonic
-        G = gram_on_cocycles(phi, H, calib)
+        G = gram_on_cocycles(phi, H)
         s = np.linalg.svd(G, compute_uv=False) if G.size else np.zeros(0)
         rank = int(np.sum(s > 1e-8 * max(1.0, s[0] if len(s) else 0.0)))
         assert rank == data.h1
@@ -225,7 +223,6 @@ def test_criterion_05_pairing_properties():
 
 
 def test_criterion_06_momentum_identity():
-    calib = default_calibration()
     pres = PlanarPresentation(1, (3,))
     rng = np.random.default_rng(606)
     worst = 0.0
@@ -237,7 +234,7 @@ def test_criterion_06_momentum_identity():
         coords = rng.standard_normal(Q.shape[1])
         t = tangent_from_u(pt, unflatten(SU2, Q @ coords, pres.num_generators))
         scale = max(1.0, abs(moment_pairing(pt, X)), np.linalg.norm(coords))
-        worst = max(worst, check_moment_identity(pt, X, t, calib) / scale)
+        worst = max(worst, check_moment_identity(pt, X, t) / scale)
     assert worst < 1e-6
     # equivariance of mu under conjugation
     pt = extend_point(_central_point(SU2, pres, 0))
@@ -252,12 +249,11 @@ def test_criterion_06_momentum_identity():
 
 
 def test_criterion_07_degeneracy_structure():
-    calib = default_calibration()
     pres = PlanarPresentation(1, (3,))
     worst_angle = 0.0
     for seed in range(20):
         pt = extend_point(_central_point(SU2, pres, 500 + seed))
-        rep = degeneracy_report(pt, calib, DEFAULT_TOL)
+        rep = degeneracy_report(pt, DEFAULT_TOL)
         assert rep["nullspace_matches_B1"]
         assert rep["full_rank"] == rep["dim_C1_proj"]
         worst_angle = max(worst_angle, rep["max_principal_angle"])

@@ -17,7 +17,7 @@ def test_analyze_schema(capsys):
                      "--no-timestamp")
     assert code == 0
     report = json.loads(out)
-    assert report["schema"] == "planarep/2"
+    assert report["schema"] == "planarep/3"
     assert report["measure"] == "1/42"
     assert report["lcm"] == 42
     assert report["fundamental_cycle"] == ["42", "-21", "-14", "-6"]
@@ -191,6 +191,26 @@ def test_relator_at_the_log_branch_cut_exits_4(capsys):
     # r(phi) = -e in SU(2) has both eigenvalue arguments at pi: the
     # extended point is refused as a tolerance failure, not an internal error
     code, out = _run(capsys, "momenttest", "--group", "SU2", "--genus", "1",
+                     "--target=-e", "--seed", "0", "--no-timestamp")
+    assert code == 4
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["symplectic", "momenttest"])
+def test_form_reports_carry_no_calibration(capsys, command):
+    # the conventions omega = cup - B and mu = -<Lam, .> are fixed, so no
+    # fitted sign/scale record is reported
+    code, out = _run(capsys, command, "--group", "SU2", "--genus", "1",
+                     "--torsion", "3", "--seed", "2", "--no-timestamp")
+    assert code == 0
+    assert "calibration" not in json.loads(out)
+
+
+def test_symplectic_near_the_log_branch_cut_exits_4(capsys):
+    # the solved r(phi) sits about 1e-9 from -e, inside the solve tolerance
+    # tau_grp = 1e-8: the extended point is refused, not reported with a
+    # wrong full rank
+    code, out = _run(capsys, "symplectic", "--group", "SU2", "--genus", "2",
                      "--target=-e", "--seed", "0", "--no-timestamp")
     assert code == 4
     assert out == ""

@@ -6,18 +6,22 @@ from hypothesis import assume, given, settings
 from planarep.cohomology import RepPoint, cohomology_data, delta0, projective_subspace
 from planarep.components import finite_order_classes
 from planarep.config import DEFAULT_TOL
-from planarep.errors import LogBranchFailure, NotACocycle, OutsideStarDomain
+from planarep.errors import (
+    LogBranchFailure,
+    NotACocycle,
+    OutsideStarDomain,
+    SingularDexp,
+)
 from planarep.foxcalc import fox_derivative, relator_filling_chain
 from planarep.liegroup import get_model
 from planarep.presentations import PlanarPresentation
 from planarep.solver import SolveSpec, solve_relator
 from planarep.symplectic import (
-    CalibrationRecord,
+    ExtendedPoint,
     action_field,
     bform_O,
     bform_matrix,
     check_moment_identity,
-    default_calibration,
     degeneracy_report,
     extend_point,
     gram_extended,
@@ -48,28 +52,20 @@ def _random_tangent(pt, rng):
     return tangent_from_u(pt, u), data
 
 
-def test_calibration_record_is_frozen():
-    calib = default_calibration()
-    assert calib.s1 in (-1, 1) and calib.s2 in (-1, 1)
-    assert calib.residual < 1e-6
-
-
 def test_pairing_antisymmetry():
     rng = np.random.default_rng(0)
     pt = extend_point(_point(0))
     for _ in range(5):
         t1, _ = _random_tangent(pt, rng)
         t2, _ = _random_tangent(pt, rng)
-        calib = default_calibration()
-        a = omega_extended(pt, t1, t2, calib)
-        b = omega_extended(pt, t2, t1, calib)
+        a = omega_extended(pt, t1, t2)
+        b = omega_extended(pt, t2, t1)
         assert abs(a + b) < 1e-12 * max(1.0, abs(a))
 
 
 def test_pairing_coboundary_insensitivity():
     # cup pairing on H^1 kills coboundaries from either slot
     phi = _point(1)
-    calib = default_calibration()
     data = cohomology_data(phi)
     rng = np.random.default_rng(1)
     Q = data.proj_basis
@@ -78,9 +74,9 @@ def test_pairing_coboundary_insensitivity():
         cob = unflatten(phi.model, delta0(phi) @ X, phi.pres.num_generators)
         coords = rng.standard_normal(data.cocycles.shape[1])
         u = unflatten(phi.model, Q @ (data.cocycles @ coords), phi.pres.num_generators)
-        val = pairing_H1(phi, cob, u, calib)
+        val = pairing_H1(phi, cob, u)
         assert abs(val) < 1e-10
-        assert abs(pairing_H1(phi, u, cob, calib)) < 1e-10
+        assert abs(pairing_H1(phi, u, cob)) < 1e-10
 
 
 def test_pairing_rejects_non_cocycles():
@@ -88,25 +84,23 @@ def test_pairing_rejects_non_cocycles():
     rng = np.random.default_rng(2)
     u = [rng.standard_normal(phi.model.d) for _ in range(phi.pres.num_generators)]
     with pytest.raises(NotACocycle):
-        pairing_H1(phi, u, u, default_calibration())
+        pairing_H1(phi, u, u)
 
 
 def test_gram_rank_on_harmonic_equals_h1():
-    calib = default_calibration()
     cases = [(s, PRES, None) for s in range(3)]
     cases += [(s, PlanarPresentation(2, ()), -np.eye(2, dtype=complex)) for s in (0, 1)]
     for seed, pres, zeta in cases:
         phi = _point(seed, pres=pres, zeta=zeta)
         data = cohomology_data(phi)
         H = data.proj_basis @ data.harmonic
-        G = gram_on_cocycles(phi, H, calib)
+        G = gram_on_cocycles(phi, H)
         s = np.linalg.svd(G, compute_uv=False)
         rank = int(np.sum(s > 1e-8 * max(1.0, s[0] if len(s) else 0.0)))
         assert rank == data.h1
 
 
 def test_moment_identity_fresh_points():
-    calib = default_calibration()
     rng = np.random.default_rng(99)
     worst = 0.0
     for seed in range(5):
@@ -115,7 +109,7 @@ def test_moment_identity_fresh_points():
             X = MODEL.random_alg(rng)
             t, _ = _random_tangent(pt, rng)
             scale = max(1.0, abs(moment_pairing(pt, X)))
-            worst = max(worst, check_moment_identity(pt, X, t, calib) / scale)
+            worst = max(worst, check_moment_identity(pt, X, t) / scale)
     assert worst < 1e-6
 
 
@@ -141,15 +135,23 @@ def test_action_field_is_coboundary_direction():
 
 
 def test_degeneracy_structure_central_fiber():
-    calib = default_calibration()
     for seed in range(3):
         pt = extend_point(_point(seed + 20))
-        report = degeneracy_report(pt, calib, DEFAULT_TOL)
+        report = degeneracy_report(pt, DEFAULT_TOL)
         assert report["nullspace_matches_B1"]
         assert report["max_principal_angle"] < 1e-6
         assert report["nondegenerate"]
         assert report["full_rank"] == report["dim_C1_proj"]
         assert report["rank_on_Z1"] == report["h1"]
+
+
+def test_extended_point_outside_regular_domain_is_refused():
+    # ad_Lam has eigenvalues 0, +-2 pi i, so dexp(Lam) is singular; Lam is
+    # still a logarithm of r(phi) = z^2 = -e
+    z = np.diag([1j, -1j])
+    phi = RepPoint(PlanarPresentation(0, (4, 4)), MODEL, [z, z])
+    with pytest.raises(SingularDexp):
+        ExtendedPoint(phi, np.diag([1j * np.pi, -1j * np.pi]))
 
 
 def test_projective_subspace_contains_coboundaries():
@@ -163,7 +165,6 @@ def test_projective_subspace_contains_coboundaries():
 # --- the matrix forms against per-pair references ------------------------------
 
 GROUPS = ["SU2", "U2", "U3", "SL2R"]
-UNIT = CalibrationRecord(1, 1, 1.0)
 
 
 def _torsion_element(model, m, rng):
@@ -259,11 +260,11 @@ def test_matrix_grams_match_per_pair_reference(group, gt, seed):
     ref_ext = ref_cup.copy()
     for i in range(k):
         for j in range(i + 1, k):
-            b = bform_O(model, pt.Lam, Vs[i], Vs[j], UNIT)
+            b = bform_O(model, pt.Lam, Vs[i], Vs[j])
             ref_ext[i, j] -= b
             ref_ext[j, i] += b
-    assert _close(gram_on_cocycles(pt.phi, basis, UNIT), ref_cup)
-    assert _close(gram_extended(pt, basis, UNIT), ref_ext)
+    assert _close(gram_on_cocycles(pt.phi, basis), ref_cup)
+    assert _close(gram_extended(pt, basis), ref_ext)
 
 
 def test_star_domain_is_checked_along_the_whole_segment():
@@ -287,5 +288,5 @@ def test_closed_form_bform_matches_quadrature(group, seed, scale):
     except OutsideStarDomain:
         assume(False)
     V, W = rng.standard_normal(model.d), rng.standard_normal(model.d)
-    quad = bform_O(model, Lam, V, W, UNIT)
+    quad = bform_O(model, Lam, V, W)
     assert abs(V @ K @ W - quad) <= 1e-12 * max(1.0, np.linalg.norm(V) * np.linalg.norm(W))
