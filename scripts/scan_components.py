@@ -3,6 +3,10 @@
 enumerate class tuples, test feasibility, and report cohomology dims of a
 solved point in each nonempty component.
 
+Feasibility is decided exactly for SU2 and U2 (and for U(n) at genus >= 1),
+so "unresolved" (the search ended without a point or a certificate) happens
+only for U3 at genus 0; SL2R has no class enumeration to scan.
+
 Usage: python scripts/scan_components.py --genus 0 --torsion 3,4,4
 """
 

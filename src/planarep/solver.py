@@ -75,7 +75,31 @@ def _mat_json(m: np.ndarray) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
 
 
-# --- SU(2) feasibility oracle -------------------------------------------------
+# --- SU(2) feasibility rule ---------------------------------------------------
+
+
+def su2_product_rule(ts, minus: bool = False, slack=0) -> bool:
+    """Whether SU(2) classes with rotation angles ts (units of pi, each in
+    [0, 1]) have product e, or -e when ``minus``.
+
+    For target e the rule is: every odd-size subset S satisfies
+    sum_S t - sum_{not S} t <= |S| - 1 (the rank-2 parabolic-weight
+    condition; Biswas, Internat. J. Math. 1998; Agnihotri-Woodward, Math. Res.
+    Lett. 1998).  For -e, the last class moves to its antipode, t -> 1 - t.
+    The rule reads max over odd S of sum_S (2t - 1) <= sum t - 1, and the
+    maximizing S is {t > 1/2}, its parity fixed by the t nearest 1/2: O(n),
+    exact on Fractions.  ``slack`` widens the bound for float angles.
+    """
+    ts = list(ts)
+    if not ts:
+        return not minus  # the empty product is e
+    if minus:
+        ts[-1] = 1 - ts[-1]
+    gains = [2 * t - 1 for t in ts]
+    best = sum(g for g in gains if g > 0)
+    if sum(g > 0 for g in gains) % 2 == 0:
+        best -= min(abs(g) for g in gains)
+    return best <= sum(ts) - 1 + slack
 
 
 def su2_triangle_oracle(
@@ -84,21 +108,17 @@ def su2_triangle_oracle(
     """Feasibility of A B C = target over SU(2) classes with rotation angles
     th_i in [0, pi] and target e or -e.
 
-    For target e the product class condition is the spherical triangle
-    inequality; for -e, replace th3 by pi - th3 (central twist moves one
-    class to its antipode).
+    The n = 3 case of ``su2_product_rule``: for target e the spherical
+    triangle inequality, for -e the same with th3 replaced by pi - th3.  The
+    bounds carry a 1e-12 slack in radians.
     """
     for th in (th1, th2, th3):
         if th < -1e-12 or th > np.pi + 1e-12:
             raise ValueError("class angles must lie in [0, pi]")
-    if target == "-e":
-        th3 = np.pi - th3
-    elif target != "e":
+    if target not in ("e", "-e"):
         raise ValueError("target must be 'e' or '-e'")
-    eps = 1e-12
-    lo = abs(th1 - th2)
-    hi = min(th1 + th2, 2.0 * np.pi - th1 - th2)
-    return lo - eps <= th3 <= hi + eps
+    ts = [th / np.pi for th in (th1, th2, th3)]
+    return su2_product_rule(ts, minus=target == "-e", slack=1e-12 / np.pi)
 
 
 def su2_brute_force_feasible(
@@ -167,32 +187,40 @@ class SolveResult:
 
 
 def _feasibility_oracle(spec: SolveSpec) -> bool | None:
-    """Exact infeasibility certificates; None when undecided."""
+    """Exact feasibility: True or False where a theorem decides the spec,
+    None where none applies here (SL(2,R); at genus 0, U(n) for n >= 3 and
+    U(2) with a target other than e or -e)."""
     model, p = spec.model, spec.pres
+    if model.kind == "SL2R":
+        return None
     if model.kind == "U":
         det = complex(np.linalg.det(spec.zeta))
         for rep in spec.reps:
             det /= complex(np.linalg.det(rep))
         if abs(det - 1.0) > 1e-9:
             return False
-        if model.n == 1:
-            # commutators are trivial, so the det condition is the whole story
-            return _u1_ok(spec)
-    if model.name == "SU2" and p.genus == 0 and 1 <= p.n_torsion <= 3:
-        # n < 3 reduces to the triangle case with zero angles padded in
-        target = "-e" if np.linalg.norm(spec.zeta + model.identity) < 1e-9 else "e"
-        angles = [2.0 * np.pi * float(min(c.fractions)) for c in spec.classes]
-        angles = [a if a <= np.pi + 1e-12 else 2 * np.pi - a for a in angles]
-        angles += [0.0] * (3 - len(angles))
-        return su2_triangle_oracle(*angles, target=target)
+    if p.genus >= 1 or model.n == 1:
+        # every element of SU(n) is a commutator, and U(1) is abelian: the
+        # determinant test is the whole answer
+        return True
+    minus = _is_minus_e(spec)
+    if model.n != 2 or minus is None:
+        return None
+    if model.kind == "SU":
+        return su2_product_rule([2 * min(c.fractions) for c in spec.classes], minus)
+    # U(2): fractions (a, b) are e^{pi i (a+b)} times the SU(2) class t = b - a,
+    # and the scalar parts multiply to (-1)^{sum (a+b)}
+    odd = sum(sum(c.fractions) for c in spec.classes) % 2 == 1
+    ts = [c.fractions[1] - c.fractions[0] for c in spec.classes]
+    return su2_product_rule(ts, minus != odd)
+
+
+def _is_minus_e(spec: SolveSpec) -> bool | None:
+    """True for zeta = -e, False for e, None for any other central zeta."""
+    for minus, zeta in ((False, spec.model.identity), (True, -spec.model.identity)):
+        if np.linalg.norm(spec.zeta - zeta) < 1e-9:
+            return minus
     return None
-
-
-def _u1_ok(spec: SolveSpec) -> bool:
-    prod = complex(spec.zeta[0, 0])
-    for rep in spec.reps:
-        prod /= complex(rep[0, 0])
-    return abs(prod - 1.0) < 1e-9
 
 
 def _assemble(spec: SolveSpec, G: np.ndarray) -> RepPoint:
@@ -276,7 +304,8 @@ def solve_relator(spec: SolveSpec) -> SolveResult:
     """Find phi with r(phi) = zeta and each phi(z_j) in its class.
 
     Raises InfeasibleSpec when an exact obstruction certifies emptiness and
-    NotFound when the restart budget is exhausted (not a proof of emptiness).
+    NotFound when the restart budget is exhausted: not a proof of emptiness,
+    and a solver defect when the spec is certified feasible.
     """
     feas = _feasibility_oracle(spec)
     if feas is False:
@@ -291,6 +320,11 @@ def solve_relator(spec: SolveSpec) -> SolveResult:
         if resid < spec.tol:
             return SolveResult(pt, resid, restart + 1, spec)
     assert best is not None
+    if feas:
+        raise NotFound(
+            f"certified feasible but not solved within {budget} restarts "
+            f"(solver defect); best residual {best[1]:.3e}"
+        )
     raise NotFound(
         f"no solution within budget; best residual {best[1]:.3e}"
     )

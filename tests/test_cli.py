@@ -158,6 +158,18 @@ def test_default_class_without_det_compatible_tuple_is_certified(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("group, torsion, classes", [("SU2", "3,3,3,3", "1,0,0,0"),
+                                                    ("U2", "3,3", "1,3")])
+def test_empty_genus0_tuple_is_certified(capsys, group, torsion, classes):
+    # the rank-2 class rule certifies these empty; no restart is spent
+    code = main(["solve", "--group", group, "--genus", "0", "--torsion=" + torsion,
+                 "--classes=" + classes, "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "certified infeasible" in captured.err
+
+
 @pytest.mark.parametrize("extra", [("--trials", "0"), ("--trials", "-1"),
                                    ("--threshold", "-1"), ("--threshold", "0"),
                                    ("--threshold", "nan")])

@@ -1,5 +1,13 @@
+import importlib.util
+from fractions import Fraction
+from itertools import combinations, product
+from pathlib import Path
+from types import SimpleNamespace
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.linalg import expm
 
 from planarep import solver
@@ -13,10 +21,12 @@ from planarep.solver import (
     sample_fiber,
     solve_relator,
     su2_brute_force_feasible,
+    su2_product_rule,
     su2_triangle_oracle,
 )
 
 SU2 = get_model("SU2")
+U2 = get_model("U2")
 
 
 def _classes(model, ms, idx=None):
@@ -280,9 +290,144 @@ def test_stacked_solver_follows_oracle_bitwise(monkeypatch, case):
 
 def test_stacked_solver_not_found_message_matches_oracle(monkeypatch):
     spec = _oracle_spec("SU2", 0, (3, 3, 3, 3), (1, 0, 0, 0), "e", 0, max_restarts=3)
+    # the spec is certified empty; drop the certificate so both sides search
+    monkeypatch.setattr(solver, "_feasibility_oracle", lambda spec: None)
     with pytest.raises(NotFound) as got:
         solve_relator(spec)
     monkeypatch.setattr(solver, "_solve_once", _oracle_solve_once)
     with pytest.raises(NotFound) as want:
         solve_relator(spec)
     assert str(got.value) == str(want.value)
+
+
+# --- the exact class-tuple rule ------------------------------------------------
+
+
+def _load_check():
+    """perfbench/check.py: the benchmark's planarep-free solvability truth."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "check.py"
+    spec = importlib.util.spec_from_file_location("perfbench_check", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+CHECK = _load_check()
+
+
+def _odd_subset_rule(ts, minus):
+    """The rule by enumeration: every odd S has sum_S t - sum_rest t <= |S| - 1."""
+    ts = list(ts)
+    if minus:
+        ts[-1] = 1 - ts[-1]
+    total = sum(ts)
+    return all(
+        2 * sum(ts[i] for i in S) - total <= size - 1
+        for size in range(1, len(ts) + 1, 2)
+        for S in combinations(range(len(ts)), size)
+    )
+
+
+su2_tuples = st.lists(
+    st.integers(2, 9).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m // 2))),
+    min_size=1, max_size=7,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(su2_tuples, st.sampled_from(["e", "-e"]))
+def test_su2_rule_matches_enumeration_and_check_fold(tuples, target):
+    torsion = tuple(m for m, _ in tuples)
+    idx = tuple(k for _, k in tuples)
+    feasible = solver._feasibility_oracle(_oracle_spec("SU2", 0, torsion, idx, target, 0))
+    ts = [Fraction(2 * k, m) for m, k in tuples]
+    assert feasible == _odd_subset_rule(ts, target == "-e")
+    req = SimpleNamespace(group="SU2", genus=0, torsion=torsion, classes=idx, target=target)
+    assert feasible == CHECK.known_solvable(req)
+
+
+def test_su2_rule_small_cases():
+    assert su2_product_rule([])
+    assert not su2_product_rule([], minus=True)
+    assert su2_product_rule([Fraction(0)]) and not su2_product_rule([Fraction(1, 2)])
+    assert su2_product_rule([Fraction(1)], minus=True)
+    # two classes multiply to e iff their angles agree
+    assert su2_product_rule([Fraction(1, 3)] * 2)
+    assert not su2_product_rule([Fraction(1, 3), Fraction(2, 3)])
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("target", ["e", "-e"])
+def test_u2_rule_matches_class_inversion(m, target):
+    # A B = zeta iff class B = class (zeta A^-1); a det-violating pair is
+    # certified by the determinant test before the rule is read
+    classes = finite_order_classes(U2, m)
+    shift = Fraction(1, 2) if target == "-e" else Fraction(0)
+    for a, ca in enumerate(classes):
+        inverse = tuple(sorted((shift - f) % 1 for f in ca.fractions))
+        for b, cb in enumerate(classes):
+            spec = _oracle_spec("U2", 0, (m, m), (a, b), target, 0)
+            assert solver._feasibility_oracle(spec) == (inverse == cb.fractions), (a, b)
+
+
+def test_u2_rule_matches_solver_on_three_classes(monkeypatch):
+    # the rule decides only tuples that pass the determinant test:
+    # the fractions of t(3,3,3) sum to an integer
+    det = [sum(c.fractions) for c in finite_order_classes(U2, 3)]
+    cases = [(idx, target) for idx in product(range(len(det)), repeat=3)
+             for target in ("e", "-e")
+             if sum(det[i] for i in idx).denominator == 1]
+    rng = np.random.default_rng(31)
+    seen = {True: 0, False: 0}
+    for k in rng.choice(len(cases), 12, replace=False):
+        idx, target = cases[k]
+        spec = _oracle_spec("U2", 0, (3, 3, 3), idx, target, int(k), max_restarts=3)
+        feasible = solver._feasibility_oracle(spec)
+        seen[feasible] += 1
+        _assert_solver_agrees(monkeypatch, spec, feasible)
+    assert seen[True] and seen[False]
+
+
+def _assert_solver_agrees(monkeypatch, spec, feasible):
+    """A rule-feasible spec is solved; a rule-infeasible one is certified,
+    and a short search without the certificate finds no point either."""
+    if feasible:
+        res = solve_relator(spec)
+        assert res.residual < spec.tol
+        assert np.linalg.norm(res.point.long_relator_value() - spec.zeta) < 1e-9
+        return
+    with pytest.raises(InfeasibleSpec):
+        solve_relator(spec)
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "_feasibility_oracle", lambda spec: None)
+        with pytest.raises(NotFound):
+            solve_relator(spec)
+
+
+def test_solver_agrees_with_su2_rule_on_four_and_five_generators(monkeypatch):
+    rng = np.random.default_rng(4_5)
+    seen = {True: 0, False: 0}
+    for k in range(20):
+        torsion = tuple(int(m) for m in rng.integers(2, 8, int(rng.integers(4, 6))))
+        idx = tuple(int(rng.integers(0, m // 2 + 1)) for m in torsion)
+        target = ("e", "-e")[int(rng.integers(0, 2))]
+        spec = _oracle_spec("SU2", 0, torsion, idx, target, k, max_restarts=2)
+        feasible = solver._feasibility_oracle(spec)
+        seen[feasible] += 1
+        _assert_solver_agrees(monkeypatch, spec, feasible)
+    assert seen[True] and seen[False]
+
+
+def test_higher_genus_is_certified_feasible():
+    assert solver._feasibility_oracle(_oracle_spec("SU2", 1, (2, 3), (1, 0), "-e", 0))
+    assert solver._feasibility_oracle(_oracle_spec("U3", 1, (3,), (4,), "e", 0))
+    # no certificate for U(3) at genus 0
+    assert solver._feasibility_oracle(_oracle_spec("U3", 0, (3, 3), (4, 4), "e", 0)) is None
+
+
+def test_certified_feasible_not_found_is_a_solver_defect(monkeypatch):
+    spec = _oracle_spec("SU2", 0, (3, 3, 3), (1, 1, 1), "e", 0)
+    monkeypatch.setattr(solver, "_solve_once", lambda spec, rng: (None, float("inf")))
+    with pytest.raises(NotFound, match=r"certified feasible but not solved "
+                       r"within 60 restarts \(solver defect\); best residual inf"):
+        solve_relator(spec)
