@@ -4,12 +4,7 @@ the extended two-form with its momentum map, and a numerical relator solver.
 """
 
 from .config import DEFAULT_TOL, Tolerances
-from .presentations import (
-    ExtensionPresentation,
-    PlanarPresentation,
-    parse_extension_presentation,
-    parse_presentation,
-)
+from .presentations import PlanarPresentation
 from .words import commutator, gen, w_inv, w_mul, w_pow, word
 from .foxcalc import (
     BarChain,
@@ -53,7 +48,6 @@ from .symplectic import (
 from .solver import (
     SolveResult,
     SolveSpec,
-    sample_fiber,
     solve_relator,
     su2_triangle_oracle,
 )

@@ -54,13 +54,20 @@ class ToleranceExceeded(PlanarepError):
     pass
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--group", default="SU2",
                      help="matrix group model: SU2, U1, U2, U3, SL2R")
     sub.add_argument("--genus", type=int, default=1)
     sub.add_argument("--torsion", default="",
                      help="comma-separated torsion orders, e.g. 2,3,7")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_nonnegative_int, default=0)
     sub.add_argument("--tol-rank", type=float, default=1e-8)
     sub.add_argument("--tol-grp", type=float, default=1e-8)
     sub.add_argument("--json-out", default=None, help="also write report to this file")

@@ -6,20 +6,12 @@ class PlanarepError(Exception):
 
 
 class MalformedInput(PlanarepError):
-    """User input is malformed: presentation text outside the accepted
-    grammar, or a presentation or parameter list of the wrong shape."""
+    """User input is malformed: a presentation, parameter list or
+    command-line value of the wrong shape."""
 
 
 class TorsionOrderTooSmall(MalformedInput):
     """A torsion order m_j < 2 was supplied."""
-
-
-class RelatorShapeMismatch(MalformedInput):
-    """Explicit-form relators do not have the planar-group shape."""
-
-
-class ArityMismatch(MalformedInput):
-    """Parameter list length does not match the torsion count."""
 
 
 class FillVerificationFailed(PlanarepError):
@@ -60,10 +52,6 @@ class NotFound(PlanarepError):
 
 class InfeasibleSpec(PlanarepError):
     """Solve specification certified empty by an exact obstruction."""
-
-
-class FiniteGroupWarning(UserWarning):
-    """The presentation has negative measure, so the group is finite."""
 
 
 class ToleranceAmbiguity(UserWarning):

@@ -166,13 +166,11 @@ Cell2 = tuple[Word, Word]
 class BarChain:
     """Rational chain in the reduced normalized bar complex, degree 1 or 2.
 
-    Cells containing the empty word are dropped.  labels is 'F' for chains of
-    the free group and 'pi' for the same cells reinterpreted modulo relators.
+    Cells containing the empty word are dropped.
     """
 
     degree: int
     terms: dict[tuple, Fraction] = field(default_factory=dict)
-    labels: str = "F"
 
     def add(self, cell: tuple, coeff) -> None:
         if any(not w for w in cell):
@@ -186,16 +184,14 @@ class BarChain:
     def __add__(self, other: "BarChain") -> "BarChain":
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        out = BarChain(self.degree, dict(self.terms), self.labels)
+        out = BarChain(self.degree, dict(self.terms))
         for cell, q in other.terms.items():
             out.add(cell, q)
         return out
 
     def scale(self, q) -> "BarChain":
         q = Fraction(q)
-        return BarChain(
-            self.degree, {c: q * v for c, v in self.terms.items()}, self.labels
-        )
+        return BarChain(self.degree, {c: q * v for c, v in self.terms.items()})
 
     def __neg__(self) -> "BarChain":
         return self.scale(-1)
@@ -221,14 +217,14 @@ class BarChain:
 def boundary(chain: BarChain) -> BarChain:
     """Bar boundary with the convention d[g|h] = [h] - [gh] + [g], [e] = 0."""
     if chain.degree == 2:
-        out = BarChain(1, labels=chain.labels)
+        out = BarChain(1)
         for (g, h), q in chain.terms.items():
             out.add((h,), q)
             out.add((w_mul(g, h),), -q)
             out.add((g,), q)
         return out
     if chain.degree == 3:
-        out = BarChain(2, labels=chain.labels)
+        out = BarChain(2)
         for (g, h, k), q in chain.terms.items():
             out.add((h, k), q)
             out.add((w_mul(g, h), k), -q)
@@ -270,18 +266,3 @@ def relator_filling_chain(p: PlanarPresentation) -> BarChain:
     if boundary(c) != expected:
         raise FillVerificationFailed("relator filling chain boundary mismatch")
     return c
-
-
-def push_to_pi(c: BarChain, p: PlanarPresentation) -> BarChain:
-    """Reinterpret the chain c as a chain of the quotient group.
-
-    Verifies that the boundary is supported on relator words only (those are
-    trivial in the quotient), so the result is a 2-cycle there.
-    """
-    allowed = {p.long_relator, *p.torsion_relators}
-    for (w,), _q in boundary(c).terms.items():
-        if w not in allowed:
-            raise FillVerificationFailed(
-                f"boundary supported outside relator words: {w}"
-            )
-    return BarChain(c.degree, dict(c.terms), labels="pi")

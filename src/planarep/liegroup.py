@@ -166,19 +166,6 @@ class LieModel:
 
     # -- center ----------------------------------------------------------------
 
-    def center_basis(self) -> list[np.ndarray]:
-        if self.kind == "U":
-            return [1j * np.eye(self.n) / np.sqrt(self.n)]
-        return []
-
-    def central_elements(self) -> list[np.ndarray]:
-        """Representative discrete central elements (complete for SU(2))."""
-        if self.kind == "SU" and self.n == 2:
-            return [self.identity, -self.identity]
-        if self.kind == "SL2R":
-            return [self.identity, -self.identity]
-        return [self.identity]
-
     def is_central(self, g: np.ndarray, tol: float = 1e-8) -> bool:
         return all(
             np.linalg.norm(g @ B - B @ g) <= tol * max(1.0, np.linalg.norm(g))

@@ -1,29 +1,21 @@
-"""Planar group presentations and their central-extension presentations.
+"""Planar group presentations.
 
 A planar group is encoded by its genus l and torsion orders (m_1..m_n); the
 long relator is prod_j [x_j,y_j] z_1..z_n and the torsion relators are
-z_j^{m_j}.  Two text forms are accepted: the compact form
-``genus=<int>; torsion=<comma list>`` and the explicit form
-``< x1,y1,...,z1,... | <long relator>, z1^m1, ... >``.
+z_j^{m_j}.  Presentations are built from these numbers, never parsed from
+text; ``render`` writes the explicit form
+``< x1,y1,...,z1,... | <long relator>, z1^m1, ... >`` for reports.
 """
 
 from __future__ import annotations
 
 import math
-import re
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import (
-    ArityMismatch,
-    FiniteGroupWarning,
-    MalformedInput,
-    RelatorShapeMismatch,
-    TorsionOrderTooSmall,
-)
-from .words import Word, commutator, gen, w_mul, w_pow, word
+from .errors import MalformedInput, TorsionOrderTooSmall
+from .words import Word, commutator, gen, w_mul, w_pow
 
 
 @dataclass(frozen=True)
@@ -45,10 +37,6 @@ class PlanarPresentation:
     @property
     def num_generators(self) -> int:
         return 2 * self.genus + self.n_torsion
-
-    @property
-    def num_relators(self) -> int:
-        return 1 + self.n_torsion
 
     def x_index(self, j: int) -> int:
         return 2 * j
@@ -119,88 +107,6 @@ class PlanarPresentation:
         }
 
 
-@dataclass(frozen=True)
-class ExtensionPresentation:
-    """Central extension Gamma_(b, beta_1..beta_n) with central generator h."""
-
-    base: PlanarPresentation
-    b: int
-    beta: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.beta) != self.base.n_torsion:
-            raise ArityMismatch(
-                f"expected {self.base.n_torsion} beta exponents, got {len(self.beta)}"
-            )
-
-    @property
-    def h_index(self) -> int:
-        return self.base.num_generators
-
-    @cached_property
-    def generator_names(self) -> tuple[str, ...]:
-        return self.base.generator_names + ("h",)
-
-    @cached_property
-    def relators(self) -> tuple[Word, ...]:
-        h = gen(self.h_index)
-        rels = [commutator(h, gen(i)) for i in range(self.base.num_generators)]
-        rels.append(w_mul(self.base.long_relator, w_pow(h, -self.b)))
-        for j, r in enumerate(self.base.torsion_relators):
-            rels.append(w_mul(r, w_pow(h, -self.beta[j])))
-        return tuple(rels)
-
-    def render(self) -> str:
-        gens = ",".join(self.generator_names)
-        rels = []
-        h = "h"
-        for name in self.base.generator_names:
-            rels.append(f"[{h},{name}]")
-        names = self.generator_names
-        long_txt = word_to_text(self.base.long_relator, names)
-        rels.append(long_txt + power_suffix(h, -self.b))
-        for j, r in enumerate(self.base.torsion_relators):
-            rels.append(word_to_text(r, names) + power_suffix(h, -self.beta[j]))
-        return f"< {gens} | {', '.join(rels)} >"
-
-    def to_json(self) -> dict:
-        return {
-            "base": self.base.to_json(),
-            "b": self.b,
-            "beta": list(self.beta),
-            "text": self.render(),
-        }
-
-
-def measure(p: PlanarPresentation) -> Fraction:
-    """Exact measure 2l - 2 + sum(1 - 1/m_j); warns when the group is finite."""
-    mu = p.measure
-    if mu < 0:
-        warnings.warn(
-            f"measure {mu} < 0: the group is finite", FiniteGroupWarning, stacklevel=2
-        )
-    return mu
-
-
-def extension_presentation(
-    p: PlanarPresentation, b: int, beta: list[int] | tuple[int, ...]
-) -> ExtensionPresentation:
-    return ExtensionPresentation(p, b, tuple(beta))
-
-
-# --- text handling ---------------------------------------------------------
-
-_LETTER_RE = re.compile(r"([A-Za-z]\w*)(?:\^(-?\d+))?")
-
-
-def power_suffix(name: str, k: int) -> str:
-    if k == 0:
-        return ""
-    if k == 1:
-        return f" {name}"
-    return f" {name}^{k}"
-
-
 def word_to_text(w: Word, names: tuple[str, ...]) -> str:
     if not w:
         return "1"
@@ -216,168 +122,3 @@ def word_to_text(w: Word, names: tuple[str, ...]) -> str:
         parts.append(name if e == 1 else f"{name}^{e}")
         i += k
     return " ".join(parts)
-
-
-def parse_word_text(text: str, names: tuple[str, ...]) -> Word:
-    """Parse a word in the given named generators; supports [a,b] commutators."""
-    index = {name: i for i, name in enumerate(names)}
-    letters: list[int] = []
-
-    def emit(token: str):
-        m = _LETTER_RE.fullmatch(token)
-        if not m:
-            raise MalformedInput(f"bad word token {token!r}")
-        name, exp = m.group(1), int(m.group(2) or 1)
-        if name not in index:
-            raise MalformedInput(f"unknown generator {name!r}")
-        s = index[name] + 1
-        letters.extend([s if exp > 0 else -s] * abs(exp))
-
-    text = text.strip()
-    if text == "1":
-        return ()
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace() or ch == "*":
-            pos += 1
-            continue
-        if ch == "[":
-            close = text.find("]", pos)
-            if close < 0:
-                raise MalformedInput("unbalanced commutator bracket")
-            inner = text[pos + 1 : close]
-            try:
-                a_txt, b_txt = inner.split(",")
-            except ValueError:
-                raise MalformedInput(f"bad commutator {inner!r}") from None
-            a = parse_word_text(a_txt, names)
-            b = parse_word_text(b_txt, names)
-            letters.extend(commutator(a, b))
-            pos = close + 1
-            continue
-        m = _LETTER_RE.match(text, pos)
-        if not m:
-            raise MalformedInput(f"cannot parse word near {text[pos:]!r}")
-        emit(m.group(0))
-        pos = m.end()
-    return word(letters)
-
-
-def _parse_compact(text: str) -> PlanarPresentation:
-    m = re.fullmatch(
-        r"\s*genus\s*=\s*(\d+)\s*;\s*torsion\s*=\s*((?:-?\d+\s*(?:,\s*-?\d+\s*)*)?)\s*",
-        text,
-    )
-    if not m:
-        raise MalformedInput(f"not in 'genus=..; torsion=..' form: {text!r}")
-    genus = int(m.group(1))
-    tors_txt = m.group(2).strip()
-    torsion = tuple(int(t) for t in tors_txt.split(",")) if tors_txt else ()
-    return PlanarPresentation(genus, torsion)
-
-
-def _split_explicit(text: str) -> tuple[list[str], list[str]]:
-    body = text.strip()
-    if not (body.startswith("<") and body.endswith(">")):
-        raise MalformedInput("explicit form must be wrapped in < .. >")
-    body = body[1:-1]
-    if "|" in body:
-        gens_txt, rels_txt = body.split("|", 1)
-    elif ";" in body:
-        gens_txt, rels_txt = body.split(";", 1)
-    else:
-        raise MalformedInput("explicit form needs a '|' or ';' separator")
-    gens = [g.strip() for g in gens_txt.split(",") if g.strip()]
-    # relators are comma separated, but commutator brackets contain commas
-    rels, depth, cur = [], 0, []
-    for ch in rels_txt:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            rels.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    tail = "".join(cur).strip()
-    if tail:
-        rels.append(tail)
-    return gens, rels
-
-
-def _parse_explicit(text: str) -> PlanarPresentation:
-    gens, rels = _split_explicit(text)
-    names = tuple(gens)
-    xs = [g for g in gens if g.startswith("x")]
-    ys = [g for g in gens if g.startswith("y")]
-    zs = [g for g in gens if g.startswith("z")]
-    if sorted(xs + ys + zs) != sorted(gens) or len(xs) != len(ys):
-        raise RelatorShapeMismatch(
-            "generators must be x1,y1,..,xl,yl,z1,..,zn (by name)"
-        )
-    genus, n = len(xs), len(zs)
-    if not rels:
-        raise RelatorShapeMismatch("at least the long relator is required")
-    words = [parse_word_text(r, names) for r in rels]
-    if len(words) != 1 + n:
-        raise RelatorShapeMismatch(f"expected {1 + n} relators, got {len(words)}")
-    torsion = []
-    for j, w in enumerate(words[1:]):
-        zl = None
-        for s in w:
-            if s <= 0 or (zl is not None and s != zl):
-                raise RelatorShapeMismatch(f"relator {rels[j + 1]!r} is not z_j^m_j")
-            zl = s
-        if zl is None or zl - 1 != 2 * genus + j:
-            raise RelatorShapeMismatch(f"relator {rels[j + 1]!r} is not z_{j + 1}^m")
-        torsion.append(len(w))
-    for m in torsion:
-        if m < 2:
-            raise TorsionOrderTooSmall(f"torsion order {m} < 2")
-    p = PlanarPresentation(genus, tuple(torsion))
-    if words[0] != p.long_relator:
-        raise RelatorShapeMismatch("long relator must be prod [x_j,y_j] z_1..z_n")
-    return p
-
-
-def parse_presentation(text: str) -> PlanarPresentation:
-    """Parse either the compact or the explicit presentation form."""
-    if "<" in text:
-        return _parse_explicit(text)
-    return _parse_compact(text)
-
-
-def parse_extension_presentation(text: str) -> ExtensionPresentation:
-    """Parse the rendered form of an ExtensionPresentation (round-trip)."""
-    gens, rels = _split_explicit(text)
-    if not gens or gens[-1] != "h":
-        raise MalformedInput("extension presentations must end with generator h")
-    names = tuple(gens)
-    base_names = tuple(gens[:-1])
-    genus = sum(1 for g in base_names if g.startswith("x"))
-    n = sum(1 for g in base_names if g.startswith("z"))
-    if len(rels) != len(base_names) + 1 + n:
-        raise MalformedInput(f"expected {len(base_names) + 1 + n} relators")
-    h_idx = len(base_names)
-
-    def h_exponent(w: Word) -> tuple[Word, int]:
-        # trailing h^k split
-        k = 0
-        while w and abs(w[-1]) == h_idx + 1:
-            k += 1 if w[-1] > 0 else -1
-            w = w[:-1]
-        return w, k
-
-    words = [parse_word_text(r, names) for r in rels]
-    long_w, mb = h_exponent(words[h_idx])
-    torsion, beta = [], []
-    for j in range(n):
-        tw, mbeta = h_exponent(words[h_idx + 1 + j])
-        torsion.append(len(tw))
-        beta.append(-mbeta)
-    base = PlanarPresentation(genus, tuple(torsion))
-    if long_w != base.long_relator:
-        raise RelatorShapeMismatch("long relator part does not have planar shape")
-    return ExtensionPresentation(base, -mb, tuple(beta))

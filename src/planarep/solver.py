@@ -328,19 +328,3 @@ def solve_relator(spec: SolveSpec) -> SolveResult:
     raise NotFound(
         f"no solution within budget; best residual {best[1]:.3e}"
     )
-
-
-def sample_fiber(spec: SolveSpec, n: int) -> list[SolveResult]:
-    """n independently seeded solves; failures are skipped."""
-    out = []
-    for i in range(n):
-        s = SolveSpec(
-            spec.pres, spec.model, spec.classes, spec.zeta,
-            seed=spec.seed + 1000003 * i, max_restarts=spec.max_restarts,
-            max_iters=spec.max_iters, tol=spec.tol,
-        )
-        try:
-            out.append(solve_relator(s))
-        except (NotFound, InfeasibleSpec):
-            pass
-    return out

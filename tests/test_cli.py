@@ -113,6 +113,18 @@ def test_bad_input_exits_2(capsys):
     assert main(["analyze", "--torsion", "1"]) == 2
     assert main(["solve", "--group", "SL2R", "--torsion", "3"]) == 2
     assert main(["analyze", "--tol-rank", "0"]) == 2
+    # a negative seed, and tolerances that cannot decide anything: not
+    # finite, or a relative rank cut at or above the largest singular value
+    for flag, value in [("--seed", "-1"), ("--tol-rank", "inf"),
+                        ("--tol-rank", "nan"), ("--tol-rank", "1"),
+                        ("--tol-grp", "nan"), ("--tol-grp", "inf")]:
+        capsys.readouterr()
+        assert main(["solve", "--torsion", "3", "--classes", "1",
+                     flag, value]) == 2, flag + " " + value
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+    assert main(["analyze", "--seed", "-1"]) == 2
 
 
 @pytest.mark.parametrize("seed", [3, 8, 18, 37, 55, 107, 113])

@@ -12,7 +12,6 @@ from planarep.foxcalc import (
     fill_word,
     fox_derivative,
     fundamental_cycle,
-    push_to_pi,
     relator_filling_chain,
 )
 from planarep.presentations import PlanarPresentation
@@ -117,9 +116,7 @@ def test_fill_word_boundary(w):
 def test_filling_chain_exact_on_random_presentations():
     rng = np.random.default_rng(11)
     for p in _random_presentations(50, rng):
-        c = relator_filling_chain(p)  # verifies boundary exactly, raises on fail
-        q = push_to_pi(c, p)
-        assert q.labels == "pi"
+        relator_filling_chain(p)  # verifies boundary exactly, raises on fail
 
 
 def test_filling_chain_cell_count_237():

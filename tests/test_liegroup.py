@@ -83,7 +83,11 @@ def test_log_round_trip(model):
 
 
 def test_log_branch_failure():
+    # -e is central, like e, but lies on the branch cut of the logarithm
     m = get_model("SU2")
+    assert m.is_central(m.identity)
+    assert m.is_central(-m.identity)
+    assert not m.is_central(m.exp(m.basis[1]))
     with pytest.raises(LogBranchFailure):
         m.log_principal(-np.eye(2, dtype=complex))
 
@@ -136,22 +140,6 @@ def test_regular_domain_boundary_su2():
     assert m.in_regular_domain(0.5 * bad)
     with pytest.raises(SingularDexp):
         m.dexp_inv_matrix(bad)
-
-
-def test_center_basis():
-    assert get_model("SU2").center_basis() == []
-    u2 = get_model("U2")
-    (C,) = u2.center_basis()
-    assert u2.is_central(u2.exp(C))
-
-
-def test_central_elements():
-    m = get_model("SU2")
-    cents = m.central_elements()
-    assert len(cents) == 2
-    for c in cents:
-        assert m.is_central(c)
-    assert not m.is_central(m.exp(m.basis[1]))
 
 
 # --- stacked kernels against per-element references -------------------------

@@ -18,7 +18,6 @@ from planarep.liegroup import get_model
 from planarep.presentations import PlanarPresentation
 from planarep.solver import (
     SolveSpec,
-    sample_fiber,
     solve_relator,
     su2_brute_force_feasible,
     su2_product_rule,
@@ -122,15 +121,6 @@ def test_determinism():
     b = solve_relator(spec)
     for ga, gb in zip(a.point.gens, b.point.gens):
         assert np.array_equal(ga, gb)
-
-
-def test_sample_fiber():
-    pres = PlanarPresentation(0, (3, 3, 3))
-    spec = SolveSpec(pres, SU2, _classes(SU2, (3, 3, 3)), seed=11, max_restarts=10)
-    results = sample_fiber(spec, 3)
-    assert len(results) == 3
-    for r in results:
-        assert r.residual < 1e-10
 
 
 def test_feasibility_matches_oracle_on_seeded_specs():
