@@ -100,6 +100,21 @@ class RepPoint:
         return out
 
     @cached_property
+    def long_row(self) -> np.ndarray:
+        """E_r, the Ad-evaluated Fox row of the long relator (d x N), from
+        one walk; read-only, since every reader shares it."""
+        E = self.walk(self.pres.long_relator)[0]
+        E.flags.writeable = False
+        return E
+
+    @cached_property
+    def cup(self) -> np.ndarray:
+        """The cup matrix of the point (symplectic.cup_matrix)."""
+        from .symplectic import cup_matrix
+
+        return cup_matrix(self)
+
+    @cached_property
     def _long_value(self) -> np.ndarray:
         return self.value(self.pres.long_relator)
 
@@ -238,14 +253,10 @@ def projective_subspace(
     return np.hstack(cols) if cols else np.zeros((total, 0))
 
 
-def delta1_projective(
-    pt: RepPoint, Q: np.ndarray | None = None, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
+def delta1_projective(pt: RepPoint, Q: np.ndarray) -> np.ndarray:
     """Row of the long relator restricted to the projective subspace
     (d x dim columns, expressed in the basis Q)."""
-    if Q is None:
-        Q = projective_subspace(pt, tol)
-    return pt.walk(pt.pres.long_relator)[0] @ Q
+    return pt.long_row @ Q
 
 
 @dataclass
@@ -300,7 +311,7 @@ def cohomology_data(pt: RepPoint, tol: Tolerances = DEFAULT_TOL) -> CochainData:
         raise RelatorConstraintViolated(
             f"delta0 leaves the projective subspace (residual {resid:.2e})"
         )
-    D1p = delta1_projective(pt, Q, tol)
+    D1p = delta1_projective(pt, Q)
     rank1, rank0 = _rank(D1p, tol), _rank(D0p, tol)
     d = pt.model.d
     return CochainData(

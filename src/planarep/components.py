@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .cohomology import RepPoint, cohomology_data
+from .config import Tolerances
 from .errors import ClassResolutionFailed, UnsupportedModel
 from .liegroup import LieModel
 
@@ -123,12 +125,9 @@ def weight_dictionary(cls: TorsionClass) -> list[dict]:
     ]
 
 
-def stratum_report(pt, tol=None) -> dict:
+def stratum_report(pt: RepPoint, tol: Tolerances) -> dict:
     """Orbit-type data at a point: stabilizer dim h0, labels, h1, orbit dim."""
-    from .cohomology import cohomology_data
-    from .config import DEFAULT_TOL
-
-    data = cohomology_data(pt, tol or DEFAULT_TOL)
+    data = cohomology_data(pt, tol)
     return {
         "stabilizer_dim": data.h0,
         "labels": component_label(pt),

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, asdict
 
 
@@ -10,12 +9,13 @@ from dataclasses import dataclass, asdict
 class Tolerances:
     """Thresholds used by the numeric layers.
 
-    rank_rel   -- relative SVD threshold for rank decisions, in (0, 1): a
-                  cut at or above the largest singular value can only
-                  decide rank 0.
-    tau_grp    -- group membership / relator residual tolerance.
+    rank_rel   -- relative SVD threshold for rank decisions: a cut at or
+                  above the largest singular value can only decide rank 0.
+    tau_grp    -- group membership / relator residual tolerance: a cut of
+                  1 or more passes residuals the size of the group's
+                  elements, at points that solve nothing.
 
-    Both must be finite and positive; NaN or inf would decide nothing.
+    Both must lie in (0, 1); NaN, inf and values outside decide nothing.
     """
 
     rank_rel: float = 1e-8
@@ -24,12 +24,8 @@ class Tolerances:
     def __post_init__(self):
         for name in ("rank_rel", "tau_grp"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(
-                    f"tolerance {name} must be finite and positive, got {value}"
-                )
-        if self.rank_rel >= 1:
-            raise ValueError(f"tolerance rank_rel must be below 1, got {self.rank_rel}")
+            if not 0 < value < 1:
+                raise ValueError(f"tolerance {name} must be in (0, 1), got {value}")
 
     def to_json(self) -> dict:
         return asdict(self)

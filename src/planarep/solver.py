@@ -242,7 +242,7 @@ def _jacobian(spec: SolveSpec, pt: RepPoint) -> np.ndarray:
     model, p = spec.model, spec.pres
     d = model.d
     rtail = pt.long_relator_value() @ spec.zeta_inv
-    row = pt.walk(p.long_relator)[0]
+    row = pt.long_row
     # block i maps coords of the move of generator i -> coords of u(r)
     blocks = [row[:, i * d : (i + 1) * d] for i in range(p.num_generators)]
     for i in range(2 * p.genus, p.num_generators):

@@ -9,7 +9,7 @@ theorem, which check_moment_identity tests rather than assumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.linalg import expm
@@ -17,8 +17,8 @@ from scipy.linalg import expm
 from .config import Tolerances, DEFAULT_TOL
 from .cohomology import (
     RepPoint,
+    _rank,
     _rank_cut,
-    cocycle_extend,
     cohomology_data,
     delta1_projective,
     projective_subspace,
@@ -59,11 +59,6 @@ class ExtendedPoint:
         return self.phi.model
 
     @cached_property
-    def cup(self) -> np.ndarray:
-        """Cup matrix of phi (cup_matrix)."""
-        return cup_matrix(self.phi)
-
-    @cached_property
     def bform(self) -> np.ndarray:
         """B matrix at Lam (bform_matrix)."""
         return bform_matrix(self.model, self.Lam)
@@ -91,8 +86,7 @@ class TangentVec:
 
 
 def tangent_from_u(pt: ExtendedPoint, u: list[np.ndarray]) -> TangentVec:
-    d1u = cocycle_extend(pt.phi, u, pt.phi.pres.long_relator)
-    return TangentVec(u=u, V=pt._dexp_inv @ d1u)
+    return TangentVec(u=u, V=pt._dexp_inv @ (pt.phi.long_row @ np.concatenate(u)))
 
 
 def action_field(pt: ExtendedPoint, X: np.ndarray) -> TangentVec:
@@ -112,18 +106,14 @@ def action_field(pt: ExtendedPoint, X: np.ndarray) -> TangentVec:
 # --- cup-product evaluation --------------------------------------------------
 
 
-_CELLS: dict = {}
-
-
+@cache
 def _cells(pres: PlanarPresentation) -> dict:
     """Cells of the filling chain grouped by first entry, g -> [(h, q)],
     cached per presentation."""
-    key = (pres.genus, pres.torsion)
-    if key not in _CELLS:
-        cells = _CELLS[key] = {}
-        for (g, h), q in relator_filling_chain(pres).terms.items():
-            cells.setdefault(g, []).append((h, float(q)))
-    return _CELLS[key]
+    cells: dict = {}
+    for (g, h), q in relator_filling_chain(pres).terms.items():
+        cells.setdefault(g, []).append((h, float(q)))
+    return cells
 
 
 def cup_matrix(phi: RepPoint) -> np.ndarray:
@@ -134,6 +124,8 @@ def cup_matrix(phi: RepPoint) -> np.ndarray:
     (E_w, Ad_w) from RepPoint.walk and G the pairing Gram, and C = (M - M^T)/2.
     First entries that are relator prefixes are read off one walk along the
     relator; the others (letters of the cancellation cells) get their own.
+    Readers take the copy cached on the point, RepPoint.cup, so a report
+    builds it once.
     """
     p, G = phi.pres, phi.model.pairing_gram
     rels = (p.long_relator, *p.torsion_relators)
@@ -154,7 +146,7 @@ def cup_eval(
     """Antisymmetrized cup product of u, v evaluated on the filling chain:
     (1/2) sum_cells q ( <u(g), Ad_{phi(g)} v(h)> - <v(g), Ad_{phi(g)} u(h)> ).
     """
-    return float(np.concatenate(u) @ cup_matrix(phi) @ np.concatenate(v))
+    return float(np.concatenate(u) @ phi.cup @ np.concatenate(v))
 
 
 def pairing_H1(
@@ -165,7 +157,7 @@ def pairing_H1(
 ) -> float:
     """The alternating 2-form on H^1 evaluated on cocycle representatives."""
     Q = projective_subspace(phi, tol)
-    D1p = delta1_projective(phi, Q, tol)
+    D1p = delta1_projective(phi, Q)
     for w in (u, v):
         flat = np.concatenate(w)
         coords = Q.T @ flat
@@ -242,7 +234,7 @@ def bform_matrix(model: LieModel, Lam: np.ndarray) -> np.ndarray:
 
 def omega_extended(pt: ExtendedPoint, t1: TangentVec, t2: TangentVec) -> float:
     """omega_ext = (cup part over the filling chain) - B(V1, V2)."""
-    cup = np.concatenate(t1.u) @ pt.cup @ np.concatenate(t2.u)
+    cup = np.concatenate(t1.u) @ pt.phi.cup @ np.concatenate(t2.u)
     b = t1.V @ pt.bform @ t2.V
     return float(cup - b)
 
@@ -264,7 +256,7 @@ def check_moment_identity(pt: ExtendedPoint, X: np.ndarray, t: TangentVec) -> fl
 
 def gram_on_cocycles(phi: RepPoint, basis: np.ndarray) -> np.ndarray:
     """Gram matrix of the cup pairing on given C^1 columns: Z^T C Z."""
-    G = basis.T @ cup_matrix(phi) @ basis
+    G = basis.T @ phi.cup @ basis
     return 0.5 * (G - G.T)
 
 
@@ -272,8 +264,8 @@ def gram_extended(pt: ExtendedPoint, basis: np.ndarray) -> np.ndarray:
     """Gram matrix of omega_ext on tangents spanned by C^1 basis columns:
     Q^T (C - T^T K T) Q with T = dexp(Lam)^-1 R, R the Fox row of
     the long relator, so that T Q holds the V of the basis tangents."""
-    V = pt._dexp_inv @ pt.phi.walk(pt.phi.pres.long_relator)[0] @ basis
-    G = basis.T @ pt.cup @ basis - V.T @ pt.bform @ V
+    V = pt._dexp_inv @ pt.phi.long_row @ basis
+    G = basis.T @ pt.phi.cup @ basis - V.T @ pt.bform @ V
     return 0.5 * (G - G.T)
 
 
@@ -285,15 +277,13 @@ def principal_angles(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.arccos(np.clip(s, -1.0, 1.0))
 
 
-def degeneracy_report(
-    point: ExtendedPoint | RepPoint, tol: Tolerances = DEFAULT_TOL
-) -> dict:
-    """Rank structure of the pairing: nullspace on Z^1 vs B^1, full rank.
-
-    Accepts an ExtendedPoint (full tangent-space Gram included) or a bare
-    RepPoint with central relator values (pairing-only variant).
+def degeneracy_report(point: ExtendedPoint, tol: Tolerances = DEFAULT_TOL) -> dict:
+    """Rank structure at an extended point: the nullspace of the cup pairing
+    on Z^1 against B^1, and the rank of the full tangent-space Gram of omega.
+    Both Grams read the cup matrix and the long relator's Fox row cached on
+    the point, so the report builds each once.
     """
-    phi = point.phi if isinstance(point, ExtendedPoint) else point
+    phi = point.phi
     data = cohomology_data(phi, tol)
     Z1 = data.proj_basis @ data.cocycles  # cocycle basis in C^1 coordinates
     Gz = gram_on_cocycles(phi, Z1)
@@ -316,11 +306,9 @@ def degeneracy_report(
         ok = null.shape[1] == rank_b1 and float(np.max(angles)) < 1e-6
         report["nullspace_matches_B1"] = bool(ok)
         report["max_principal_angle"] = float(np.max(angles))
-    if isinstance(point, ExtendedPoint):
-        Gfull = gram_extended(point, data.proj_basis)
-        _, rank_full, _ = _gram_nullspace(Gfull, tol.rank_rel)
-        report["full_rank"] = rank_full
-        report["nondegenerate"] = rank_full == data.proj_basis.shape[1]
+    rank_full = _rank(gram_extended(point, data.proj_basis), tol)
+    report["full_rank"] = rank_full
+    report["nondegenerate"] = rank_full == data.proj_basis.shape[1]
     return report
 
 

@@ -114,10 +114,12 @@ def test_bad_input_exits_2(capsys):
     assert main(["solve", "--group", "SL2R", "--torsion", "3"]) == 2
     assert main(["analyze", "--tol-rank", "0"]) == 2
     # a negative seed, and tolerances that cannot decide anything: not
-    # finite, or a relative rank cut at or above the largest singular value
+    # finite, a relative rank cut at or above the largest singular value, or
+    # a relator tolerance that lets a point missing the relator pass
     for flag, value in [("--seed", "-1"), ("--tol-rank", "inf"),
                         ("--tol-rank", "nan"), ("--tol-rank", "1"),
-                        ("--tol-grp", "nan"), ("--tol-grp", "inf")]:
+                        ("--tol-grp", "nan"), ("--tol-grp", "inf"),
+                        ("--tol-grp", "1"), ("--tol-grp", "1e6")]:
         capsys.readouterr()
         assert main(["solve", "--torsion", "3", "--classes", "1",
                      flag, value]) == 2, flag + " " + value

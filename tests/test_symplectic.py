@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
+from planarep import symplectic
 from planarep.cohomology import RepPoint, cohomology_data, delta0, projective_subspace
 from planarep.components import finite_order_classes
 from planarep.config import DEFAULT_TOL
@@ -143,6 +144,37 @@ def test_degeneracy_structure_central_fiber():
         assert report["nondegenerate"]
         assert report["full_rank"] == report["dim_C1_proj"]
         assert report["rank_on_Z1"] == report["h1"]
+
+
+def test_report_builds_cup_and_relator_row_once(monkeypatch):
+    phi = _point(3)
+    counts = {"cup": 0, "walk": 0}
+    cup_matrix, walk = symplectic.cup_matrix, RepPoint.walk
+
+    def counting_cup(point):
+        counts["cup"] += 1
+        return cup_matrix(point)
+
+    def counting_walk(point, w):
+        counts["walk"] += w == point.pres.long_relator
+        return walk(point, w)
+
+    monkeypatch.setattr(symplectic, "cup_matrix", counting_cup)
+    monkeypatch.setattr(RepPoint, "walk", counting_walk)
+    degeneracy_report(extend_point(phi), DEFAULT_TOL)
+    assert counts == {"cup": 1, "walk": 1}
+
+
+def test_cached_relator_row_is_read_only_and_not_shared_by_conjugates():
+    phi = _point(4)
+    row = phi.long_row
+    assert not row.flags.writeable
+    with pytest.raises(ValueError):
+        row[0, 0] = 1.0
+    psi = phi.conjugate(MODEL.random_element(np.random.default_rng(9)))
+    assert np.array_equal(psi.long_row, psi.walk(psi.pres.long_relator)[0])
+    assert not np.allclose(psi.long_row, row)
+    assert psi.cup is not phi.cup
 
 
 def test_extended_point_outside_regular_domain_is_refused():
