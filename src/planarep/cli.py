@@ -14,6 +14,7 @@ import json
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -179,10 +180,13 @@ def _emit(args, command: str, payload: dict, tol: Tolerances) -> None:
     report["tolerances"] = tol.to_json()
     report.update(payload)
     text = json.dumps(report, indent=2, default=_jsonable)
-    print(text)
     if args.json_out:
-        with open(args.json_out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.json_out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            raise MalformedInput(f"cannot write --json-out: {e}") from None
+    print(text)
 
 
 def _jsonable(x):
@@ -331,7 +335,11 @@ def cmd_momenttest(args) -> None:
         )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The planarep parser, built at the first call and cached, so the
+    command functions are bound then; they read ``_emit``, ``solve_relator``
+    and the other helpers as module globals when they run."""
     parser = argparse.ArgumentParser(
         prog="planarep",
         description="representation varieties of cocompact planar groups",

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -100,6 +101,47 @@ def test_json_out_writes_file(tmp_path, capsys):
                      "--json-out", str(path))
     assert code == 0
     assert json.loads(path.read_text()) == json.loads(out)
+
+
+@pytest.mark.parametrize("where", ["missing-parent", "directory"])
+def test_unwritable_json_out_exits_2(tmp_path, capsys, where):
+    path = tmp_path / "missing" / "report.json" if where == "missing-parent" else tmp_path
+    code, out = _run(capsys, "analyze", "--genus", "1", "--no-timestamp",
+                     "--json-out", str(path))
+    assert code == 2
+    assert out == ""
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    argvs = [("analyze", "--genus", "0", "--torsion", "2,3,7", "--no-timestamp"),
+             ("solve", "--torsion", "3", "--classes", "1", "--no-timestamp")]
+    before = [_run(capsys, *argv) for argv in argvs]
+    assert [code for code, _ in before] == [0, 0]
+
+    def no_new_parser(self, *args, **kwargs):
+        raise AssertionError("main built a second argument parser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", no_new_parser)
+    assert [_run(capsys, *argv) for argv in argvs] == before
+
+
+def test_reused_parser_carries_no_state(tmp_path, capsys):
+    # each argv sets or omits an option its neighbour omits or sets, so an
+    # option that stuck to the parser would change the output in one order
+    path = tmp_path / "report.json"
+    u2 = ("--group", "U2", "--torsion", "3", "--no-timestamp")
+    argvs = [("components", *u2, "--with-point", "--json-out", str(path)),
+             ("components", *u2),
+             ("analyze", "--seed", "-1", "--no-timestamp"),
+             ("solve", *u2, "--classes=1", "--target=e"),
+             ("not-a-command",),
+             ("solve", *u2)]
+    forward = [_run(capsys, *argv) for argv in argvs]
+    assert path.read_text() == forward[0][1]
+    backward = [_run(capsys, *argv) for argv in reversed(argvs)]
+    assert [code for code, _ in forward] == [0, 0, 2, 3, 2, 0]
+    assert backward[::-1] == forward
+    assert forward[0][1] != forward[1][1]
 
 
 def test_argparse_exit_code():

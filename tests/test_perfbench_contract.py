@@ -11,7 +11,7 @@ import sys
 from importlib import import_module
 from pathlib import Path
 
-import planarep.cli  # noqa: F401  (loads every module the spans patch)
+import planarep.cli  # loads every module the spans patch
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -42,3 +42,21 @@ def test_every_span_target_resolves():
 
 def test_setup_probe_ready():
     _load("setup_probe").ready(["SU2"])
+
+
+def test_tracer_sees_calls_through_a_parser_built_before_it(capsys):
+    # the parser is built once per process, before a benchmark installs its
+    # tracer; the command it dispatches to must still call the patched names
+    argv = ["solve", "--torsion", "3", "--classes", "1", "--no-timestamp"]
+    assert planarep.cli.main(argv) == 0
+    spans = _load("spans")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_request(0)
+        assert tracer.call(spans.ROOT, planarep.cli.main, argv) == 0
+        tracer.end_request()
+    finally:
+        tracer.uninstall()
+    assert tracer.totals["cli.emit"].calls == 1
+    assert tracer.totals["solver.solve_relator"].calls == 1
