@@ -1,10 +1,12 @@
 """Command line interface.
 
 Every subcommand emits a single JSON report with a stable schema tag, so runs
-can be diffed and archived.  Exit codes: 0 success, 2 malformed input,
-3 certified infeasible / not found, 4 tolerance failure or a point on a
-singular locus (log branch cut, outside the regular domain of exp),
-5 internal error.
+can be diffed and archived.  argparse checks the torsion and class lists and
+the target, so malformed values exit 2 before any work.  Each error type in
+``errors`` carries its exit code: 0 success, 2 malformed input, 3 certified
+infeasible / not found, 4 tolerance failure or a point on a singular locus
+(log branch cut, outside the regular domain of exp), 5 internal error, which
+is also the code of any other exception.
 """
 
 from __future__ import annotations
@@ -21,16 +23,7 @@ import numpy as np
 from .cohomology import cohomology_data, euler_characteristic_expected
 from .components import finite_order_classes, stratum_report, weight_dictionary
 from .config import Tolerances
-from .errors import (
-    InfeasibleSpec,
-    LogBranchFailure,
-    MalformedInput,
-    NotFound,
-    OutsideStarDomain,
-    PlanarepError,
-    SingularDexp,
-    UnsupportedModel,
-)
+from .errors import MalformedInput, PlanarepError, ToleranceExceeded
 from .foxcalc import abelianized_boundary, fundamental_cycle
 from .liegroup import get_model
 from .presentations import PlanarPresentation
@@ -43,16 +36,7 @@ from .symplectic import (
     unflatten,
 )
 
-EXIT_PARSE = 2
-EXIT_INFEASIBLE = 3
-EXIT_TOLERANCE = 4
-EXIT_INTERNAL = 5
-
 SCHEMA = "planarep/3"
-
-
-class ToleranceExceeded(PlanarepError):
-    pass
 
 
 def _nonnegative_int(text: str) -> int:
@@ -62,11 +46,19 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _int_list(text: str) -> tuple[int, ...]:
+    """Comma-separated integers; a blank string is the empty list."""
+    try:
+        return tuple(int(t) for t in text.split(",")) if text.strip() else ()
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}") from None
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--group", default="SU2",
                      help="matrix group model: SU2, U1, U2, U3, SL2R")
     sub.add_argument("--genus", type=int, default=1)
-    sub.add_argument("--torsion", default="",
+    sub.add_argument("--torsion", type=_int_list, default="",
                      help="comma-separated torsion orders, e.g. 2,3,7")
     sub.add_argument("--seed", type=_nonnegative_int, default=0)
     sub.add_argument("--tol-rank", type=float, default=1e-8)
@@ -79,8 +71,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 def _add_solve(sub: argparse.ArgumentParser) -> None:
     """Options of the commands backed by a solved point."""
     _add_common(sub)
-    sub.add_argument("--classes", default=None, help="class indices, e.g. 1,1,2")
-    sub.add_argument("--target", default="e",
+    sub.add_argument("--classes", type=_int_list, default="",
+                     help="class indices, e.g. 1,1,2")
+    sub.add_argument("--target", choices=("e", "-e"), default="e",
                      help="central target: e or -e (write --target=-e)")
 
 
@@ -91,31 +84,16 @@ def _tolerances(args) -> Tolerances:
         raise MalformedInput(str(e)) from None
 
 
-def _presentation(args) -> PlanarPresentation:
-    torsion = ()
-    if args.torsion.strip():
-        try:
-            torsion = tuple(int(t) for t in args.torsion.split(","))
-        except ValueError:
-            raise MalformedInput(f"bad torsion list: {args.torsion!r}")
-    return PlanarPresentation(args.genus, torsion)
-
-
-def _pick_classes(model, pres, text: str | None, target: str):
-    """Class per torsion generator from comma-separated indices, or
-    _default_classes without them."""
+def _pick_classes(model, pres, idxs: tuple[int, ...], target: str):
+    """Class per torsion generator from its index, or _default_classes
+    without indices."""
     per_gen = [finite_order_classes(model, m) for m in pres.torsion]
-    if not text:
+    if not idxs:
         return _default_classes(model, per_gen, target)
-    idxs = text.split(",")
     if len(idxs) != pres.n_torsion:
         raise MalformedInput("need one class index per torsion generator")
     out = []
     for classes, m, i in zip(per_gen, pres.torsion, idxs):
-        try:
-            i = int(i)
-        except ValueError:
-            raise MalformedInput(f"bad class index: {i!r}") from None
         if not 0 <= i < len(classes):
             raise MalformedInput(
                 f"class index {i} out of range for order {m} ({len(classes)} classes)"
@@ -155,16 +133,12 @@ def _default_classes(model, per_gen, target: str):
 
 
 def _zeta(model, text: str):
-    if text == "e":
-        return model.identity.copy()
-    if text == "-e":
-        return -model.identity
-    raise MalformedInput(f"target must be 'e' or '-e', got {text!r}")
+    return model.identity.copy() if text == "e" else -model.identity
 
 
 def _solved_point(args, tol):
     model = get_model(args.group)
-    pres = _presentation(args)
+    pres = PlanarPresentation(args.genus, args.torsion)
     if pres.num_generators == 0:
         raise MalformedInput("the presentation has no generators: nothing to solve")
     zeta = _zeta(model, args.target)
@@ -179,7 +153,7 @@ def _emit(args, command: str, payload: dict, tol: Tolerances) -> None:
         report["timestamp"] = datetime.now(timezone.utc).isoformat()
     report["tolerances"] = tol.to_json()
     report.update(payload)
-    text = json.dumps(report, indent=2, default=_jsonable)
+    text = json.dumps(report, indent=2)
     if args.json_out:
         try:
             with open(args.json_out, "w") as fh:
@@ -189,24 +163,11 @@ def _emit(args, command: str, payload: dict, tol: Tolerances) -> None:
     print(text)
 
 
-def _jsonable(x):
-    if isinstance(x, np.bool_):
-        return bool(x)
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    raise TypeError(f"not JSON-serializable: {type(x)}")
-
-
 # --- subcommands ---------------------------------------------------------------
 
 
-def cmd_analyze(args) -> None:
-    tol = _tolerances(args)
-    pres = _presentation(args)
+def cmd_analyze(args, tol: Tolerances) -> None:
+    pres = PlanarPresentation(args.genus, args.torsion)
     b, kappa = fundamental_cycle(pres)
     payload = {
         "presentation": pres.to_json(),
@@ -223,8 +184,7 @@ def cmd_analyze(args) -> None:
     _emit(args, "analyze", payload, tol)
 
 
-def cmd_cohomology(args) -> None:
-    tol = _tolerances(args)
+def cmd_cohomology(args, tol: Tolerances) -> None:
     res, spec = _solved_point(args, tol)
     data = cohomology_data(res.point, tol)
     expected = euler_characteristic_expected(res.point, data.f_j)
@@ -242,8 +202,7 @@ def cmd_cohomology(args) -> None:
     _emit(args, "cohomology", payload, tol)
 
 
-def cmd_symplectic(args) -> None:
-    tol = _tolerances(args)
+def cmd_symplectic(args, tol: Tolerances) -> None:
     res, spec = _solved_point(args, tol)
     pt = extend_point(res.point, tol)
     report = degeneracy_report(pt, tol)
@@ -257,10 +216,9 @@ def cmd_symplectic(args) -> None:
     _emit(args, "symplectic", payload, tol)
 
 
-def cmd_components(args) -> None:
-    tol = _tolerances(args)
+def cmd_components(args, tol: Tolerances) -> None:
     model = get_model(args.group)
-    pres = _presentation(args)
+    pres = PlanarPresentation(args.genus, args.torsion)
     per_gen = []
     for m in pres.torsion:
         classes = finite_order_classes(model, m)
@@ -282,8 +240,7 @@ def cmd_components(args) -> None:
     _emit(args, "components", payload, tol)
 
 
-def cmd_solve(args) -> None:
-    tol = _tolerances(args)
+def cmd_solve(args, tol: Tolerances) -> None:
     res, spec = _solved_point(args, tol)
     payload = {
         "group": spec.model.name,
@@ -295,8 +252,7 @@ def cmd_solve(args) -> None:
     _emit(args, "solve", payload, tol)
 
 
-def cmd_momenttest(args) -> None:
-    tol = _tolerances(args)
+def cmd_momenttest(args, tol: Tolerances) -> None:
     if args.trials < 1:
         raise MalformedInput(f"--trials must be at least 1, got {args.trials}")
     if not 0 < args.threshold < float("inf"):
@@ -326,7 +282,7 @@ def cmd_momenttest(args) -> None:
         "trials": args.trials,
         "max_relative_residual": worst,
         "threshold": args.threshold,
-        "passed": worst < args.threshold,
+        "passed": bool(worst < args.threshold),
     }
     _emit(args, "momenttest", payload, tol)
     if worst >= args.threshold:
@@ -378,30 +334,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
-        return EXIT_PARSE if e.code not in (0, None) else 0
+        return MalformedInput.exit_code if e.code not in (0, None) else 0
     try:
-        args.func(args)
+        args.func(args, _tolerances(args))
         return 0
-    except (MalformedInput, UnsupportedModel) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except (InfeasibleSpec, NotFound) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (ToleranceExceeded, LogBranchFailure, OutsideStarDomain,
-            SingularDexp) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_TOLERANCE
     except PlanarepError as e:
-        print(f"internal error: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
+        internal = "internal " if e.exit_code == PlanarepError.exit_code else ""
+        print(f"{internal}error: {e}", file=sys.stderr)
+        return e.exit_code
     except Exception as e:  # noqa: BLE001 - CLI boundary
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return PlanarepError.exit_code
 
 
 if __name__ == "__main__":

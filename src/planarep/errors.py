@@ -1,13 +1,21 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package.
+
+Each error type carries the exit code the command line returns for it;
+a subclass inherits the code of its category.
+"""
 
 
 class PlanarepError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; uncategorised ones are internal."""
+
+    exit_code = 5
 
 
 class MalformedInput(PlanarepError):
     """User input is malformed: a presentation, parameter list or
     command-line value of the wrong shape."""
+
+    exit_code = 2
 
 
 class TorsionOrderTooSmall(MalformedInput):
@@ -18,11 +26,18 @@ class FillVerificationFailed(PlanarepError):
     """A constructed 2-chain does not have its required boundary."""
 
 
-class LogBranchFailure(PlanarepError):
+class ToleranceExceeded(PlanarepError):
+    """A numeric check failed its tolerance, or a point lies within
+    tolerance of a singular locus (the subclasses)."""
+
+    exit_code = 4
+
+
+class LogBranchFailure(ToleranceExceeded):
     """Group element outside the principal branch of the logarithm."""
 
 
-class SingularDexp(PlanarepError):
+class SingularDexp(ToleranceExceeded):
     """Differential of exp is not invertible at the given algebra element."""
 
 
@@ -34,7 +49,7 @@ class NotACocycle(PlanarepError):
     """A vector fed to a cocycle-only operation fails the cocycle test."""
 
 
-class OutsideStarDomain(PlanarepError):
+class OutsideStarDomain(ToleranceExceeded):
     """Segment from 0 leaves the regular domain of exp."""
 
 
@@ -42,16 +57,20 @@ class ClassResolutionFailed(PlanarepError):
     """Eigenvalues of a torsion image match no root-of-unity class."""
 
 
-class UnsupportedModel(PlanarepError):
+class UnsupportedModel(MalformedInput):
     """Operation not available for the requested group model."""
 
 
 class NotFound(PlanarepError):
     """Solver budget exhausted without a solution (not a proof of emptiness)."""
 
+    exit_code = 3
+
 
 class InfeasibleSpec(PlanarepError):
     """Solve specification certified empty by an exact obstruction."""
+
+    exit_code = 3
 
 
 class ToleranceAmbiguity(UserWarning):

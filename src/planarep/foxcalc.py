@@ -67,10 +67,6 @@ class GroupRingElt:
                     out.pop(w, None)
         return GroupRingElt(out)
 
-    def scale(self, q) -> "GroupRingElt":
-        q = Fraction(q)
-        return GroupRingElt({w: q * c for w, c in self.terms.items()})
-
     def translate(self, u: Word) -> "GroupRingElt":
         """Left multiplication by the single word u."""
         return GroupRingElt({w_mul(u, w): q for w, q in self.terms.items()})
@@ -91,12 +87,6 @@ class GroupRingElt:
         if not self.terms:
             return "0"
         return " + ".join(f"{q}*{w}" for w, q in sorted(self.terms.items()))
-
-    def to_json(self) -> list:
-        return [
-            {"word": list(w), "num": q.numerator, "den": q.denominator}
-            for w, q in sorted(self.terms.items())
-        ]
 
 
 def fox_derivative(w: Word, gen_index: int) -> GroupRingElt:
@@ -202,16 +192,6 @@ class BarChain:
             and self.degree == other.degree
             and self.terms == other.terms
         )
-
-    def to_json(self) -> list:
-        return [
-            {
-                "cell": [list(w) for w in cell],
-                "num": q.numerator,
-                "den": q.denominator,
-            }
-            for cell, q in sorted(self.terms.items())
-        ]
 
 
 def boundary(chain: BarChain) -> BarChain:

@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+import planarep.cli
 from planarep.cli import main
+from planarep.errors import PlanarepError
 
 
 def _run(capsys, *argv):
@@ -282,3 +284,68 @@ def test_symplectic_near_the_log_branch_cut_exits_4(capsys):
                      "--target=-e", "--seed", "0", "--no-timestamp")
     assert code == 4
     assert out == ""
+
+
+# the exit code of each error type, written out here rather than read from
+# ``exit_code``; "RuntimeError" stands for any exception that is not a
+# package error
+EXIT_CODES = {
+    "PlanarepError": 5,
+    "MalformedInput": 2,
+    "TorsionOrderTooSmall": 2,
+    "UnsupportedModel": 2,
+    "FillVerificationFailed": 5,
+    "ToleranceExceeded": 4,
+    "LogBranchFailure": 4,
+    "SingularDexp": 4,
+    "OutsideStarDomain": 4,
+    "RelatorConstraintViolated": 5,
+    "NotACocycle": 5,
+    "ClassResolutionFailed": 5,
+    "NotFound": 3,
+    "InfeasibleSpec": 3,
+    "RuntimeError": 5,
+}
+
+
+def _error_types(cls=PlanarepError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_types(sub)
+
+
+@pytest.mark.parametrize("error", [*_error_types(), RuntimeError],
+                         ids=lambda cls: cls.__name__)
+def test_exit_code_of_each_error_type(capsys, monkeypatch, error):
+    # an error type missing from EXIT_CODES fails here with a KeyError
+    expected = EXIT_CODES[error.__name__]
+
+    def raise_error(spec):
+        raise error("planted")
+
+    monkeypatch.setattr(planarep.cli, "solve_relator", raise_error)
+    code = main(["solve", "--torsion", "3", "--classes", "1", "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == expected
+    assert captured.out == ""
+    assert captured.err.startswith("internal error:" if expected == 5 else "error:")
+
+
+@pytest.mark.parametrize("argv", [("components", "--classes=a"),
+                                  ("components", "--target=x"),
+                                  ("solve", "--target=x"),
+                                  ("solve", "--classes=,")])
+def test_lists_and_target_are_checked_at_parse_time(capsys, argv):
+    # checked even where no point is solved: components without --with-point
+    code, out = _run(capsys, *argv, "--no-timestamp")
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("torsion", ["", "3"])
+def test_blank_class_list_means_default_classes(capsys, torsion):
+    argv = ("solve", "--torsion=" + torsion, "--no-timestamp")
+    blank = _run(capsys, *argv, "--classes= ")
+    default = _run(capsys, *argv)
+    assert blank[0] == 0
+    assert blank == default

@@ -11,6 +11,8 @@ import sys
 from importlib import import_module
 from pathlib import Path
 
+import pytest
+
 import planarep.cli  # loads every module the spans patch
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -60,3 +62,19 @@ def test_tracer_sees_calls_through_a_parser_built_before_it(capsys):
         tracer.uninstall()
     assert tracer.totals["cli.emit"].calls == 1
     assert tracer.totals["solver.solve_relator"].calls == 1
+
+
+@pytest.mark.filterwarnings("ignore")
+@pytest.mark.parametrize("workload", ["long-relator", "degeneracy", "moment-batch",
+                                      "component-scan"])
+def test_checker_accepts_every_report_of_a_run(capsys, workload):
+    # the benchmark's independent checker judges every request of a seed-1
+    # run, so a wrong report or exit code fails here and not only there
+    workloads, check = _load("workloads"), _load("check")
+    failures = []
+    for req in workloads.run_requests(workload, 1):
+        code = planarep.cli.main(list(req.argv))
+        reason = check.check(req, code, capsys.readouterr().out)
+        if reason is not None:
+            failures.append(f"{req.slot} {' '.join(req.argv)}: {reason}")
+    assert failures == []
