@@ -8,7 +8,26 @@ checkouts and diff the outputs: equal lines mean byte-identical reports and
 exit codes (the requests pass --no-timestamp).  It uses the src/ and
 perfbench/ next to this script, so each checkout digests its own code.
 
+A change that alters float bits is checked with --dump and --compare instead.
+--dump FILE writes each request's exit code, report and wall time as JSON
+lines.  --compare FILE, run in the other checkout on the same workload, seed
+and rounds, compares its own requests against that file and prints every
+difference:
+
+- exit codes, integers, booleans, strings (class ids among them), dims and
+  ranks must be equal;
+- floats must agree to --tol relative to max(1, |a|, |b|);
+- the solver's path fields (EXEMPT) may differ, because the solver may reach
+  another point of the same fiber; perfbench/check.py verifies those points;
+- the schema tag is reported but not judged, since a compare is run to check
+  a schema bump.
+
+It exits 1 if any judged field differs, and ends with the largest float
+difference per field and the mean wall time per slot on both sides.
+
 Usage: python scripts/report_digest.py --workload all --seed 1 --rounds 0,1
+       python scripts/report_digest.py ... --dump parent.jsonl
+       python scripts/report_digest.py ... --compare parent.jsonl
 """
 
 import os
@@ -21,8 +40,12 @@ import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import json  # noqa: E402
+import statistics  # noqa: E402
 import warnings  # noqa: E402
+from collections import Counter  # noqa: E402
 from pathlib import Path  # noqa: E402
+from time import perf_counter  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -31,15 +54,111 @@ from workloads import WORKLOADS, round_requests  # noqa: E402
 
 import planarep.cli as cli  # noqa: E402
 
+# report fields that follow the solver's path: dotted keys, list indices dropped
+EXEMPT = ("result.generators", "result.residual", "result.restarts_used", "solve_residual")
 
-def digest(argv: list[str]) -> tuple[int, str]:
-    """(exit code, sha256 of stdout) of one in-process CLI call."""
+
+def run(argv: list[str]) -> tuple[int, str, float]:
+    """(exit code, stdout, wall seconds) of one in-process CLI call."""
     out = io.StringIO()
+    start = perf_counter()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
         warnings.simplefilter("ignore")
         code = cli.main(argv)
-    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return code, out.getvalue(), perf_counter() - start
+
+
+def leaves(value, path=""):
+    """(dotted path, leaf) pairs of a parsed report, list indices dropped."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from leaves(v, f"{path}.{k}" if path else k)
+    elif isinstance(value, list):
+        for v in value:
+            yield from leaves(v, path)
+    else:
+        yield path, value
+
+
+def compare(old: dict, new: dict, tol: float, where: str,
+            worst: dict, schemas: Counter) -> list[str]:
+    """Difference lines between two dump records of one request: DIFF for a
+    judged field, EXEMPT for a path field that is not a float.  ``worst``
+    keeps the largest float difference per path, ``schemas`` counts changes
+    of the schema tag."""
+    if old["code"] != new["code"]:
+        return [f"DIFF {where} exit {old['code']} -> {new['code']}"]
+    try:
+        a, b = json.loads(old["stdout"]), json.loads(new["stdout"])
+    except json.JSONDecodeError:
+        same = old["stdout"] == new["stdout"]
+        return [] if same else [f"DIFF {where} stdout is not JSON and differs"]
+    la, lb = list(leaves(a)), list(leaves(b))
+    if [p for p, _ in la] != [p for p, _ in lb]:
+        return [f"DIFF {where} report keys differ"]
+    lines = []
+    for (path, x), (_, y) in zip(la, lb):
+        if path == "schema":
+            if x != y:
+                schemas[f"{x} -> {y}"] += 1
+        elif isinstance(x, float) and isinstance(y, float):
+            gap = abs(x - y) / max(1.0, abs(x), abs(y))
+            if gap > worst.get(path, (0.0,))[0]:
+                worst[path] = (gap, where)
+            if not gap <= tol and path not in EXEMPT:
+                lines.append(f"DIFF {where} {path}: {x!r} -> {y!r} (relative {gap:.1e})")
+        elif type(x) is not type(y) or x != y:
+            kind = "EXEMPT" if path in EXEMPT else "DIFF"
+            lines.append(f"{kind} {where} {path}: {x!r} -> {y!r}")
+    return lines
+
+
+def records(names: list[str], rounds: list[int], seed: int):
+    """One dump record per request of the chosen workloads and rounds."""
+    for name in names:
+        for index in rounds:
+            for req in round_requests(name, seed, index):
+                code, stdout, wall = run(list(req.argv))
+                yield {"workload": name, "round": index, "slot": req.slot,
+                       "argv": list(req.argv), "code": code, "stdout": stdout,
+                       "seconds": wall}
+
+
+def compare_all(recs, path: Path, tol: float) -> int:
+    """Compare each record against the one of the same request in a dump
+    file and print the differences and a summary; 1 on a judged one."""
+    with open(path) as fh:
+        old = {(r["workload"], r["round"], r["slot"]): r for r in map(json.loads, fh)}
+    seen = set()
+    failed, worst, schemas, times = 0, {}, Counter(), {}
+    for rec in recs:
+        key = (rec["workload"], rec["round"], rec["slot"])
+        where = " ".join(map(str, key))
+        seen.add((rec["workload"], rec["round"]))
+        ref = old.pop(key, None)
+        if ref is None or ref["argv"] != rec["argv"]:
+            lines = [f"DIFF {where} request not in {path}"]
+        else:
+            lines = compare(ref, rec, tol, where, worst, schemas)
+            times.setdefault((rec["workload"], rec["slot"]), []).append((ref["seconds"], rec["seconds"]))
+        failed += sum(line.startswith("DIFF") for line in lines)
+        for line in lines:
+            print(line, flush=True)
+    for key in old:
+        if key[:2] in seen:
+            print(f"DIFF {' '.join(map(str, key))} request missing here")
+            failed += 1
+    print(f"# {failed} judged differences; float tolerance {tol:g}")
+    for change, count in schemas.items():
+        print(f"# schema {change} in {count} reports")
+    for field, (gap, where) in sorted(worst.items(), key=lambda kv: -kv[1][0]):
+        tag = " (exempt)" if field in EXEMPT else ""
+        print(f"# largest float difference {gap:.1e} in {field}{tag} ({where})")
+    for (name, slot), pairs in times.items():
+        before, after = (statistics.fmean(t) * 1e3 for t in zip(*pairs))
+        print(f"# time {name} {slot}: {before:.1f} -> {after:.1f} ms")
+    return 1 if failed else 0
 
 
 def main() -> int:
@@ -48,17 +167,28 @@ def main() -> int:
                     help="one workload, or all of them in turn")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--rounds", default="0,1", help="comma-separated round indices")
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--dump", type=Path, help="write exit codes and reports as JSON lines")
+    mode.add_argument("--compare", type=Path, help="compare against a --dump file")
+    ap.add_argument("--tol", type=float, default=1e-6,
+                    help="relative float tolerance of --compare (default 1e-6)")
     args = ap.parse_args()
     try:
         rounds = [int(r) for r in args.rounds.split(",")]
     except ValueError:
         ap.error(f"bad round list: {args.rounds!r}")
     names = list(WORKLOADS) if args.workload == "all" else [args.workload]
-    for name in names:
-        for index in rounds:
-            for req in round_requests(name, args.seed, index):
-                code, sha = digest(list(req.argv))
-                print(f"{name} {index} {req.slot} {code} {sha}", flush=True)
+    recs = records(names, rounds, args.seed)
+    if args.compare:
+        return compare_all(recs, args.compare, args.tol)
+    if args.dump:
+        with open(args.dump, "w") as fh:
+            for rec in recs:
+                fh.write(json.dumps(rec) + "\n")
+        return 0
+    for rec in recs:
+        sha = hashlib.sha256(rec["stdout"].encode()).hexdigest()
+        print(f"{rec['workload']} {rec['round']} {rec['slot']} {rec['code']} {sha}", flush=True)
     return 0
 
 

@@ -36,7 +36,7 @@ from .symplectic import (
     unflatten,
 )
 
-SCHEMA = "planarep/3"
+SCHEMA = "planarep/4"
 
 
 def _nonnegative_int(text: str) -> int:

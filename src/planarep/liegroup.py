@@ -9,7 +9,7 @@ reference inner product Re tr(A B^H).
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm, logm
+from scipy.linalg import expm, schur
 
 from .errors import LogBranchFailure, SingularDexp, UnsupportedModel
 
@@ -27,6 +27,10 @@ class LieModel:
     the argument are carried through, and each slice of the result is
     bitwise equal to the call on that slice alone, with the same memory
     layout.  The other methods take one element.
+
+    exp and log_principal are closed forms for these n <= 3 models; scipy's
+    expm serves only the block matrices of dexp_matrix and
+    symplectic.bform_matrix.
     """
 
     def __init__(self, kind: str, n: int, basis: np.ndarray, name: str):
@@ -94,12 +98,55 @@ class LieModel:
     # -- exp / log -----------------------------------------------------------
 
     def exp(self, X: np.ndarray) -> np.ndarray:
-        """Matrix exponential; expm maps a stack slice by slice."""
-        return expm(X)
+        """Matrix exponential in closed form, slice by slice over a stack.
+
+        n = 2: with t = tr X / 2 and X0 = X - t I, X0^2 = delta I, so
+        exp X = e^t (cosh q I + (sinh q / q) X0) for q = sqrt(delta).
+        U(3): X = i H with H Hermitian (its lower triangle is read), and
+        exp X = V diag(e^{i w}) V^H from eigh(H) = (w, V).  U(1): np.exp.
+        """
+        X = np.asarray(X)
+        if self.n == 1:
+            return np.exp(X)
+        if self.n == 3:
+            w, V = np.linalg.eigh(-1j * X)
+            return (V * np.exp(1j * w)[..., None, :]) @ V.conj().swapaxes(-1, -2)
+        # one flat stack, so that a lone matrix takes the array loops too:
+        # numpy's scalar arithmetic rounds complex products differently
+        x = X.reshape(-1, 4)
+        x00, x01, x10, x11 = x.T
+        t, h = 0.5 * (x00 + x11), 0.5 * (x00 - x11)
+        c, s = _cosh_sinhc(h * h + x01 * x10)
+        et = np.exp(t)
+        c, s = et * c, et * s
+        sh = s * h
+        out = np.empty(x.shape, dtype=c.dtype)
+        out[:, 0], out[:, 1], out[:, 2], out[:, 3] = c + sh, s * x01, s * x10, c - sh
+        return out.reshape(X.shape)
 
     def log_principal(self, g: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-        """Principal logarithm; fails when an eigenvalue argument hits pi."""
-        evals = np.linalg.eigvals(g)
+        """Principal logarithm from the spectrum; fails when an eigenvalue
+        argument hits pi.
+
+        n = 2: with m = tr g / 2 and g0 = g - m I, the eigenvalues are
+        m +- sqrt(eps) for g0^2 = eps I, and their principal logs mu +- nu
+        give log g = mu I + b g0 for the divided difference
+        b = (log l+ - log l-) / (l+ - l-) = e^-mu nu / sinh nu, smooth at a
+        repeated eigenvalue, where g need not be diagonalizable.
+        U(3): the complex Schur form g = Z T Z^H, T diagonal up to rounding
+        for unitary g, and log g = Z diag(log T_aa) Z^H.
+        """
+        g = np.asarray(g)
+        if self.n == 2:
+            m = 0.5 * (g[0, 0] + g[1, 1])
+            g0 = g - m * self.identity
+            root = np.sqrt(complex(g0[0, 0] ** 2 + g0[0, 1] * g0[1, 0]))
+            evals = np.array([m + root, m - root])
+        elif self.n == 3:
+            T, Z = schur(g, output="complex")
+            evals = np.diag(T)
+        else:
+            evals = g.ravel().astype(complex)
         if self.kind in ("U", "SU"):
             args = np.angle(evals)
             if np.any(np.abs(np.abs(args) - np.pi) < tol):
@@ -109,7 +156,14 @@ class LieModel:
             # negative real axis
             if np.any((evals.real < tol) & (np.abs(evals.imag) < tol)):
                 raise LogBranchFailure("eigenvalue on the negative real axis")
-        W = logm(g)
+        logs = np.log(evals)
+        if self.n == 2:
+            mu, nu = 0.5 * (logs[0] + logs[1]), 0.5 * (logs[0] - logs[1])
+            W = mu * self.identity + np.exp(-mu) / _cosh_sinhc(np.array([nu * nu]))[1][0] * g0
+        elif self.n == 3:
+            W = (Z * logs) @ Z.conj().T
+        else:
+            W = logs.reshape(1, 1)
         W = self.project_alg(W)
         if np.linalg.norm(self.exp(W) - g) > 1e-6 * max(1.0, np.linalg.norm(g)):
             raise LogBranchFailure("log/exp round trip failed")
@@ -179,6 +233,26 @@ class LieModel:
 
     def random_element(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
         return self.exp(self.random_alg(rng, scale))
+
+
+def _cosh_sinhc(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cosh q and sinh q / q for q = sqrt(delta), elementwise on a 1-d array.
+    Both are entire in delta, so the branch of the root does not matter; a
+    series replaces the quotient for |delta| < 1e-3 (truncation below
+    3e-18).  Real delta gives real values."""
+    q = np.sqrt(delta.astype(complex))
+    c = np.cosh(q)
+    small = np.abs(delta) < 1e-3
+    if small.any():
+        q[small] = 1.0
+        d = delta[small]
+        s = np.sinh(q) / q
+        s[small] = 1.0 + d / 6.0 * (1.0 + d / 20.0 * (1.0 + d / 42.0))
+    else:
+        s = np.sinh(q) / q
+    if delta.dtype.kind == "f":
+        return c.real, s.real
+    return c, s
 
 
 def _su2_basis() -> np.ndarray:

@@ -277,10 +277,11 @@ def _solve_once(spec: SolveSpec, rng: np.random.Generator) -> tuple[RepPoint, fl
         t = 1.0
         improved = False
         for _ in range(30):
-            # a trial iterate that overflows or is singular is a rejected step
+            # a trial iterate whose exp overflows or raises, or that is
+            # singular, is a rejected step
             with np.errstate(over="ignore", invalid="ignore"):
-                nG = model.exp(model.unvec(t * step)) @ G
                 try:
+                    nG = model.exp(model.unvec(t * step)) @ G
                     npt = _assemble(spec, nG)
                     nE = _residual_matrix(spec, npt)
                     nfval = float(np.linalg.norm(nE) ** 2)

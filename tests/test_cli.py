@@ -20,7 +20,7 @@ def test_analyze_schema(capsys):
                      "--no-timestamp")
     assert code == 0
     report = json.loads(out)
-    assert report["schema"] == "planarep/3"
+    assert report["schema"] == "planarep/4"
     assert report["measure"] == "1/42"
     assert report["lcm"] == 42
     assert report["fundamental_cycle"] == ["42", "-21", "-14", "-6"]

@@ -1,3 +1,5 @@
+import warnings
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -77,9 +79,7 @@ def test_log_round_trip(model):
     for _ in range(10):
         X = model.random_alg(rng, 0.5)
         g = model.exp(X)
-        W = model.log_principal(g)
-        assert np.linalg.norm(model.exp(W) - g) < 1e-10
-        assert model.alg_residual(W) < 1e-10
+        _log_checked(model, g)
 
 
 def test_log_branch_failure():
@@ -90,6 +90,70 @@ def test_log_branch_failure():
     assert not m.is_central(m.exp(m.basis[1]))
     with pytest.raises(LogBranchFailure):
         m.log_principal(-np.eye(2, dtype=complex))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(MODELS), st.integers(0, 10**6), st.floats(-9, 1))
+def test_exp_matches_expm(name, seed, log_scale):
+    # the closed forms against scipy's Pade exponential.  Against a 50-digit
+    # reference the closed form is within 2e-15 on SL2R at scale 10, where
+    # expm is off by up to 2e-12: its error grows with |X| on the split
+    # (hyperbolic) elements, so the SL2R bound does too
+    model = get_model(name)
+    X = model.unvec(10.0**log_scale * np.random.default_rng(seed).standard_normal(model.d))
+    ref = expm(X)
+    gap = np.abs(model.exp(X) - ref).max() / max(1.0, np.linalg.norm(ref))
+    bound = 1e-13 * (1.0 + np.linalg.norm(X)) ** 2 if model.kind == "SL2R" else 1e-13
+    assert gap <= bound
+    assert model.exp(X).dtype == (float if model.kind == "SL2R" else complex)
+
+
+def _log_checked(model, g):
+    """log_principal under warnings-as-errors, with exp(log g) = g checked."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        W = model.log_principal(g)
+    assert np.linalg.norm(model.exp(W) - g) < 1e-12 * max(1.0, np.linalg.norm(g))
+    assert model.alg_residual(W) < 1e-12
+    return W
+
+
+@pytest.mark.parametrize("angles", [(0, 0, 0), (2, 2, 2), (1, 1, -2), (1, -1, 0), (0.5, 0.5, 2)])
+def test_log_u3_repeated_eigenvalues(angles):
+    # e, the central e^{2 pi i/3} and classes with a repeated eigenvalue,
+    # conjugated off the diagonal: eig has no well-conditioned eigenbasis here
+    model = get_model("U3")
+    rng = np.random.default_rng(23)
+    k = model.random_element(rng)
+    theta = np.pi / 3 * np.array(angles)
+    g = k @ np.diag(np.exp(1j * theta)) @ k.conj().T
+    W = _log_checked(model, g)
+    assert np.allclose(np.sort(np.linalg.eigvals(W).imag), np.sort(theta), atol=1e-12)
+
+
+@pytest.mark.parametrize("s", [0.0, 1e-9, 1.0])
+def test_log_sl2r_parabolic(s):
+    # [[1, s], [0, 1]] has one eigenvalue and, for s != 0, no eigenbasis
+    model = get_model("SL2R")
+    W = _log_checked(model, np.array([[1.0, s], [0.0, 1.0]]))
+    assert np.array_equal(W, np.array([[0.0, s], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("name, g", [
+    ("SU2", -np.eye(2, dtype=complex)),
+    ("U2", -np.eye(2, dtype=complex)),
+    ("U3", -np.eye(3, dtype=complex)),
+    ("U1", -np.eye(1, dtype=complex)),
+    ("SL2R", -np.eye(2)),
+    ("SL2R", np.array([[-2.0, 0.0], [0.0, -0.5]])),
+    ("SL2R", np.array([[-1.0, 1.0], [0.0, -1.0]])),
+])
+def test_log_refuses_branch_cut(name, g):
+    # -e and negative-trace SL2R elements have no principal logarithm
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LogBranchFailure):
+            get_model(name).log_principal(g)
 
 
 def test_Ad_exp_equals_expm_ad(model):
@@ -145,7 +209,8 @@ def test_regular_domain_boundary_su2():
 # --- stacked kernels against per-element references -------------------------
 #
 # vec, unvec, exp, ad_matrix and Ad_matrix take stacks.  The references below
-# work one element and one basis vector at a time; every slice of a stacked
+# work one element and one basis vector at a time (exp: the call on one
+# matrix, which test_exp_matches_expm checks); every slice of a stacked
 # result must equal them bit for bit and share their memory layout, because
 # the products downstream round according to both.
 
@@ -191,7 +256,7 @@ def test_stacked_unvec_and_exp_bitwise(case):
     for i in range(k):
         _assert_same(X[i], _ref_unvec(model, V[i]))
         _assert_same(model.unvec(V[i]), _ref_unvec(model, V[i]))
-        _assert_same(G[i], expm(X[i]))
+        _assert_same(G[i], model.exp(X[i]))
     # strided rows, as the solver Jacobian passes the columns of a block
     A = rng.standard_normal((model.d, model.d))
     XA = model.unvec(A.T)

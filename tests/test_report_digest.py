@@ -1,0 +1,67 @@
+"""The judging rules of scripts/report_digest.py --compare."""
+
+import importlib.util
+import json
+import os
+import sys
+from collections import Counter
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "report_digest.py"
+
+
+@pytest.fixture(scope="module")
+def digest():
+    # the script pins BLAS in os.environ and puts src/ and perfbench/ on
+    # sys.path when loaded; keep both out of the other tests
+    with mock.patch.dict(os.environ), mock.patch.object(sys, "path", list(sys.path)):
+        spec = importlib.util.spec_from_file_location("report_digest", SCRIPT)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
+
+
+def _record(code=0, **report):
+    base = {"schema": "planarep/4", "dims": {"h1": 4}, "classes": [{"id": "1/3"}],
+            "solve_residual": 1e-11, "result": {"restarts_used": 1},
+            "degeneracy": {"angle": 0.5}}
+    base.update(report)
+    return {"code": code, "stdout": json.dumps(base) if code == 0 else ""}
+
+
+def _compare(digest, old, new, tol=1e-6):
+    worst, schemas = {}, Counter()
+    lines = digest.compare(old, new, tol, "w 0 slot", worst, schemas)
+    return lines, worst, schemas
+
+
+def test_equal_reports_have_no_difference(digest):
+    lines, worst, schemas = _compare(digest, _record(), _record())
+    assert lines == [] and worst == {} and not schemas
+
+
+def test_judged_fields_must_be_equal(digest):
+    assert _compare(digest, _record(), _record(3))[0] == ["DIFF w 0 slot exit 0 -> 3"]
+    lines = _compare(digest, _record(), _record(dims={"h1": 5}))[0]
+    assert lines == ["DIFF w 0 slot dims.h1: 4 -> 5"]
+    lines = _compare(digest, _record(), _record(classes=[{"id": "2/3"}]))[0]
+    assert lines == ["DIFF w 0 slot classes.id: '1/3' -> '2/3'"]
+    assert _compare(digest, _record(), _record(extra=1))[0] == ["DIFF w 0 slot report keys differ"]
+
+
+def test_floats_agree_to_the_tolerance(digest):
+    lines, worst, _ = _compare(digest, _record(), _record(degeneracy={"angle": 0.5 + 3e-8}))
+    assert lines == [] and worst["degeneracy.angle"][0] == pytest.approx(3e-8, rel=1e-6)
+    lines, _, _ = _compare(digest, _record(), _record(degeneracy={"angle": 0.6}))
+    assert len(lines) == 1 and lines[0].startswith("DIFF w 0 slot degeneracy.angle")
+
+
+def test_path_fields_are_exempt_and_schema_is_counted(digest):
+    new = _record(schema="planarep/5", solve_residual=0.5, result={"restarts_used": 2})
+    lines, worst, schemas = _compare(digest, _record(), new)
+    assert lines == ["EXEMPT w 0 slot result.restarts_used: 1 -> 2"]
+    assert "solve_residual" in worst
+    assert schemas == Counter({"planarep/4 -> planarep/5": 1})

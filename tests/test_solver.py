@@ -8,7 +8,6 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from scipy.linalg import expm
 
 from planarep import solver
 from planarep.cohomology import RepPoint
@@ -150,9 +149,10 @@ def test_feasibility_matches_oracle_on_seeded_specs():
 # The oracle is the restart loop one generator at a time: per-element unvec
 # and exp, representatives rebuilt and zeta inverted at every use, r(phi)
 # multiplied out letter by letter, the Jacobian one column at a time.  It
-# takes only the relator walk from RepPoint (stacked Ad_matrix is checked
-# against a per-basis reference in test_liegroup).  The stacked solver must
-# follow the same trajectory bit for bit.
+# takes only the relator walk and the one-matrix exp from planarep (stacked
+# Ad_matrix and exp are checked against per-element calls, and exp against
+# scipy's expm, in test_liegroup).  The stacked solver must follow the same
+# trajectory bit for bit.
 
 
 def _oracle_unvec(model, v):
@@ -198,8 +198,8 @@ def _oracle_jacobian(spec, pt):
 def _oracle_solve_once(spec, rng):
     model, p = spec.model, spec.pres
     d = model.d
-    free = [expm(_oracle_unvec(model, rng.standard_normal(d))) for _ in range(2 * p.genus)]
-    conj = [expm(_oracle_unvec(model, rng.standard_normal(d))) for _ in range(p.n_torsion)]
+    free = [model.exp(_oracle_unvec(model, rng.standard_normal(d))) for _ in range(2 * p.genus)]
+    conj = [model.exp(_oracle_unvec(model, rng.standard_normal(d))) for _ in range(p.n_torsion)]
     lam = 1e-8
     pt = _oracle_assemble(spec, free, conj)
     E = _oracle_residual(spec, pt)
@@ -219,11 +219,11 @@ def _oracle_solve_once(spec, rng):
         for _ in range(30):
             xi = t * step
             with np.errstate(over="ignore", invalid="ignore"):
-                nf = [expm(_oracle_unvec(model, xi[i * d : (i + 1) * d])) @ g
-                      for i, g in enumerate(free)]
-                nc = [expm(_oracle_unvec(model, xi[(2 * p.genus + j) * d : (2 * p.genus + j + 1) * d])) @ k
-                      for j, k in enumerate(conj)]
                 try:
+                    nf = [model.exp(_oracle_unvec(model, xi[i * d : (i + 1) * d])) @ g
+                          for i, g in enumerate(free)]
+                    nc = [model.exp(_oracle_unvec(model, xi[(2 * p.genus + j) * d : (2 * p.genus + j + 1) * d])) @ k
+                          for j, k in enumerate(conj)]
                     npt = _oracle_assemble(spec, nf, nc)
                     nE = _oracle_residual(spec, npt)
                     nfval = float(np.linalg.norm(nE) ** 2)
@@ -288,6 +288,25 @@ def test_stacked_solver_not_found_message_matches_oracle(monkeypatch):
     with pytest.raises(NotFound) as want:
         solve_relator(spec)
     assert str(got.value) == str(want.value)
+
+
+def test_trial_step_whose_exp_raises_is_rejected(monkeypatch):
+    # every trial exponential after the starting point raises, as eigh does
+    # on a non-finite U3 step: the steps are rejected and the search ends in
+    # NotFound (exit 3), not in the LinAlgError (exit 5)
+    spec = _oracle_spec("SL2R", 1, (), (), "e", 0, max_restarts=1, max_iters=5)
+    model, calls = spec.model, []
+
+    def exp(X):
+        calls.append(X)
+        if len(calls) > 1:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return type(model).exp(model, X)
+
+    monkeypatch.setattr(model, "exp", exp)
+    with pytest.raises(NotFound):
+        solve_relator(spec)
+    assert len(calls) > 1
 
 
 # --- the exact class-tuple rule ------------------------------------------------
