@@ -9,21 +9,21 @@ exit codes (the requests pass --no-timestamp).  It uses the src/ and
 perfbench/ next to this script, so each checkout digests its own code.
 
 A change that alters float bits is checked with --dump and --compare instead.
---dump FILE writes each request's exit code, report and wall time as JSON
-lines.  --compare FILE, run in the other checkout on the same workload, seed
-and rounds, compares its own requests against that file and prints every
+--dump FILE writes each request's exit code and report as JSON lines.
+--compare FILE, run in the other checkout on the same workload, seed and
+rounds, compares its own requests against that file and prints every
 difference:
 
 - exit codes, integers, booleans, strings (class ids among them), dims and
   ranks must be equal;
-- floats must agree to --tol relative to max(1, |a|, |b|);
+- floats must agree to TOL relative to max(1, |a|, |b|);
 - the solver's path fields (EXEMPT) may differ, because the solver may reach
   another point of the same fiber; perfbench/check.py verifies those points;
 - the schema tag is reported but not judged, since a compare is run to check
   a schema bump.
 
 It exits 1 if any judged field differs, and ends with the largest float
-difference per field and the mean wall time per slot on both sides.
+difference per field.
 
 Usage: python scripts/report_digest.py --workload all --seed 1 --rounds 0,1
        python scripts/report_digest.py ... --dump parent.jsonl
@@ -41,11 +41,9 @@ import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
-import statistics  # noqa: E402
 import warnings  # noqa: E402
 from collections import Counter  # noqa: E402
 from pathlib import Path  # noqa: E402
-from time import perf_counter  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -56,17 +54,18 @@ import planarep.cli as cli  # noqa: E402
 
 # report fields that follow the solver's path: dotted keys, list indices dropped
 EXEMPT = ("result.generators", "result.residual", "result.restarts_used", "solve_residual")
+# relative float tolerance of --compare
+TOL = 1e-6
 
 
-def run(argv: list[str]) -> tuple[int, str, float]:
-    """(exit code, stdout, wall seconds) of one in-process CLI call."""
+def run(argv: list[str]) -> tuple[int, str]:
+    """(exit code, stdout) of one in-process CLI call."""
     out = io.StringIO()
-    start = perf_counter()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
         warnings.simplefilter("ignore")
         code = cli.main(argv)
-    return code, out.getvalue(), perf_counter() - start
+    return code, out.getvalue()
 
 
 def leaves(value, path=""):
@@ -119,19 +118,18 @@ def records(names: list[str], rounds: list[int], seed: int):
     for name in names:
         for index in rounds:
             for req in round_requests(name, seed, index):
-                code, stdout, wall = run(list(req.argv))
+                code, stdout = run(list(req.argv))
                 yield {"workload": name, "round": index, "slot": req.slot,
-                       "argv": list(req.argv), "code": code, "stdout": stdout,
-                       "seconds": wall}
+                       "argv": list(req.argv), "code": code, "stdout": stdout}
 
 
-def compare_all(recs, path: Path, tol: float) -> int:
+def compare_all(recs, path: Path) -> int:
     """Compare each record against the one of the same request in a dump
     file and print the differences and a summary; 1 on a judged one."""
     with open(path) as fh:
         old = {(r["workload"], r["round"], r["slot"]): r for r in map(json.loads, fh)}
     seen = set()
-    failed, worst, schemas, times = 0, {}, Counter(), {}
+    failed, worst, schemas = 0, {}, Counter()
     for rec in recs:
         key = (rec["workload"], rec["round"], rec["slot"])
         where = " ".join(map(str, key))
@@ -140,8 +138,7 @@ def compare_all(recs, path: Path, tol: float) -> int:
         if ref is None or ref["argv"] != rec["argv"]:
             lines = [f"DIFF {where} request not in {path}"]
         else:
-            lines = compare(ref, rec, tol, where, worst, schemas)
-            times.setdefault((rec["workload"], rec["slot"]), []).append((ref["seconds"], rec["seconds"]))
+            lines = compare(ref, rec, TOL, where, worst, schemas)
         failed += sum(line.startswith("DIFF") for line in lines)
         for line in lines:
             print(line, flush=True)
@@ -149,15 +146,12 @@ def compare_all(recs, path: Path, tol: float) -> int:
         if key[:2] in seen:
             print(f"DIFF {' '.join(map(str, key))} request missing here")
             failed += 1
-    print(f"# {failed} judged differences; float tolerance {tol:g}")
+    print(f"# {failed} judged differences; float tolerance {TOL:g}")
     for change, count in schemas.items():
         print(f"# schema {change} in {count} reports")
     for field, (gap, where) in sorted(worst.items(), key=lambda kv: -kv[1][0]):
         tag = " (exempt)" if field in EXEMPT else ""
         print(f"# largest float difference {gap:.1e} in {field}{tag} ({where})")
-    for (name, slot), pairs in times.items():
-        before, after = (statistics.fmean(t) * 1e3 for t in zip(*pairs))
-        print(f"# time {name} {slot}: {before:.1f} -> {after:.1f} ms")
     return 1 if failed else 0
 
 
@@ -170,8 +164,6 @@ def main() -> int:
     mode = ap.add_mutually_exclusive_group()
     mode.add_argument("--dump", type=Path, help="write exit codes and reports as JSON lines")
     mode.add_argument("--compare", type=Path, help="compare against a --dump file")
-    ap.add_argument("--tol", type=float, default=1e-6,
-                    help="relative float tolerance of --compare (default 1e-6)")
     args = ap.parse_args()
     try:
         rounds = [int(r) for r in args.rounds.split(",")]
@@ -180,7 +172,7 @@ def main() -> int:
     names = list(WORKLOADS) if args.workload == "all" else [args.workload]
     recs = records(names, rounds, args.seed)
     if args.compare:
-        return compare_all(recs, args.compare, args.tol)
+        return compare_all(recs, args.compare)
     if args.dump:
         with open(args.dump, "w") as fh:
             for rec in recs:
