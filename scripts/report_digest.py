@@ -25,9 +25,17 @@ difference:
 It exits 1 if any judged field differs, and ends with the largest float
 difference per field.
 
+--check SEEDS judges every request of the chosen workloads and rounds at each
+of the seeds (a list or range, e.g. 1-100) with perfbench/check.py, the
+benchmark's independent checker, loaded by path.  It prints each failure with
+its argv, then per workload the count of requests, failures and exit codes,
+and the worst max_relative_residual per momenttest slot, and exits 1 on any
+failure.
+
 Usage: python scripts/report_digest.py --workload all --seed 1 --rounds 0,1
        python scripts/report_digest.py ... --dump parent.jsonl
        python scripts/report_digest.py ... --compare parent.jsonl
+       python scripts/report_digest.py --workload moment-batch --rounds all --check 1-100
 """
 
 import os
@@ -39,6 +47,7 @@ os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
+import importlib.util  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
 import warnings  # noqa: E402
@@ -48,7 +57,7 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from workloads import WORKLOADS, round_requests  # noqa: E402
+from workloads import ROUNDS, WORKLOADS, round_requests  # noqa: E402
 
 import planarep.cli as cli  # noqa: E402
 
@@ -113,14 +122,72 @@ def compare(old: dict, new: dict, tol: float, where: str,
     return lines
 
 
-def records(names: list[str], rounds: list[int], seed: int):
+def requests(names: list[str], rounds: list[int] | None, seeds: list[int]):
+    """(seed, workload, round, request) for every request of the chosen
+    workloads, rounds (None: all rounds of a run) and seeds."""
+    for seed in seeds:
+        for name in names:
+            for index in range(ROUNDS[name]) if rounds is None else rounds:
+                for req in round_requests(name, seed, index):
+                    yield seed, name, index, req
+
+
+def records(names: list[str], rounds: list[int] | None, seed: int):
     """One dump record per request of the chosen workloads and rounds."""
-    for name in names:
-        for index in rounds:
-            for req in round_requests(name, seed, index):
-                code, stdout = run(list(req.argv))
-                yield {"workload": name, "round": index, "slot": req.slot,
-                       "argv": list(req.argv), "code": code, "stdout": stdout}
+    for _, name, index, req in requests(names, rounds, [seed]):
+        code, stdout = run(list(req.argv))
+        yield {"workload": name, "round": index, "slot": req.slot,
+               "argv": list(req.argv), "code": code, "stdout": stdout}
+
+
+def load_checker():
+    """perfbench/check.py, loaded by path: it imports nothing from planarep."""
+    spec = importlib.util.spec_from_file_location("perfbench_check", ROOT / "perfbench" / "check.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def check_all(reqs, check) -> int:
+    """Run each (seed, workload, round, request) and judge it with
+    ``check(req, exit_code, stdout)``; print every failure with its argv,
+    then the counts per workload and the worst momentum-identity residual
+    per momenttest slot.  1 on any failure."""
+    counts: dict[str, Counter] = {}
+    worst: dict[str, tuple[float, int, int]] = {}
+    for seed, name, index, req in reqs:
+        code, stdout = run(list(req.argv))
+        tally = counts.setdefault(name, Counter())
+        tally["requests"] += 1
+        tally[f"exit {code}"] += 1
+        reason = check(req, code, stdout)
+        if reason is not None:
+            tally["failed"] += 1
+            tally["probes failed"] += req.probe
+            probe = " (probe)" if req.probe else ""
+            print(f"FAIL {name} seed {seed} round {index} {req.slot}{probe}: {reason}\n"
+                  f"  argv: {' '.join(req.argv)}", flush=True)
+        if req.command == "momenttest" and code == 0:
+            resid = json.loads(stdout)["max_relative_residual"]
+            if resid >= worst.get(req.slot, (-1.0,))[0]:
+                worst[req.slot] = (resid, seed, index)
+    failed = sum(tally["failed"] for tally in counts.values())
+    for name, tally in counts.items():
+        exits = ", ".join(f"{k} {v}" for k, v in sorted(tally.items()) if k.startswith("exit"))
+        print(f"# {name}: {tally['requests']} requests, {tally['failed']} failed "
+              f"({tally['probes failed']} probes); {exits}")
+    for slot, (resid, seed, index) in sorted(worst.items()):
+        print(f"# worst max_relative_residual {resid:.2e} in {slot} (seed {seed} round {index})")
+    return 1 if failed else 0
+
+
+def _ints(text: str) -> list[int]:
+    """Integers from a comma-separated list of values and ranges a-b."""
+    out = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        out += range(int(lo), int(hi or lo) + 1)
+    return out
 
 
 def compare_all(recs, path: Path) -> int:
@@ -160,16 +227,25 @@ def main() -> int:
     ap.add_argument("--workload", required=True, choices=["all", *sorted(WORKLOADS)],
                     help="one workload, or all of them in turn")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--rounds", default="0,1", help="comma-separated round indices")
+    ap.add_argument("--rounds", default="0,1",
+                    help="round indices and ranges (0,1 or 0-3), or all")
     mode = ap.add_mutually_exclusive_group()
     mode.add_argument("--dump", type=Path, help="write exit codes and reports as JSON lines")
     mode.add_argument("--compare", type=Path, help="compare against a --dump file")
+    mode.add_argument("--check", metavar="SEEDS",
+                      help="judge every request at these seeds (1-100 or 1,5) with "
+                           "perfbench/check.py; --seed is then unused")
     args = ap.parse_args()
     try:
-        rounds = [int(r) for r in args.rounds.split(",")]
+        rounds = None if args.rounds == "all" else _ints(args.rounds)
+        seeds = None if args.check is None else _ints(args.check)
     except ValueError:
-        ap.error(f"bad round list: {args.rounds!r}")
+        ap.error(f"bad round or seed list: {args.rounds!r}, {args.check!r}")
+    if rounds == [] or seeds == []:
+        ap.error("empty round or seed range")  # a check of nothing would pass
     names = list(WORKLOADS) if args.workload == "all" else [args.workload]
+    if seeds:
+        return check_all(requests(names, rounds, seeds), load_checker().check)
     recs = records(names, rounds, args.seed)
     if args.compare:
         return compare_all(recs, args.compare)

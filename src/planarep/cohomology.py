@@ -223,40 +223,49 @@ def _rank(A: np.ndarray, tol: Tolerances) -> int:
 
 def projective_subspace(
     pt: RepPoint, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
-    """Orthonormal basis (columns) of C^1 of the projective resolution.
+) -> list[np.ndarray]:
+    """Basis of C^1 of the projective resolution, block diagonal in the
+    generators: one block per generator, with orthonormal columns (d x k_i).
 
-    Free-generator blocks contribute all of g; each torsion block is cut to
-    ker N_j with N_j = sum_k Ad_{phi(z_j)}^k.
+    A free generator's block is I_d, all of g; a torsion generator's block
+    is a basis of ker N_j with N_j = sum_k Ad_{phi(z_j)}^k.  Readers work
+    block by block, at O(d^2) per generator; block_basis builds the dense
+    N x dim matrix Q for those that need it.
     """
     if not pt.is_fnat(tol.tau_grp):
         raise RelatorConstraintViolated("point is not in Hom(F-natural, G)")
     p, d = pt.pres, pt.model.d
-    total = p.num_generators * d
-    cols = []
-    for i in range(2 * p.genus):
-        block = np.zeros((total, d))
-        block[i * d : (i + 1) * d] = np.eye(d)
-        cols.append(block)
+    eye = np.eye(d)
+    eye.flags.writeable = False  # one block shared by every free generator
+    blocks = [eye] * (2 * p.genus)
     for j in range(p.n_torsion):
-        i = p.z_index(j)
-        A = pt.ad_gens[i]
+        A = pt.ad_gens[p.z_index(j)]
         N = np.zeros((d, d))
         P = np.eye(d)
         for _ in range(p.torsion[j]):
             N += P
             P = P @ A
-        null, _, _ = _svd_nullspace(N, tol.rank_rel)
-        block = np.zeros((total, null.shape[1]))
-        block[i * d : (i + 1) * d] = null
-        cols.append(block)
-    return np.hstack(cols) if cols else np.zeros((total, 0))
+        blocks.append(_svd_nullspace(N, tol.rank_rel)[0])
+    return blocks
 
 
-def delta1_projective(pt: RepPoint, Q: np.ndarray) -> np.ndarray:
+def block_basis(blocks: list[np.ndarray]) -> np.ndarray:
+    """The dense block-diagonal matrix Q (N x dim) of projective_subspace."""
+    rows = np.cumsum([0] + [B.shape[0] for B in blocks])
+    cols = np.cumsum([0] + [B.shape[1] for B in blocks])
+    Q = np.zeros((rows[-1], cols[-1]))
+    for B, r, c in zip(blocks, rows, cols):
+        Q[r : r + B.shape[0], c : c + B.shape[1]] = B
+    return Q
+
+
+def delta1_projective(pt: RepPoint, blocks: list[np.ndarray]) -> np.ndarray:
     """Row of the long relator restricted to the projective subspace
-    (d x dim columns, expressed in the basis Q)."""
-    return pt.long_row @ Q
+    (d x dim columns, in the basis of projective_subspace's blocks): E_r Q,
+    one column block of E_r times one basis block at a time."""
+    d = pt.model.d
+    E = pt.long_row
+    return np.hstack([E[:, i * d : (i + 1) * d] @ B for i, B in enumerate(blocks)])
 
 
 @dataclass
@@ -268,13 +277,20 @@ class CochainData:
     h1: int
     h2: int
     f_j: list[int]
-    proj_basis: np.ndarray  # columns: basis of C^1(P(P), g_phi) in C^1 coords
+    proj_blocks: list[np.ndarray]  # projective_subspace's per-generator blocks
     delta0_proj: np.ndarray  # delta0 in projective coordinates
     delta1_proj: np.ndarray
 
     @property
     def dims(self) -> tuple[int, int, int]:
         return (self.h0, self.h1, self.h2)
+
+    @cached_property
+    def proj_basis(self) -> np.ndarray:
+        """Columns: basis of C^1(P(P), g_phi) in C^1 coords, the dense Q of
+        proj_blocks, built on first read (N x dim, so quadratic in the
+        relator length; the dims need only the blocks)."""
+        return block_basis(self.proj_blocks)
 
     @cached_property
     def cocycles(self) -> np.ndarray:
@@ -298,28 +314,31 @@ class CochainData:
 def cohomology_data(pt: RepPoint, tol: Tolerances = DEFAULT_TOL) -> CochainData:
     """Dims of H^0, H^1, H^2 at the point, with the complex they come from.
 
-    Requires an F-natural point with central long-relator value.
+    Requires an F-natural point with central long-relator value.  Every
+    step works on the per-generator blocks, so the cost is linear in the
+    relator length.
     """
     if not pt.relators_central(tol.tau_grp):
         raise RelatorConstraintViolated("relator values must be central")
-    D0 = delta0(pt)
-    Q = projective_subspace(pt, tol)
-    # delta0 must land inside the projective subspace
-    D0p = Q.T @ D0
-    resid = np.linalg.norm(D0 - Q @ D0p)
+    d = pt.model.d
+    D0 = delta0(pt).reshape(-1, d, d)  # the s-blocks of delta0
+    blocks = projective_subspace(pt, tol)
+    D0p = [B.T @ D for B, D in zip(blocks, D0)]
+    # delta0 must land inside the projective subspace: D0 = Q Q^T D0
+    resid = np.linalg.norm(D0 - np.array([B @ C for B, C in zip(blocks, D0p)]))
     if resid > 1e-6 * max(1.0, np.linalg.norm(D0)):
         raise RelatorConstraintViolated(
             f"delta0 leaves the projective subspace (residual {resid:.2e})"
         )
-    D1p = delta1_projective(pt, Q)
+    D0p = np.vstack(D0p)
+    D1p = delta1_projective(pt, blocks)
     rank1, rank0 = _rank(D1p, tol), _rank(D0p, tol)
-    d = pt.model.d
     return CochainData(
         h0=d - rank0,
-        h1=Q.shape[1] - rank1 - rank0,
+        h1=D0p.shape[0] - rank1 - rank0,
         h2=d - rank1,
         f_j=torsion_fixed_dims(pt, tol),
-        proj_basis=Q,
+        proj_blocks=blocks,
         delta0_proj=D0p,
         delta1_proj=D1p,
     )

@@ -26,7 +26,8 @@ class LieModel:
     vec, unvec, exp, ad_matrix and Ad_matrix take stacks: leading axes of
     the argument are carried through, and each slice of the result is
     bitwise equal to the call on that slice alone, with the same memory
-    layout.  The other methods take one element.
+    layout.  vec and unvec get this from one row-times-matrix product per
+    slice against a map built here.  The other methods take one element.
 
     exp and log_principal are closed forms for these n <= 3 models; scipy's
     expm serves only the block matrices of dexp_matrix and
@@ -40,10 +41,13 @@ class LieModel:
         self.d = len(basis)
         self.name = name
         self.identity = np.eye(n, dtype=basis.dtype)
-        # basis_h[a] is basis[a].conj().T with the same (transposed) layout,
-        # basis_flat row a is basis[a] flattened
-        self._basis_h = basis.conj().transpose(0, 2, 1)
+        # basis_flat row a is basis[a] flattened; vec_map column a is
+        # (Re basis[a], Im basis[a]) flattened, so that
+        # Re tr(basis[a]^H X) = (Re X, Im X) . vec_map[:, a]
         self._basis_flat = basis.reshape(self.d, n * n)
+        self._vec_map = np.concatenate(
+            [self._basis_flat.real, self._basis_flat.imag], axis=1
+        ).T.copy()
         # Gram matrix of the invariant pairing on the chosen basis
         self.pairing_gram = np.array(
             [[self.pairing(X, Y) for Y in basis] for X in basis]
@@ -60,9 +64,15 @@ class LieModel:
 
     def vec(self, X: np.ndarray) -> np.ndarray:
         """Coordinates in the reference-orthonormal basis: (..., n, n) ->
-        (..., d), entry a is Re tr(basis[a]^H X)."""
-        P = self._basis_h @ np.asarray(X)[..., None, :, :]
-        return np.ascontiguousarray(np.trace(P, axis1=-2, axis2=-1).real)
+        (..., d), entry a is Re tr(basis[a]^H X).
+
+        The trace is the real inner product <Re basis[a], Re X> +
+        <Im basis[a], Im X>, taken as one (1, 2n^2) @ (2n^2, d) product per
+        slice; a (k, 2n^2) @ (2n^2, d) product would round differently."""
+        X = np.asarray(X)
+        flat = X.reshape(X.shape[:-2] + (1, self.n * self.n))
+        x = np.concatenate([flat.real, flat.imag], axis=-1)
+        return np.matmul(x, self._vec_map).reshape(X.shape[:-2] + (self.d,))
 
     def unvec(self, v: np.ndarray) -> np.ndarray:
         """Algebra element from coordinates: (..., d) -> (..., n, n).

@@ -4,8 +4,16 @@ prescribed torsion classes.
 Torsion generators are parameterized exactly as k_j c_j k_j^{-1} with c_j the
 exact class representative, so class constraints hold by construction; the
 free generators and the conjugators are the optimization variables.  Descent
-uses the Fox-derivative Jacobian through Ad with exp retraction (Gauss-Newton
-steps with backtracking, gradient fallback), seeded random restarts.
+uses the Fox-derivative Jacobian through Ad with exp retraction: damped
+Gauss-Newton (Levenberg-Marquardt) steps with backtracking, seeded random
+restarts.
+
+The residual r lives in one n x n matrix, 2n^2 real numbers, whatever the
+genus, while the unknowns number N = d (2l + n).  So the step
+(J^T J + lam I)^-1 J^T r is taken as J^T (J J^T + lam I)^-1 r, the same vector
+for lam > 0 (Nocedal-Wright, Numerical Optimization, 10.3), from a
+2n^2 x 2n^2 solve: an iteration costs O(N), linear in the relator length
+4l + n, and no N x N matrix is formed.
 """
 
 from __future__ import annotations
@@ -254,6 +262,13 @@ def _jacobian(spec: SolveSpec, pt: RepPoint) -> np.ndarray:
     return np.concatenate([M.real, M.imag], axis=1).T
 
 
+def _lm_step(J: np.ndarray, r: np.ndarray, lam: float) -> np.ndarray:
+    """The Levenberg-Marquardt step -(J^T J + lam I)^-1 J^T r, taken as
+    -J^T (J J^T + lam I)^-1 r: one solve in the 2n^2-dimensional residual
+    space for J of shape 2n^2 x N."""
+    return -(J.T @ np.linalg.solve(J @ J.T + lam * np.eye(len(r)), r))
+
+
 def _solve_once(spec: SolveSpec, rng: np.random.Generator) -> tuple[RepPoint, float]:
     model, p = spec.model, spec.pres
     shape = (p.num_generators, model.d)
@@ -266,13 +281,12 @@ def _solve_once(spec: SolveSpec, rng: np.random.Generator) -> tuple[RepPoint, fl
     for _ in range(spec.max_iters):
         if np.sqrt(f) < spec.tol:
             break
-        J = _jacobian(spec, pt)
+        J = _jacobian(spec, pt)  # 2n^2 x N
         r = np.concatenate([E.real.ravel(), E.imag.ravel()])
-        JtJ = J.T @ J + lam * np.eye(J.shape[1])
         try:
-            step = -np.linalg.solve(JtJ, J.T @ r).reshape(shape)
+            step = _lm_step(J, r, lam).reshape(shape)
         except np.linalg.LinAlgError:
-            return pt, float("inf")  # singular normal equations end the restart
+            return pt, float("inf")  # a singular system ends the restart
         # backtracking on the retracted update
         t = 1.0
         improved = False

@@ -19,6 +19,7 @@ from .cohomology import (
     RepPoint,
     _rank,
     _rank_cut,
+    block_basis,
     cohomology_data,
     delta1_projective,
     projective_subspace,
@@ -122,21 +123,26 @@ def cup_matrix(phi: RepPoint) -> np.ndarray:
 
     A cell q[g|h] of the filling chain adds q E_g^T G Ad_g E_h to M, with
     (E_w, Ad_w) from RepPoint.walk and G the pairing Gram, and C = (M - M^T)/2.
+    Every h is one letter (the cells are [prefix|letter] and [s|s^-1]), so
+    E_h has one nonzero d x d block, I for s and -Ad_s^-1 for s^-1, and the
+    cell adds into that column block alone: O(N d^2) per cell, not O(N^2 d).
     First entries that are relator prefixes are read off one walk along the
     relator; the others (letters of the cancellation cells) get their own.
     Readers take the copy cached on the point, RepPoint.cup, so a report
     builds it once.
     """
-    p, G = phi.pres, phi.model.pairing_gram
+    p, G, d = phi.pres, phi.model.pairing_gram, phi.model.d
     rels = (p.long_relator, *p.torsion_relators)
     todo = dict(_cells(p))
     own = [g for g in todo if all(r[: len(g)] != g for r in rels)]
-    n = p.num_generators * phi.model.d
+    n = p.num_generators * d
     M = np.zeros((n, n))
     for w in (*rels, *own):
         for k, (E, A) in enumerate(phi.prefix_walk(w)):
-            for h, q in todo.pop(w[:k], ()):
-                M += q * ((E.T @ (G @ A)) @ phi.walk(h)[0])
+            for (s,), q in todo.pop(w[:k], ()):
+                i = abs(s) - 1
+                L = E.T @ (G @ A)
+                M[:, i * d : (i + 1) * d] += q * (L if s > 0 else L @ -phi.ad_gens_inv[i])
     return 0.5 * (M - M.T)
 
 
@@ -156,8 +162,9 @@ def pairing_H1(
     tol: Tolerances = DEFAULT_TOL,
 ) -> float:
     """The alternating 2-form on H^1 evaluated on cocycle representatives."""
-    Q = projective_subspace(phi, tol)
-    D1p = delta1_projective(phi, Q)
+    blocks = projective_subspace(phi, tol)
+    Q = block_basis(blocks)
+    D1p = delta1_projective(phi, blocks)
     for w in (u, v):
         flat = np.concatenate(w)
         coords = Q.T @ flat

@@ -216,7 +216,12 @@ def test_regular_domain_boundary_su2():
 
 
 def _ref_vec(model, X):
-    return np.array([np.trace(B.conj().T @ X).real for B in model.basis])
+    # Re tr(B^H X) = <Re B, Re X> + <Im B, Im X>: the map is rebuilt here
+    # from the basis, and applied as one row-times-matrix product
+    x = np.concatenate([X.real.ravel(), X.imag.ravel()])
+    M = np.column_stack([np.concatenate([B.real.ravel(), B.imag.ravel()])
+                         for B in model.basis])
+    return (x[None, :] @ M)[0]
 
 
 def _ref_unvec(model, v):
@@ -262,6 +267,19 @@ def test_stacked_unvec_and_exp_bitwise(case):
     XA = model.unvec(A.T)
     for b in range(model.d):
         _assert_same(XA[b], _ref_unvec(model, A[:, b]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(MODELS), st.integers(0, 10**6),
+       st.sampled_from([1e-9, 1.0, 1e3]))
+def test_vec_matches_trace_definition(name, seed, scale):
+    # any complex matrix, in the algebra or not
+    model = get_model(name)
+    rng = np.random.default_rng(seed)
+    n = model.n
+    X = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    want = np.array([np.trace(B.conj().T @ X).real for B in model.basis])
+    assert np.abs(model.vec(X) - want).max() <= 1e-14 * max(1.0, np.linalg.norm(X))
 
 
 @settings(max_examples=60, deadline=None)

@@ -65,3 +65,32 @@ def test_path_fields_are_exempt_and_schema_is_counted(digest):
     assert lines == ["EXEMPT w 0 slot result.restarts_used: 1 -> 2"]
     assert "solve_residual" in worst
     assert schemas == Counter({"planarep/4 -> planarep/5": 1})
+
+
+def test_seed_and_round_lists(digest):
+    assert digest._ints("1-3,7") == [1, 2, 3, 7]
+    assert digest._ints("0") == [0]
+
+
+def test_check_judges_every_request(digest, capsys):
+    reqs = list(digest.requests(["moment-batch"], [0], [1]))
+    assert digest.check_all(iter(reqs), digest.load_checker().check) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert f"# moment-batch: {len(reqs)} requests, 0 failed (0 probes)" in out[0]
+    slots = sorted(r.slot for _, _, _, r in reqs if r.command == "momenttest" and not r.probe)
+    worst = [line.split(" in ")[1].split(" (")[0] for line in out[1:]]
+    assert worst == slots
+
+
+def test_check_prints_each_failure_with_its_argv(digest, capsys):
+    reqs = list(digest.requests(["moment-batch"], [0], [1]))
+    analyze = next(r for _, _, _, r in reqs if r.slot == "analyze")
+
+    def check(req, code, stdout):
+        return "wrong report: stub" if req.slot == "analyze" else None
+
+    assert digest.check_all(iter(reqs), check) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["FAIL moment-batch seed 1 round 0 analyze: wrong report: stub",
+                       "  argv: " + " ".join(analyze.argv)]
+    assert f"# moment-batch: {len(reqs)} requests, 1 failed (0 probes)" in out[2]

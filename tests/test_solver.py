@@ -209,9 +209,8 @@ def _oracle_solve_once(spec, rng):
             break
         J = _oracle_jacobian(spec, pt)
         r = np.concatenate([E.real.ravel(), E.imag.ravel()])
-        JtJ = J.T @ J + lam * np.eye(J.shape[1])
         try:
-            step = -np.linalg.solve(JtJ, J.T @ r)
+            step = -(J.T @ np.linalg.solve(J @ J.T + lam * np.eye(len(r)), r))
         except np.linalg.LinAlgError:
             return pt, float("inf")
         t = 1.0
@@ -440,3 +439,46 @@ def test_certified_feasible_not_found_is_a_solver_defect(monkeypatch):
     with pytest.raises(NotFound, match=r"certified feasible but not solved "
                        r"within 60 restarts \(solver defect\); best residual inf"):
         solve_relator(spec)
+
+
+# --- the step in the residual space -------------------------------------------
+
+
+@pytest.mark.parametrize("case", [
+    ("SU2", 0, (3, 3, 3), (1, 1, 1)), ("SU2", 4, (3, 5), (1, 2)),
+    ("SU2", 16, (3, 5), (1, 2)), ("U1", 2, (3,), (1,)), ("U2", 2, (3,), (4,)),
+    ("U3", 2, (3,), (4,)), ("SL2R", 1, (), ()), ("SL2R", 3, (), ()),
+], ids=lambda c: f"{c[0]}-g{c[1]}-{c[2]}")
+def test_step_equals_normal_equations(case):
+    # J^T (J J^T + lam I)^-1 r = (J^T J + lam I)^-1 J^T r for lam > 0; at
+    # lam = 1e-2 and points near e both systems are well conditioned
+    spec = _oracle_spec(*case, "e", 0)
+    model, lam = spec.model, 1e-2
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        G = model.exp(model.unvec(0.5 * rng.standard_normal((spec.pres.num_generators, model.d))))
+        pt = solver._assemble(spec, G)
+        E = solver._residual_matrix(spec, pt)
+        J = solver._jacobian(spec, pt)
+        assert J.shape == (2 * model.n**2, spec.pres.num_generators * model.d)
+        r = np.concatenate([E.real.ravel(), E.imag.ravel()])
+        A = J.T @ J + lam * np.eye(J.shape[1])
+        assert np.linalg.cond(A) < 1e6
+        want = -np.linalg.solve(A, J.T @ r)
+        got = solver._lm_step(J, r, lam)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_solver_never_forms_the_normal_equations(monkeypatch):
+    # every linear system of a solve lives in the 2n^2-dimensional residual
+    # space (8 x 8 for SU2), never in the N = 3 * 130 unknowns of genus 64
+    shapes, solve = [], np.linalg.solve
+
+    def recording_solve(a, b):
+        shapes.append(np.shape(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    spec = _oracle_spec("SU2", 64, (3, 5), (1, 1), "e", 1)
+    solve_relator(spec)
+    assert shapes and set(shapes) == {(8, 8)}

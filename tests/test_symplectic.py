@@ -4,7 +4,13 @@ import pytest
 from hypothesis import assume, given, settings
 
 from planarep import symplectic
-from planarep.cohomology import RepPoint, cohomology_data, delta0, projective_subspace
+from planarep.cohomology import (
+    RepPoint,
+    block_basis,
+    cohomology_data,
+    delta0,
+    projective_subspace,
+)
 from planarep.components import finite_order_classes
 from planarep.config import DEFAULT_TOL
 from planarep.errors import (
@@ -165,6 +171,33 @@ def test_report_builds_cup_and_relator_row_once(monkeypatch):
     assert counts == {"cup": 1, "walk": 1}
 
 
+def _dense_cup(phi):
+    """cup_matrix with each cell q[g|h] added as the dense N x N product
+    q (E_g^T G Ad_g) E_h, E_h from a walk of h, in cup_matrix's cell order."""
+    p, G = phi.pres, phi.model.pairing_gram
+    rels = (p.long_relator, *p.torsion_relators)
+    todo = dict(symplectic._cells(p))
+    own = [g for g in todo if all(r[: len(g)] != g for r in rels)]
+    n = p.num_generators * phi.model.d
+    M = np.zeros((n, n))
+    for w in (*rels, *own):
+        for k, (E, A) in enumerate(phi.prefix_walk(w)):
+            for h, q in todo.pop(w[:k], ()):
+                M += q * ((E.T @ (G @ A)) @ phi.walk(h)[0])
+    return 0.5 * (M - M.T)
+
+
+@pytest.mark.parametrize("group", ["SU2", "U2", "U3", "SL2R"])
+def test_cup_matrix_one_block_cells_equal_dense_cells_bitwise(group):
+    model, rng = get_model(group), np.random.default_rng(11)
+    for pres in (PlanarPresentation(0, (3, 3, 3)), PlanarPresentation(1, (3,)),
+                 PlanarPresentation(2, ()), PlanarPresentation(4, (3, 5)),
+                 PlanarPresentation(8, (2, 3))):
+        gens = [model.random_element(rng) for _ in range(pres.num_generators)]
+        phi = RepPoint(pres, model, gens)
+        assert np.array_equal(symplectic.cup_matrix(phi), _dense_cup(phi))
+
+
 def test_cached_relator_row_is_read_only_and_not_shared_by_conjugates():
     phi = _point(4)
     row = phi.long_row
@@ -188,7 +221,7 @@ def test_extended_point_outside_regular_domain_is_refused():
 
 def test_projective_subspace_contains_coboundaries():
     phi = _point(7)
-    Q = projective_subspace(phi)
+    Q = block_basis(projective_subspace(phi))
     D0 = delta0(phi)
     resid = np.linalg.norm(D0 - Q @ (Q.T @ D0))
     assert resid < 1e-9
