@@ -5,8 +5,9 @@ can be diffed and archived.  argparse checks the torsion and class lists and
 the target, so malformed values exit 2 before any work.  Each error type in
 ``errors`` carries its exit code: 0 success, 2 malformed input, 3 certified
 infeasible / not found, 4 tolerance failure or a point on a singular locus
-(log branch cut, outside the regular domain of exp), 5 internal error, which
-is also the code of any other exception.
+(a relator value whose logarithm has spectral margin below --tol-grp, which
+also guards the regular domain of exp), 5 internal error, which is also the
+code of any other exception.
 """
 
 from __future__ import annotations

@@ -115,15 +115,13 @@ class RepPoint:
         return cup_matrix(self)
 
     @cached_property
-    def _long_value(self) -> np.ndarray:
+    def long_relator_value(self) -> np.ndarray:
+        """r(phi), the value of the long relator."""
         return self.value(self.pres.long_relator)
 
     @cached_property
     def torsion_relator_values(self) -> list[np.ndarray]:
         return [self.value(r) for r in self.pres.torsion_relators]
-
-    def long_relator_value(self) -> np.ndarray:
-        return self._long_value
 
     def is_fnat(self, tol: float = DEFAULT_TOL.tau_grp) -> bool:
         """Torsion relators satisfied: phi(z_j)^{m_j} = e."""
@@ -135,7 +133,7 @@ class RepPoint:
     def relators_central(self, tol: float = DEFAULT_TOL.tau_grp) -> bool:
         return all(
             self.model.is_central(v, tol)
-            for v in (self._long_value, *self.torsion_relator_values)
+            for v in (self.long_relator_value, *self.torsion_relator_values)
         )
 
     def conjugate(self, g: np.ndarray) -> "RepPoint":

@@ -34,11 +34,13 @@ class ToleranceExceeded(PlanarepError):
 
 
 class LogBranchFailure(ToleranceExceeded):
-    """Group element outside the principal branch of the logarithm."""
+    """Group element at the branch cut of the principal logarithm, or an
+    algebra element that is not a logarithm of the relator value."""
 
 
 class SingularDexp(ToleranceExceeded):
-    """Differential of exp is not invertible at the given algebra element."""
+    """Algebra element at the branch cut (spectral margin below tau_grp),
+    where the differential of exp may fail to be invertible."""
 
 
 class RelatorConstraintViolated(PlanarepError):
@@ -47,10 +49,6 @@ class RelatorConstraintViolated(PlanarepError):
 
 class NotACocycle(PlanarepError):
     """A vector fed to a cocycle-only operation fails the cocycle test."""
-
-
-class OutsideStarDomain(ToleranceExceeded):
-    """Segment from 0 leaves the regular domain of exp."""
 
 
 class ClassResolutionFailed(PlanarepError):

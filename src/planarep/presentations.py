@@ -57,12 +57,11 @@ class PlanarPresentation:
 
     @cached_property
     def long_relator(self) -> Word:
-        w: Word = ()
-        for j in range(self.genus):
-            w = w_mul(w, commutator(gen(self.x_index(j)), gen(self.y_index(j))))
-        for j in range(self.n_torsion):
-            w = w_mul(w, gen(self.z_index(j)))
-        return w
+        """prod_j [x_j, y_j] z_1..z_n, reduced in one pass over its parts."""
+        return w_mul(
+            *(commutator(gen(self.x_index(j)), gen(self.y_index(j))) for j in range(self.genus)),
+            *(gen(self.z_index(j)) for j in range(self.n_torsion)),
+        )
 
     @cached_property
     def torsion_relators(self) -> tuple[Word, ...]:

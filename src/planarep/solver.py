@@ -241,7 +241,7 @@ def _assemble(spec: SolveSpec, G: np.ndarray) -> RepPoint:
 
 
 def _residual_matrix(spec: SolveSpec, pt: RepPoint) -> np.ndarray:
-    return pt.long_relator_value() @ spec.zeta_inv - spec.model.identity
+    return pt.long_relator_value @ spec.zeta_inv - spec.model.identity
 
 
 def _jacobian(spec: SolveSpec, pt: RepPoint) -> np.ndarray:
@@ -249,7 +249,7 @@ def _jacobian(spec: SolveSpec, pt: RepPoint) -> np.ndarray:
     the free generators and the class conjugators."""
     model, p = spec.model, spec.pres
     d = model.d
-    rtail = pt.long_relator_value() @ spec.zeta_inv
+    rtail = pt.long_relator_value @ spec.zeta_inv
     row = pt.long_row
     # block i maps coords of the move of generator i -> coords of u(r)
     blocks = [row[:, i * d : (i + 1) * d] for i in range(p.num_generators)]

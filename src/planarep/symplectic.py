@@ -1,5 +1,5 @@
-"""The geometric core: cup-product pairing on H^1, the 2-form on the regular
-domain, the extended 2-form and the momentum map.
+"""The geometric core: cup-product pairing on H^1, the 2-form B on the
+principal sheet, the extended 2-form and the momentum map.
 
 The conventions are fixed: the extended 2-form is omega = cup - B and the
 momentum map is mu = -<Lam, .>, so that omega(X_M, .) = d(X o mu) holds as a
@@ -8,7 +8,7 @@ theorem, which check_moment_identity tests rather than assumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -24,9 +24,9 @@ from .cohomology import (
     delta1_projective,
     projective_subspace,
 )
-from .errors import NotACocycle, OutsideStarDomain
+from .errors import LogBranchFailure, NotACocycle, SingularDexp
 from .foxcalc import relator_filling_chain
-from .liegroup import LieModel
+from .liegroup import LieModel, spectral_margin
 from .presentations import PlanarPresentation
 
 
@@ -41,18 +41,24 @@ def default_calibration() -> None:
 
 @dataclass
 class ExtendedPoint:
-    """(phi, Lambda) with exp(Lambda) = r(phi) and Lambda in the regular
-    domain: a point of the pullback manifold.  Raises SingularDexp when
-    Lambda is outside that domain, where dexp is not invertible."""
+    """(phi, Lambda) with exp(Lambda) = r(phi) and Lambda on the principal
+    sheet: a point of the pullback manifold.  Raises SingularDexp when the
+    spectral margin of Lambda is below tol.tau_grp (the segment [0, Lambda]
+    is then not known to stay in the regular domain, where dexp is
+    invertible), and LogBranchFailure when exp(Lambda) != r(phi)."""
 
     phi: RepPoint
     Lam: np.ndarray
+    tol: InitVar[Tolerances] = DEFAULT_TOL
 
-    def __post_init__(self):
+    def __post_init__(self, tol):
         model = self.phi.model
-        resid = np.linalg.norm(model.exp(self.Lam) - self.phi.long_relator_value())
+        margin = spectral_margin(np.linalg.eigvals(self.Lam))
+        if margin < tol.tau_grp:
+            raise SingularDexp(f"spectral margin of Lambda {margin:.2e} below tau_grp")
+        resid = np.linalg.norm(model.exp(self.Lam) - self.phi.long_relator_value)
         if resid > 1e-6:
-            raise ValueError(f"exp(Lambda) != r(phi), residual {resid:.2e}")
+            raise LogBranchFailure(f"exp(Lambda) != r(phi), residual {resid:.2e}")
         self._dexp_inv = model.dexp_inv_matrix(self.Lam)
 
     @property
@@ -73,8 +79,8 @@ def extend_point(phi: RepPoint, tol: Tolerances = DEFAULT_TOL) -> ExtendedPoint:
     """Lift an F-natural point to the pullback manifold on the principal
     sheet; raises LogBranchFailure for r(phi) within tol.tau_grp of the
     branch cut, since a solved relator value is known only to that tolerance."""
-    Lam = phi.model.log_principal(phi.long_relator_value(), tol.tau_grp)
-    return ExtendedPoint(phi, Lam)
+    Lam = phi.model.log_principal(phi.long_relator_value, tol.tau_grp)
+    return ExtendedPoint(phi, Lam, tol)
 
 
 @dataclass
@@ -180,7 +186,7 @@ def unflatten(model: LieModel, flat: np.ndarray, n_gens: int) -> list[np.ndarray
     return [flat[i * d : (i + 1) * d] for i in range(n_gens)]
 
 
-# --- the 2-form B on the regular domain --------------------------------------
+# --- the 2-form B on the principal sheet ----------------------------------
 
 
 def bform_O(model: LieModel, Lam: np.ndarray, V: np.ndarray, W: np.ndarray) -> float:
@@ -191,8 +197,8 @@ def bform_O(model: LieModel, Lam: np.ndarray, V: np.ndarray, W: np.ndarray) -> f
     identity hold with unit scale.
 
     Evaluated by 32-node Gauss-Legendre quadrature; the numeric layer uses
-    the closed form bform_matrix, and this definition is its test oracle."""
-    _check_star_domain(model.ad_matrix(Lam))
+    the closed form bform_matrix, and this definition is its test oracle.
+    Lam has positive spectral margin, so t Lam stays in the regular domain."""
     x, wts = np.polynomial.legendre.leggauss(32)
     ts = 0.5 * (x + 1.0)
     wts = 0.5 * wts
@@ -207,14 +213,6 @@ def bform_O(model: LieModel, Lam: np.ndarray, V: np.ndarray, W: np.ndarray) -> f
     return total
 
 
-def _check_star_domain(ad_Lam: np.ndarray) -> None:
-    """Refuse Lam if t ad_Lam has an eigenvalue in 2 pi i Z \\ {0} for some t
-    in (0, 1]: if ad_Lam has an imaginary eigenvalue of modulus >= 2 pi."""
-    ev = np.linalg.eigvals(ad_Lam)
-    if np.any((np.abs(ev.real) <= 1e-9) & (np.abs(ev.imag) >= 2 * np.pi - 1e-9)):
-        raise OutsideStarDomain("segment [0, Lam] leaves the regular domain")
-
-
 def bform_matrix(model: LieModel, Lam: np.ndarray) -> np.ndarray:
     """Matrix K of the 2-form, B_Lam(V, W) = V^T K W.
 
@@ -225,7 +223,6 @@ def bform_matrix(model: LieModel, Lam: np.ndarray) -> np.ndarray:
     exponential: [[A, I, 0], [0, 0, I], [0, 0, 0]] -> phi2(A) top right.
     """
     A, d = model.ad_matrix(Lam), model.d
-    _check_star_domain(A)
     M = np.zeros((6 * d, 6 * d))
     for o, S in ((0, A), (3 * d, -A)):
         M[o : o + d, o : o + d] = S

@@ -51,10 +51,7 @@ def w_inv(w: Word) -> Word:
 def w_pow(w: Word, k: int) -> Word:
     if k < 0:
         return w_pow(w_inv(w), -k)
-    out: Word = IDENTITY
-    for _ in range(k):
-        out = w_mul(out, w)
-    return out
+    return w_mul(*[w] * k)
 
 
 def commutator(a: Word, b: Word) -> Word:

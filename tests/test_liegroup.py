@@ -6,8 +6,12 @@ import pytest
 from hypothesis import given, settings
 from scipy.linalg import expm
 
+from planarep.cohomology import RepPoint
+from planarep.config import DEFAULT_TOL
 from planarep.errors import LogBranchFailure, SingularDexp, UnsupportedModel
-from planarep.liegroup import get_model
+from planarep.liegroup import get_model, spectral_margin
+from planarep.presentations import PlanarPresentation
+from planarep.symplectic import ExtendedPoint
 
 MODELS = ["SU2", "U1", "U2", "U3", "SL2R"]
 
@@ -200,10 +204,55 @@ def test_regular_domain_boundary_su2():
     # scale so that ad eigenvalue hits 2 pi i: rotation by 2 pi
     lam = max(np.abs(np.linalg.eigvals(m.ad_matrix(X)).imag))
     bad = (2 * np.pi / lam) * X
-    assert not m.in_regular_domain(bad)
-    assert m.in_regular_domain(0.5 * bad)
+    # the margin is 0 up to the rounding of lam, and dexp is singular there
+    assert abs(spectral_margin(np.linalg.eigvals(bad))) < 1e-15
+    assert np.linalg.svd(m.dexp_matrix(bad), compute_uv=False)[-1] < 1e-15
+    assert spectral_margin(np.linalg.eigvals(0.5 * bad)) == pytest.approx(np.pi / 2)
+    with pytest.raises(LogBranchFailure):
+        m.log_principal(m.exp(bad))
+    # exp(bad) = -e = z^2 for z = diag(i, -i): bad is refused as an extension
+    z = np.diag([1j, -1j])
+    phi = RepPoint(PlanarPresentation(0, (4, 4)), m, [z, z])
     with pytest.raises(SingularDexp):
-        m.dexp_inv_matrix(bad)
+        ExtendedPoint(phi, bad)
+
+
+def _in_regular_domain(model, X):
+    """No ad_X eigenvalue within 1e-9 of 2 pi i Z \\ {0}: the regular-domain
+    test that the spectral margin replaced, kept as an oracle."""
+    for lam in np.linalg.eigvals(model.ad_matrix(X)):
+        k = round(lam.imag / (2 * np.pi))
+        if k != 0 and abs(lam - 2j * np.pi * k) < 1e-9:
+            return False
+    return True
+
+
+def _in_star_domain(model, X):
+    """No t ad_X, t in (0, 1], with an eigenvalue in 2 pi i Z \\ {0}: the
+    star-domain test that the spectral margin replaced, kept as an oracle."""
+    ev = np.linalg.eigvals(model.ad_matrix(X))
+    return not np.any((np.abs(ev.real) <= 1e-9) & (np.abs(ev.imag) >= 2 * np.pi - 1e-9))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.sampled_from(MODELS), st.integers(0, 10**6), st.floats(-3, np.log10(5)))
+def test_margin_implies_the_domain_checks(name, seed, log_scale):
+    # a logarithm the log accepts has margin m = pi - max |arg lambda(g)| >= tau,
+    # so |theta_a - theta_b| <= 2 pi - 2 m on the spectrum of ad_Lam; for the
+    # unitary models ad_Lam is normal and its dexp singular values are
+    # |sin(x/2) / (x/2)| at those differences x, so cond <= (pi - m) / sin m
+    model = get_model(name)
+    g = model.random_element(np.random.default_rng(seed), 10.0**log_scale)
+    try:
+        Lam = model.log_principal(g, DEFAULT_TOL.tau_grp)
+    except LogBranchFailure:
+        return
+    m = spectral_margin(np.linalg.eigvals(Lam))
+    assert abs(m - (np.pi - np.max(np.abs(np.angle(np.linalg.eigvals(g)))))) <= 1e-9
+    assert _in_regular_domain(model, Lam)
+    assert _in_star_domain(model, Lam)
+    if model.kind != "SL2R" and m < np.pi / 2:
+        assert np.linalg.cond(model.dexp_matrix(Lam)) <= (1 + 1e-9) * (np.pi - m) / np.sin(m)
 
 
 # --- stacked kernels against per-element references -------------------------

@@ -40,6 +40,20 @@ def test_long_relator_shape(genus, torsion):
         assert p.torsion_relators[j] == (p.z_index(j) + 1,) * m
 
 
+@pytest.mark.parametrize("torsion", [(), (2, 3, 7)])
+def test_long_relator_matches_letter_by_letter_reference(torsion):
+    # x1 y1 x1^-1 y1^-1 ... xl yl xl^-1 yl^-1 z1 .. zn, appended one letter
+    # at a time: the word is already reduced
+    for genus in range(65):
+        p = PlanarPresentation(genus, torsion)
+        ref = []
+        for j in range(genus):
+            x, y = p.x_index(j) + 1, p.y_index(j) + 1
+            ref += [x, y, -x, -y]
+        ref += [p.z_index(j) + 1 for j in range(len(torsion))]
+        assert p.long_relator == tuple(ref)
+
+
 def test_measure_values():
     assert PlanarPresentation(0, (2, 3, 7)).measure == Fraction(1, 42)
     assert PlanarPresentation(1, ()).measure == 0

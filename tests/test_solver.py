@@ -81,7 +81,7 @@ def test_solve_twisted_target():
     zeta = -np.eye(2, dtype=complex)
     res = solve_relator(SolveSpec(pres, SU2, _classes(SU2, (2, 2, 2)), zeta, seed=5))
     assert res.residual < 1e-10
-    assert np.linalg.norm(res.point.long_relator_value() - zeta) < 1e-9
+    assert np.linalg.norm(res.point.long_relator_value - zeta) < 1e-9
 
 
 def test_solve_higher_genus():
@@ -402,7 +402,7 @@ def _assert_solver_agrees(monkeypatch, spec, feasible):
     if feasible:
         res = solve_relator(spec)
         assert res.residual < spec.tol
-        assert np.linalg.norm(res.point.long_relator_value() - spec.zeta) < 1e-9
+        assert np.linalg.norm(res.point.long_relator_value - spec.zeta) < 1e-9
         return
     with pytest.raises(InfeasibleSpec):
         solve_relator(spec)

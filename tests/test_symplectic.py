@@ -13,14 +13,9 @@ from planarep.cohomology import (
 )
 from planarep.components import finite_order_classes
 from planarep.config import DEFAULT_TOL
-from planarep.errors import (
-    LogBranchFailure,
-    NotACocycle,
-    OutsideStarDomain,
-    SingularDexp,
-)
+from planarep.errors import LogBranchFailure, NotACocycle, SingularDexp
 from planarep.foxcalc import fox_derivative, relator_filling_chain
-from planarep.liegroup import get_model
+from planarep.liegroup import get_model, spectral_margin
 from planarep.presentations import PlanarPresentation
 from planarep.solver import SolveSpec, solve_relator
 from planarep.symplectic import (
@@ -258,8 +253,7 @@ def _extended_point(model, pres, seed):
         gens += [_torsion_element(model, m, rng) for m in pres.torsion]
         try:
             pt = extend_point(RepPoint(pres, model, gens))
-            pt.bform  # refuses Lam outside the star domain
-        except (LogBranchFailure, OutsideStarDomain):
+        except LogBranchFailure:
             continue
         if np.linalg.norm(model.ad_matrix(pt.Lam), 2) < 5:
             return pt
@@ -334,10 +328,16 @@ def test_matrix_grams_match_per_pair_reference(group, gt, seed):
 
 def test_star_domain_is_checked_along_the_whole_segment():
     # ad eigenvalues +-3 pi i: t Lam meets 2 pi i at t = 2/3, between the
-    # points t = 1/2 and t = 1 that a sampled check would look at
+    # points t = 1/2 and t = 1 that a sampled check would look at, while
+    # dexp(Lam) itself is invertible.  Lam is a logarithm of r(phi) = z, off
+    # the principal sheet: its margin is -pi/2
     Lam = np.diag([1.5j * np.pi, -1.5j * np.pi])
-    with pytest.raises(OutsideStarDomain):
-        bform_matrix(MODEL, Lam)
+    z = np.diag([-1j, 1j])
+    phi = RepPoint(PlanarPresentation(0, (4,)), MODEL, [z])
+    assert np.linalg.norm(MODEL.exp(Lam) - phi.long_relator_value) < 1e-15
+    assert np.linalg.svd(MODEL.dexp_matrix(Lam), compute_uv=False)[-1] > 0.2
+    with pytest.raises(SingularDexp):
+        ExtendedPoint(phi, Lam)
 
 
 @settings(max_examples=60, deadline=None)
@@ -346,12 +346,11 @@ def test_closed_form_bform_matches_quadrature(group, seed, scale):
     model = get_model(group)
     rng = np.random.default_rng(seed)
     Lam = model.random_alg(rng, scale)
-    # a central Lam has ad_Lam = 0 and B = 0, which would prove nothing
+    # a central Lam has ad_Lam = 0 and B = 0, which would prove nothing;
+    # B is defined on the principal sheet, where the margin is positive
     assume(np.linalg.norm(model.ad_matrix(Lam)) > 0.05)
-    try:
-        K = bform_matrix(model, Lam)
-    except OutsideStarDomain:
-        assume(False)
+    assume(spectral_margin(np.linalg.eigvals(Lam)) >= DEFAULT_TOL.tau_grp)
+    K = bform_matrix(model, Lam)
     V, W = rng.standard_normal(model.d), rng.standard_normal(model.d)
     quad = bform_O(model, Lam, V, W)
     assert abs(V @ K @ W - quad) <= 1e-12 * max(1.0, np.linalg.norm(V) * np.linalg.norm(W))

@@ -68,6 +68,13 @@ def test_power_counts(w, k):
         assert signed_count(p, i) == k * signed_count(w, i)
 
 
+@given(words, st.integers(min_value=-6, max_value=6))
+def test_power_matches_repeated_product(w, k):
+    # the letters of w repeated |k| times (inverted for k < 0), freely reduced
+    ref = list(w if k >= 0 else w_inv(w)) * abs(k)
+    assert w_pow(w, k) == word(ref)
+
+
 def test_signed_count():
     w = word([1, 2, -1, 2, 2])
     assert signed_count(w, 0) == 0
