@@ -49,7 +49,6 @@ from .solver import (
     SolveResult,
     SolveSpec,
     solve_relator,
-    su2_triangle_oracle,
 )
 from . import errors
 

@@ -5,8 +5,8 @@ Torsion generators are parameterized exactly as k_j c_j k_j^{-1} with c_j the
 exact class representative, so class constraints hold by construction; the
 free generators and the conjugators are the optimization variables.  Descent
 uses the Fox-derivative Jacobian through Ad with exp retraction: damped
-Gauss-Newton (Levenberg-Marquardt) steps with backtracking, seeded random
-restarts.
+Gauss-Newton steps whose damping lam is the only globalization (Marquardt,
+SIAM J. Appl. Math. 11, 1963), seeded random restarts.
 
 The residual r lives in one n x n matrix, 2n^2 real numbers, whatever the
 genus, while the unknowns number N = d (2l + n).  So the step
@@ -110,72 +110,6 @@ def su2_product_rule(ts, minus: bool = False, slack=0) -> bool:
     return best <= sum(ts) - 1 + slack
 
 
-def su2_triangle_oracle(
-    th1: float, th2: float, th3: float, target: str = "e"
-) -> bool:
-    """Feasibility of A B C = target over SU(2) classes with rotation angles
-    th_i in [0, pi] and target e or -e.
-
-    The n = 3 case of ``su2_product_rule``: for target e the spherical
-    triangle inequality, for -e the same with th3 replaced by pi - th3.  The
-    bounds carry a 1e-12 slack in radians.
-    """
-    for th in (th1, th2, th3):
-        if th < -1e-12 or th > np.pi + 1e-12:
-            raise ValueError("class angles must lie in [0, pi]")
-    if target not in ("e", "-e"):
-        raise ValueError("target must be 'e' or '-e'")
-    ts = [th / np.pi for th in (th1, th2, th3)]
-    return su2_product_rule(ts, minus=target == "-e", slack=1e-12 / np.pi)
-
-
-def su2_brute_force_feasible(
-    th1: np.ndarray,
-    th2: np.ndarray,
-    th3: np.ndarray,
-    target: str = "e",
-    grid: int = 129,
-    residual_threshold: float = 1e-8,
-) -> np.ndarray:
-    """Direct minimization of ||A B C target^-1 - e|| over the classes.
-
-    By bi-invariance A is fixed as the z-axis rotation and the axis of B is a
-    single polar angle alpha; the optimal C in its class aligns with
-    (AB)^-1 target, which leaves a 1-d minimization over alpha, done by dense
-    grid plus exact refinement (the attained rotation angle of AB is
-    continuous in alpha, so its range over the grid hull is an interval).
-    Returns the boolean mask (min residual < residual_threshold).  Vectorized
-    over input arrays.
-    """
-    th1, th2, th3 = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (th1, th2, th3))
-    sgn = -1.0 if target == "-e" else 1.0
-    alphas = np.linspace(0.0, np.pi, grid)
-    out = np.empty(th1.shape, dtype=bool)
-    chunk = 65536
-    for start in range(0, len(th1), chunk):
-        t1 = th1[start : start + chunk, None]
-        t2 = th2[start : start + chunk, None]
-        t3 = th3[start : start + chunk]
-        # cos of rotation angle of AB as the axis angle alpha varies
-        cosb = np.cos(t1) * np.cos(t2) - np.sin(t1) * np.sin(t2) * np.cos(alphas)
-        np.clip(cosb, -1.0, 1.0, out=cosb)
-        beta = np.arccos(cosb)  # in [0, pi]
-        # need angle of C = (AB)^-1 target to equal t3; angle of -g is pi-angle(g)
-        need = beta if sgn > 0 else np.pi - beta
-        gap = np.min(np.abs(need - t3[:, None]), axis=1)
-        # the grid minimum of |need - t3| overshoots by at most the grid step
-        # of beta; refine by interval membership (beta is continuous in alpha,
-        # so its range is [min, max] over the grid up to endpoint refinement)
-        lo = np.min(need, axis=1)
-        hi = np.max(need, axis=1)
-        inside = (t3 >= lo) & (t3 <= hi)
-        gap = np.where(inside, 0.0, np.minimum(np.abs(t3 - lo), np.abs(t3 - hi)))
-        # Frobenius residual of the aligned product for angle gap
-        resid = 2.0 * np.sqrt(np.maximum(0.0, 1.0 - np.cos(gap)))
-        out[start : start + chunk] = resid < residual_threshold
-    return out
-
-
 # --- the solver ---------------------------------------------------------------
 
 
@@ -196,11 +130,15 @@ class SolveResult:
 
 def _feasibility_oracle(spec: SolveSpec) -> bool | None:
     """Exact feasibility: True or False where a theorem decides the spec,
-    None where none applies here (SL(2,R); at genus 0, U(n) for n >= 3 and
-    U(2) with a target other than e or -e)."""
+    None where none applies here (SL(2,R) with torsion; at genus 0, U(n) for
+    n >= 3 and U(2) with a target other than e or -e)."""
     model, p = spec.model, spec.pres
     if model.kind == "SL2R":
-        return None
+        if p.n_torsion:
+            return None
+        # lifts to SL(2,R) have product of commutators (-1)^eu, and every Euler
+        # number |eu| <= 2l - 2 occurs (Milnor-Wood, Goldman): -e iff l >= 2
+        return not _is_minus_e(spec) or p.genus >= 2
     if model.kind == "U":
         det = complex(np.linalg.det(spec.zeta))
         for rep in spec.reps:
@@ -278,35 +216,29 @@ def _solve_once(spec: SolveSpec, rng: np.random.Generator) -> tuple[RepPoint, fl
     pt = _assemble(spec, G)
     E = _residual_matrix(spec, pt)
     f = float(np.linalg.norm(E) ** 2)
+    J = r = None  # built at the start point and after each accepted step
     for _ in range(spec.max_iters):
         if np.sqrt(f) < spec.tol:
             break
-        J = _jacobian(spec, pt)  # 2n^2 x N
-        r = np.concatenate([E.real.ravel(), E.imag.ravel()])
+        if J is None:
+            J = _jacobian(spec, pt)  # 2n^2 x N
+            r = np.concatenate([E.real.ravel(), E.imag.ravel()])
         try:
             step = _lm_step(J, r, lam).reshape(shape)
         except np.linalg.LinAlgError:
             return pt, float("inf")  # a singular system ends the restart
-        # backtracking on the retracted update
-        t = 1.0
-        improved = False
-        for _ in range(30):
-            # a trial iterate whose exp overflows or raises, or that is
-            # singular, is a rejected step
-            with np.errstate(over="ignore", invalid="ignore"):
-                try:
-                    nG = model.exp(model.unvec(t * step)) @ G
-                    npt = _assemble(spec, nG)
-                    nE = _residual_matrix(spec, npt)
-                    nfval = float(np.linalg.norm(nE) ** 2)
-                except np.linalg.LinAlgError:
-                    nfval = np.inf
-            if nfval < f:
-                G, pt, E, f = nG, npt, nE, nfval
-                improved = True
-                break
-            t *= 0.5
-        if improved:
+        # a trial iterate whose exp overflows or raises, or that is singular,
+        # is a rejected step
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                nG = model.exp(model.unvec(step)) @ G
+                npt = _assemble(spec, nG)
+                nE = _residual_matrix(spec, npt)
+                nfval = float(np.linalg.norm(nE) ** 2)
+            except np.linalg.LinAlgError:
+                nfval = np.inf
+        if nfval < f:
+            G, pt, E, f, J = nG, npt, nE, nfval, None
             lam = max(lam * 0.3, 1e-12)
         else:
             lam *= 10.0

@@ -1,0 +1,76 @@
+"""Test oracles: definitions that only the tests call.
+
+``su2_triangle_oracle`` restates the SU(2) class rule for three classes in
+radians, and ``su2_brute_force_feasible`` decides the same question by direct
+minimization, independently of the rule.
+"""
+
+import numpy as np
+
+from planarep.solver import su2_product_rule
+
+
+def su2_triangle_oracle(
+    th1: float, th2: float, th3: float, target: str = "e"
+) -> bool:
+    """Feasibility of A B C = target over SU(2) classes with rotation angles
+    th_i in [0, pi] and target e or -e.
+
+    The n = 3 case of ``su2_product_rule``: for target e the spherical
+    triangle inequality, for -e the same with th3 replaced by pi - th3.  The
+    bounds carry a 1e-12 slack in radians.
+    """
+    for th in (th1, th2, th3):
+        if th < -1e-12 or th > np.pi + 1e-12:
+            raise ValueError("class angles must lie in [0, pi]")
+    if target not in ("e", "-e"):
+        raise ValueError("target must be 'e' or '-e'")
+    ts = [th / np.pi for th in (th1, th2, th3)]
+    return su2_product_rule(ts, minus=target == "-e", slack=1e-12 / np.pi)
+
+
+def su2_brute_force_feasible(
+    th1: np.ndarray,
+    th2: np.ndarray,
+    th3: np.ndarray,
+    target: str = "e",
+    grid: int = 129,
+    residual_threshold: float = 1e-8,
+) -> np.ndarray:
+    """Direct minimization of ||A B C target^-1 - e|| over the classes.
+
+    By bi-invariance A is fixed as the z-axis rotation and the axis of B is a
+    single polar angle alpha; the optimal C in its class aligns with
+    (AB)^-1 target, which leaves a 1-d minimization over alpha, done by dense
+    grid plus exact refinement (the attained rotation angle of AB is
+    continuous in alpha, so its range over the grid hull is an interval).
+    Returns the boolean mask (min residual < residual_threshold).  Vectorized
+    over input arrays.
+    """
+    th1, th2, th3 = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (th1, th2, th3))
+    sgn = -1.0 if target == "-e" else 1.0
+    alphas = np.linspace(0.0, np.pi, grid)
+    out = np.empty(th1.shape, dtype=bool)
+    chunk = 65536
+    for start in range(0, len(th1), chunk):
+        t1 = th1[start : start + chunk, None]
+        t2 = th2[start : start + chunk, None]
+        t3 = th3[start : start + chunk]
+        # cos of rotation angle of AB as the axis angle alpha varies
+        cosb = np.cos(t1) * np.cos(t2) - np.sin(t1) * np.sin(t2) * np.cos(alphas)
+        np.clip(cosb, -1.0, 1.0, out=cosb)
+        beta = np.arccos(cosb)  # in [0, pi]
+        # need angle of C = (AB)^-1 target to equal t3; angle of -g is pi-angle(g)
+        need = beta if sgn > 0 else np.pi - beta
+        gap = np.min(np.abs(need - t3[:, None]), axis=1)
+        # the grid minimum of |need - t3| overshoots by at most the grid step
+        # of beta; refine by interval membership (beta is continuous in alpha,
+        # so its range is [min, max] over the grid up to endpoint refinement)
+        lo = np.min(need, axis=1)
+        hi = np.max(need, axis=1)
+        inside = (t3 >= lo) & (t3 <= hi)
+        gap = np.where(inside, 0.0, np.minimum(np.abs(t3 - lo), np.abs(t3 - hi)))
+        # Frobenius residual of the aligned product for angle gap
+        resid = 2.0 * np.sqrt(np.maximum(0.0, 1.0 - np.cos(gap)))
+        out[start : start + chunk] = resid < residual_threshold
+    return out

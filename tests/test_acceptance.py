@@ -32,12 +32,7 @@ from planarep.foxcalc import (
 )
 from planarep.liegroup import get_model
 from planarep.presentations import PlanarPresentation
-from planarep.solver import (
-    SolveSpec,
-    solve_relator,
-    su2_brute_force_feasible,
-    su2_triangle_oracle,
-)
+from planarep.solver import SolveSpec, solve_relator
 from planarep.symplectic import (
     check_moment_identity,
     degeneracy_report,
@@ -49,6 +44,8 @@ from planarep.symplectic import (
     unflatten,
 )
 from planarep.words import commutator, gen, w_inv, w_mul
+
+from oracles import su2_brute_force_feasible, su2_triangle_oracle
 
 SU2 = get_model("SU2")
 U1 = get_model("U1")

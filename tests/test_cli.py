@@ -268,10 +268,11 @@ def test_relator_at_the_log_branch_cut_exits_4(capsys):
 
 # seed 0 at the central target -e: the log refuses r(phi) at the branch cut
 # (exit 4), or the solve ends without a point (exit 3); never a report or an
-# internal error.  SL2R g1 is left out: its NotFound takes seconds
+# internal error.  SL2R g1 is certified empty (exit 3)
 MINUS_E = [
     pytest.param("SU2", "1", "3", "1", 4, id="SU2-g1-t3-c1"),
     pytest.param("U2", "1", "3", "4", 4, id="U2-g1-t3-c4"),
+    pytest.param("SL2R", "1", "", "", 3, id="SL2R-g1"),
     pytest.param("SL2R", "2", "", "", 4, id="SL2R-g2"),
     pytest.param("U3", "1", "3", "4", 3, id="U3-g1-t3-c4"),
     pytest.param("U1", "1", "", "", 3, id="U1-g1"),

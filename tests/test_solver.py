@@ -15,13 +15,9 @@ from planarep.components import component_label, finite_order_classes
 from planarep.errors import InfeasibleSpec, NotFound
 from planarep.liegroup import get_model
 from planarep.presentations import PlanarPresentation
-from planarep.solver import (
-    SolveSpec,
-    solve_relator,
-    su2_brute_force_feasible,
-    su2_product_rule,
-    su2_triangle_oracle,
-)
+from planarep.solver import SolveSpec, solve_relator, su2_product_rule
+
+from oracles import su2_brute_force_feasible, su2_triangle_oracle
 
 SU2 = get_model("SU2")
 U2 = get_model("U2")
@@ -148,7 +144,9 @@ def test_feasibility_matches_oracle_on_seeded_specs():
 #
 # The oracle is the restart loop one generator at a time: per-element unvec
 # and exp, representatives rebuilt and zeta inverted at every use, r(phi)
-# multiplied out letter by letter, the Jacobian one column at a time.  It
+# multiplied out letter by letter, the Jacobian one column at a time and
+# rebuilt at every iteration (the solver keeps it across a rejected step,
+# which leaves the point where it was).  It
 # takes only the relator walk and the one-matrix exp from planarep (stacked
 # Ad_matrix and exp are checked against per-element calls, and exp against
 # scipy's expm, in test_liegroup).  The stacked solver must follow the same
@@ -213,27 +211,19 @@ def _oracle_solve_once(spec, rng):
             step = -(J.T @ np.linalg.solve(J @ J.T + lam * np.eye(len(r)), r))
         except np.linalg.LinAlgError:
             return pt, float("inf")
-        t = 1.0
-        improved = False
-        for _ in range(30):
-            xi = t * step
-            with np.errstate(over="ignore", invalid="ignore"):
-                try:
-                    nf = [model.exp(_oracle_unvec(model, xi[i * d : (i + 1) * d])) @ g
-                          for i, g in enumerate(free)]
-                    nc = [model.exp(_oracle_unvec(model, xi[(2 * p.genus + j) * d : (2 * p.genus + j + 1) * d])) @ k
-                          for j, k in enumerate(conj)]
-                    npt = _oracle_assemble(spec, nf, nc)
-                    nE = _oracle_residual(spec, npt)
-                    nfval = float(np.linalg.norm(nE) ** 2)
-                except np.linalg.LinAlgError:
-                    nfval = np.inf
-            if nfval < f:
-                free, conj, pt, E, f = nf, nc, npt, nE, nfval
-                improved = True
-                break
-            t *= 0.5
-        if improved:
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                nf = [model.exp(_oracle_unvec(model, step[i * d : (i + 1) * d])) @ g
+                      for i, g in enumerate(free)]
+                nc = [model.exp(_oracle_unvec(model, step[(2 * p.genus + j) * d : (2 * p.genus + j + 1) * d])) @ k
+                      for j, k in enumerate(conj)]
+                npt = _oracle_assemble(spec, nf, nc)
+                nE = _oracle_residual(spec, npt)
+                nfval = float(np.linalg.norm(nE) ** 2)
+            except np.linalg.LinAlgError:
+                nfval = np.inf
+        if nfval < f:
+            free, conj, pt, E, f = nf, nc, npt, nE, nfval
             lam = max(lam * 0.3, 1e-12)
         else:
             lam *= 10.0
@@ -295,6 +285,8 @@ def test_trial_step_whose_exp_raises_is_rejected(monkeypatch):
     # NotFound (exit 3), not in the LinAlgError (exit 5)
     spec = _oracle_spec("SL2R", 1, (), (), "e", 0, max_restarts=1, max_iters=5)
     model, calls = spec.model, []
+    # drop the certificate, which would raise the budget to 60 restarts
+    monkeypatch.setattr(solver, "_feasibility_oracle", lambda spec: None)
 
     def exp(X):
         calls.append(X)
@@ -306,6 +298,75 @@ def test_trial_step_whose_exp_raises_is_rejected(monkeypatch):
     with pytest.raises(NotFound):
         solve_relator(spec)
     assert len(calls) > 1
+
+
+def test_one_trial_per_iteration_and_one_jacobian_per_iterate(monkeypatch):
+    # SL2R g2 seed 3 rejects steps on the way.  Each iteration takes one step
+    # and evaluates at most one trial point; J is built once per iterate: at a
+    # restart's start point and after an accepted step, never again after a
+    # rejected one
+    spec = _oracle_spec("SL2R", 2, (), (), "e", 3)
+    events = []
+
+    residual_matrix = solver._residual_matrix
+
+    def record(name, fn):
+        def wrapper(*args):
+            events.append((name, *args[1:]))
+            return fn(*args)
+        return wrapper
+
+    def residual(spec, pt):
+        E = residual_matrix(spec, pt)
+        events.append(("residual", pt, float(np.linalg.norm(E) ** 2)))
+        return E
+
+    monkeypatch.setattr(solver, "_solve_once", record("restart", solver._solve_once))
+    monkeypatch.setattr(solver, "_jacobian", record("jacobian", solver._jacobian))
+    monkeypatch.setattr(solver, "_lm_step", record("step", solver._lm_step))
+    monkeypatch.setattr(solver, "_residual_matrix", residual)
+    solve_relator(spec)
+
+    counts = {"restart": 0, "jacobian": 0, "step": 0, "residual": 0, "rejected": 0}
+    prev = None
+    for name, *args in events:
+        counts[name] += 1
+        if name == "restart":
+            current = stale = None
+        elif name == "residual":
+            pt, f = args
+            if current is None:  # the start point
+                current, stale = (pt, f), True
+            else:
+                assert prev == "step", "a second trial point in one iteration"
+                if f < current[1]:
+                    current, stale = (pt, f), True
+                else:
+                    counts["rejected"] += 1
+        elif name == "jacobian":
+            assert stale and args[0] is current[0], "J rebuilt at an unchanged point"
+            stale = False
+        elif name == "step":
+            assert not stale, "a step from a J of another point"
+        prev = name
+    assert counts["residual"] <= counts["restart"] + counts["step"]
+    assert counts["rejected"] > 0 and counts["jacobian"] < counts["step"]
+
+
+def test_sl2r_minus_e_is_decided_by_genus(monkeypatch):
+    # Milnor-Wood: -e needs an odd Euler number, which |eu| <= 2l - 2 rules
+    # out at genus 0 and 1; from genus 2 on it is reached, and e always is
+    for genus in (0, 1, 2, 3, 4):
+        assert solver._feasibility_oracle(_oracle_spec("SL2R", genus, (), (), "e", 0))
+        minus = solver._feasibility_oracle(_oracle_spec("SL2R", genus, (), (), "-e", 0))
+        assert minus == (genus >= 2)
+    for genus in (2, 3, 4):
+        res = solve_relator(_oracle_spec("SL2R", genus, (), (), "-e", 0))
+        assert np.linalg.norm(res.point.long_relator_value + np.eye(2)) < 1e-9
+    # the empty spec is refused without a search
+    monkeypatch.setattr(solver, "_solve_once", None)
+    with pytest.raises(InfeasibleSpec):
+        solve_relator(_oracle_spec("SL2R", 1, (), (), "-e", 0))
 
 
 # --- the exact class-tuple rule ------------------------------------------------
