@@ -1,0 +1,125 @@
+#!/usr/bin/env python3
+"""Time the long relator's Fox row and value against the genus, and fit the
+log-log slope of each in the relator length 4l + n.
+
+Two rows are timed for each model (U1, SU2, SL2R, U2, U3) and genus l, on
+one random point per (model, l) with torsion (3, 5):
+
+- per_handle: RepPoint.long_row plus RepPoint.long_relator_value, the
+  per-handle closed forms the commands use;
+- walk: RepPoint.walk plus RepPoint.value along the long relator, the
+  letter-by-letter reference.
+
+Each time is the best of REPEATS calls, with the point's Ad matrices and
+inverses already built.  A row whose slope in 4l + n is above 1 is listed as
+superlinear.  BLAS is pinned to one thread, as perfbench/run.py pins it.
+
+Usage: python scripts/bench_scaling.py   (writes BENCH_17.json at the repo root)
+"""
+
+import os
+import sys
+
+# pin BLAS before numpy is imported, as perfbench/run.py does
+os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
+
+import json  # noqa: E402
+import platform  # noqa: E402
+from pathlib import Path  # noqa: E402
+from time import perf_counter  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from planarep.cohomology import RepPoint  # noqa: E402
+from planarep.liegroup import get_model  # noqa: E402
+from planarep.presentations import PlanarPresentation  # noqa: E402
+
+MODELS = ("U1", "SU2", "SL2R", "U2", "U3")
+TORSION = (3, 5)
+GENERA = (4, 8, 16, 32, 64, 128)
+REPEATS = 9
+OUT = ROOT / "BENCH_17.json"
+
+
+def per_handle(pt: RepPoint) -> tuple:
+    for name in ("long_row", "long_relator_value"):
+        pt.__dict__.pop(name, None)  # drop the cached copies
+    return pt.long_row, pt.long_relator_value
+
+
+def walk(pt: RepPoint) -> tuple:
+    return pt.walk(pt.pres.long_relator)[0], pt.value(pt.pres.long_relator)
+
+
+ROWS = {"per_handle": per_handle, "walk": walk}
+
+
+def best_of(fn, pt: RepPoint, repeats: int) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = perf_counter()
+        fn(pt)
+        best = min(best, perf_counter() - t0)
+    return best
+
+
+def measure(genera: list[int], repeats: int) -> dict:
+    rows = {row: {} for row in ROWS}
+    for name in MODELS:
+        model = get_model(name)
+        times = {row: [] for row in ROWS}
+        for genus in genera:
+            pres = PlanarPresentation(genus, TORSION)
+            rng = np.random.default_rng(genus)
+            gens = [model.random_element(rng) for _ in range(pres.num_generators)]
+            pt = RepPoint(pres, model, gens)
+            for warm in ("ad_gens", "ad_gens_inv", "gens_inv"):
+                getattr(pt, warm)
+            for row, fn in ROWS.items():
+                times[row].append(best_of(fn, pt, repeats))
+        lengths = [4 * g + len(TORSION) for g in genera]
+        for row in ROWS:
+            slope = None
+            if len(genera) > 1:
+                slope = float(np.polyfit(np.log(lengths), np.log(times[row]), 1)[0])
+            rows[row][name] = {"d": model.d, "times_s": times[row], "slope": slope}
+    return rows
+
+
+def record(genera: list[int], repeats: int) -> dict:
+    rows = measure(genera, repeats)
+    return {
+        "script": "scripts/bench_scaling.py",
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+            "blas_threads": 1,
+        },
+        "torsion": list(TORSION),
+        "genera": list(genera),
+        "relator_lengths": [4 * g + len(TORSION) for g in genera],
+        "repeats": repeats,
+        "rows": rows,
+        "superlinear": [f"{row}/{name}" for row, by in rows.items()
+                        for name, r in by.items() if r["slope"] is not None and r["slope"] > 1],
+    }
+
+
+def main() -> int:
+    rec = record(GENERA, REPEATS)
+    OUT.write_text(json.dumps(rec, indent=2) + "\n")
+    for row, by in rec["rows"].items():
+        for name, r in by.items():
+            slope = "-" if r["slope"] is None else f"{r['slope']:.2f}"
+            print(f"{row:10s} {name:5s} slope {slope}  "
+                  + " ".join(f"{t * 1e3:.3f}" for t in r["times_s"]) + " ms")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,6 +4,11 @@ A representation point assigns a group element to every presentation
 generator.  The coboundaries are evaluated through the adjoint representation:
 delta0(X)_s = X - Ad_{phi(s)} X and delta1 rows are the Fox-derivative
 matrices of the relators pushed through Ad.
+
+The long relator's row and value (RepPoint.long_row, long_relator_value)
+are built per handle from the commutator forms of the Fox derivatives, with
+l + n sequential products.  The letter-by-letter walk (prefix_walk, walk,
+value) serves cup_matrix, which reads every prefix, and the tests.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import warnings
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -44,15 +49,19 @@ class RepPoint:
 
     @cached_property
     def ad_gens_inv(self) -> np.ndarray:
-        return np.linalg.inv(self.ad_gens)
+        """Ad_{phi(s)}^-1 = K^-1 Ad_{phi(s)}^T K, K the pairing Gram, stacked."""
+        m = self.model
+        return m.pairing_gram_inv @ self.ad_gens.swapaxes(-1, -2) @ m.pairing_gram
 
     @cached_property
     def gens_inv(self) -> np.ndarray:
         """phi(s)^-1 of every generator s, stacked."""
-        return np.linalg.inv(np.asarray(self.gens))
+        return self.model.inverse(np.asarray(self.gens))
 
     def value(self, w: Word) -> np.ndarray:
-        """phi(w) as a group element."""
+        """phi(w) as a group element, one product per letter: it serves
+        torsion_relator_values and is the tests' reference for
+        long_relator_value."""
         out = self.model.identity.copy()
         for s in w:
             out = out @ (self.gens[s - 1] if s > 0 else self.gens_inv[-s - 1])
@@ -84,7 +93,9 @@ class RepPoint:
             yield E, P
 
     def walk(self, w: Word) -> tuple[np.ndarray, np.ndarray]:
-        """(E_w, Ad_{phi(w)}), the end of prefix_walk(w)."""
+        """(E_w, Ad_{phi(w)}), the end of prefix_walk(w).  The letter-by-letter
+        reference for long_row: it serves cup_matrix (through prefix_walk),
+        cocycle_extend and the tests."""
         return deque(self.prefix_walk(w), maxlen=1)[0]
 
     def ad_value(self, w: Word) -> np.ndarray:
@@ -101,9 +112,36 @@ class RepPoint:
 
     @cached_property
     def long_row(self) -> np.ndarray:
-        """E_r, the Ad-evaluated Fox row of the long relator (d x N), from
-        one walk; read-only, since every reader shares it."""
-        E = self.walk(self.pres.long_relator)[0]
+        """E_r, the Ad-evaluated Fox row of r = prod_j [x_j, y_j] z_1..z_n
+        (d x N), per handle; read-only, since every reader shares it.
+
+        With a_j = x_j y_j x_j^-1, c_j = [x_j, y_j] and P_j = c_1..c_{j-1},
+        Fox's d[x,y]/dx = 1 - x y x^-1 and d[x,y]/dy = x - [x,y] give the
+        blocks P_j (I - Ad_{a_j}) for x_j, P_j (Ad_{x_j} - Ad_{c_j}) for
+        y_j and P_{l+1} z_1..z_{k-1} for z_k, all through Ad.  The Ad's of
+        a_j and c_j are stacked over the handles; the prefixes are the only
+        sequential part, l + n products of d x d matrices.  No walk runs
+        here: walk serves cup_matrix and the tests.
+        """
+        p, d = self.pres, self.model.d
+        l, f, A = p.genus, 2 * p.genus, self.ad_gens
+        E = np.empty((d, d * p.num_generators))
+        blocks = E.reshape(d, -1, d).swapaxes(0, 1)  # block i is E's column block i
+        P = np.eye(d)
+        if l:
+            Ainv = self.ad_gens_inv
+            Ada = A[0:f:2] @ A[1:f:2] @ Ainv[0:f:2]
+            Adc = Ada @ Ainv[1:f:2]
+            Ps = np.empty((l, d, d))  # P_1 .. P_l
+            Ps[0] = P
+            for j in range(1, l):
+                np.matmul(Ps[j - 1], Adc[j - 1], out=Ps[j])
+            P = Ps[-1] @ Adc[-1]
+            np.matmul(Ps, np.eye(d) - Ada, out=blocks[0:f:2])
+            np.matmul(Ps, A[0:f:2] - Adc, out=blocks[1:f:2])
+        for i in range(f, p.num_generators):
+            blocks[i] = P
+            P = P @ A[i]
         E.flags.writeable = False
         return E
 
@@ -116,8 +154,13 @@ class RepPoint:
 
     @cached_property
     def long_relator_value(self) -> np.ndarray:
-        """r(phi), the value of the long relator."""
-        return self.value(self.pres.long_relator)
+        """r(phi), the value of the long relator: the commutators stacked
+        over the handles, then l + n products."""
+        f = 2 * self.pres.genus
+        g = np.asarray(self.gens)
+        x, y = g[0:f:2], g[1:f:2]
+        c = x @ y @ self.model.inverse(x) @ self.model.inverse(y) if f else ()
+        return reduce(np.matmul, [*c, *g[f:]], self.model.identity)
 
     @cached_property
     def torsion_relator_values(self) -> list[np.ndarray]:
@@ -137,7 +180,7 @@ class RepPoint:
         )
 
     def conjugate(self, g: np.ndarray) -> "RepPoint":
-        ginv = np.linalg.inv(g)
+        ginv = self.model.inverse(g)
         return RepPoint(self.pres, self.model, [g @ h @ ginv for h in self.gens])
 
 
@@ -156,7 +199,7 @@ def random_fnat_point(
         classes = finite_order_classes(model, m)
         cls = classes[rng.integers(len(classes))]
         k = model.random_element(rng, scale)
-        gens.append(k @ cls.representative(model) @ np.linalg.inv(k))
+        gens.append(k @ cls.representative(model) @ model.inverse(k))
     return RepPoint(pres, model, gens)
 
 
@@ -168,9 +211,7 @@ def cocycle_extend(pt: RepPoint, u: list[np.ndarray], w: Word) -> np.ndarray:
 
 def delta0(pt: RepPoint) -> np.ndarray:
     """((2l+n)d x d) matrix with s-block X -> X - Ad_{phi(s)} X."""
-    d = pt.model.d
-    blocks = [np.eye(d) - A for A in pt.ad_gens]
-    return np.vstack(blocks)
+    return (np.eye(pt.model.d) - pt.ad_gens).reshape(-1, pt.model.d)
 
 
 def delta1_free(pt: RepPoint) -> np.ndarray:
@@ -318,17 +359,19 @@ def cohomology_data(pt: RepPoint, tol: Tolerances = DEFAULT_TOL) -> CochainData:
     """
     if not pt.relators_central(tol.tau_grp):
         raise RelatorConstraintViolated("relator values must be central")
-    d = pt.model.d
+    d, f = pt.model.d, 2 * pt.pres.genus
     D0 = delta0(pt).reshape(-1, d, d)  # the s-blocks of delta0
     blocks = projective_subspace(pt, tol)
-    D0p = [B.T @ D for B, D in zip(blocks, D0)]
+    # a free generator's block is I_d, so only the torsion blocks project
+    tors = [B.T @ D for B, D in zip(blocks[f:], D0[f:])]
     # delta0 must land inside the projective subspace: D0 = Q Q^T D0
-    resid = np.linalg.norm(D0 - np.array([B @ C for B, C in zip(blocks, D0p)]))
+    back = np.reshape([B @ C for B, C in zip(blocks[f:], tors)], (-1, d, d))
+    resid = np.linalg.norm(D0[f:] - back)
     if resid > 1e-6 * max(1.0, np.linalg.norm(D0)):
         raise RelatorConstraintViolated(
             f"delta0 leaves the projective subspace (residual {resid:.2e})"
         )
-    D0p = np.vstack(D0p)
+    D0p = np.vstack([D0[:f].reshape(-1, d), *tors])
     D1p = delta1_projective(pt, blocks)
     rank1, rank0 = _rank(D1p, tol), _rank(D0p, tol)
     return CochainData(

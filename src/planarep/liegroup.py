@@ -30,9 +30,9 @@ class LieModel:
     unitary models (positive definite) and tr(XY) for sl(2,R) (indefinite,
     signature (+,+,-) in the basis used here).
 
-    vec, unvec, exp, ad_matrix and Ad_matrix take stacks: leading axes of
-    the argument are carried through, and each slice of the result is
-    bitwise equal to the call on that slice alone, with the same memory
+    vec, unvec, exp, inverse, ad_matrix and Ad_matrix take stacks: leading
+    axes of the argument are carried through, and each slice of the result
+    is bitwise equal to the call on that slice alone, with the same memory
     layout.  vec and unvec get this from one row-times-matrix product per
     slice against a map built here.  The other methods take one element.
 
@@ -59,6 +59,8 @@ class LieModel:
         self.pairing_gram = np.array(
             [[self.pairing(X, Y) for Y in basis] for X in basis]
         )
+        # the pairing is Ad-invariant, Ad^T K Ad = K, so Ad^-1 = K^-1 Ad^T K
+        self.pairing_gram_inv = np.linalg.inv(self.pairing_gram)
 
     def __repr__(self):
         return f"LieModel({self.name})"
@@ -111,6 +113,17 @@ class LieModel:
                 r += abs(np.linalg.det(g) - 1.0)
             return r
         return float(np.linalg.norm(g.imag)) + abs(np.linalg.det(g) - 1.0)
+
+    def inverse(self, g: np.ndarray) -> np.ndarray:
+        """g^-1 in closed form, (..., n, n) -> (..., n, n): g^H for the
+        unitary models, the adjugate for SL(2,R) (det g = 1)."""
+        g = np.asarray(g)
+        if self.kind == "SL2R":
+            out = np.empty_like(g)
+            out[..., 0, 0], out[..., 1, 1] = g[..., 1, 1], g[..., 0, 0]
+            out[..., 0, 1], out[..., 1, 0] = -g[..., 0, 1], -g[..., 1, 0]
+            return out
+        return g.conj().swapaxes(-1, -2)
 
     # -- exp / log -----------------------------------------------------------
 
@@ -188,7 +201,7 @@ class LieModel:
     def Ad_matrix(self, g: np.ndarray) -> np.ndarray:
         """Matrix of Ad_g = g (.) g^-1 in basis coordinates;
         (..., n, n) -> (..., d, d)."""
-        ginv = np.linalg.inv(g)[..., None, :, :]
+        ginv = self.inverse(g)[..., None, :, :]
         return self._columns(np.asarray(g)[..., None, :, :] @ self.basis @ ginv)
 
     def _columns(self, M: np.ndarray) -> np.ndarray:

@@ -13,7 +13,8 @@ genus, while the unknowns number N = d (2l + n).  So the step
 (J^T J + lam I)^-1 J^T r is taken as J^T (J J^T + lam I)^-1 r, the same vector
 for lam > 0 (Nocedal-Wright, Numerical Optimization, 10.3), from a
 2n^2 x 2n^2 solve: an iteration costs O(N), linear in the relator length
-4l + n, and no N x N matrix is formed.
+4l + n, and no N x N matrix is formed.  The r of the step is the residual
+projected onto the tangent space of G at r(phi) zeta^-1 (_tangent_residual).
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class SolveSpec:
 
     @cached_property
     def zeta_inv(self) -> np.ndarray:
-        return np.linalg.inv(self.zeta)
+        return self.model.inverse(self.zeta)
 
     def to_json(self) -> dict:
         return {
@@ -174,7 +175,7 @@ def _assemble(spec: SolveSpec, G: np.ndarray) -> RepPoint:
     k_j c_j k_j^-1 for the conjugators k_j = G[2l:], all stacked."""
     f = 2 * spec.pres.genus
     K = G[f:]
-    gens = np.concatenate([G[:f], K @ spec.reps @ np.linalg.inv(K)])
+    gens = np.concatenate([G[:f], K @ spec.reps @ spec.model.inverse(K)])
     return RepPoint(spec.pres, spec.model, gens)
 
 
@@ -200,6 +201,21 @@ def _jacobian(spec: SolveSpec, pt: RepPoint) -> np.ndarray:
     return np.concatenate([M.real, M.imag], axis=1).T
 
 
+def _tangent_residual(model: LieModel, E: np.ndarray) -> np.ndarray:
+    """The residual E = R - I, R = r(phi) zeta^-1, projected orthogonally
+    onto T_R G, which holds the range of the Jacobian.  The rest, normal to
+    G at R, does not move the step in exact arithmetic (J^T annihilates it);
+    in floating point J has singular values at rounding level along it,
+    which would amplify it into a step of noise.  U(n), SU(n): T_R G = g R and the
+    projection is X R with X the g-part of E R^H; SL(2,R): the normal is
+    R^-T, the gradient of det."""
+    R = E + model.identity
+    if model.kind == "SL2R":
+        N = model.inverse(R).T
+        return E - (np.sum(E * N) / np.sum(N * N)) * N
+    return model.project_alg(E @ model.inverse(R)) @ R
+
+
 def _lm_step(J: np.ndarray, r: np.ndarray, lam: float) -> np.ndarray:
     """The Levenberg-Marquardt step -(J^T J + lam I)^-1 J^T r, taken as
     -J^T (J J^T + lam I)^-1 r: one solve in the 2n^2-dimensional residual
@@ -222,13 +238,14 @@ def _solve_once(spec: SolveSpec, rng: np.random.Generator) -> tuple[RepPoint, fl
             break
         if J is None:
             J = _jacobian(spec, pt)  # 2n^2 x N
-            r = np.concatenate([E.real.ravel(), E.imag.ravel()])
+            T = _tangent_residual(model, E)
+            r = np.concatenate([T.real.ravel(), T.imag.ravel()])
         try:
             step = _lm_step(J, r, lam).reshape(shape)
         except np.linalg.LinAlgError:
             return pt, float("inf")  # a singular system ends the restart
-        # a trial iterate whose exp overflows or raises, or that is singular,
-        # is a rejected step
+        # a trial iterate whose exp raises, or whose residual overflows to
+        # inf or nan, is a rejected step
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 nG = model.exp(model.unvec(step)) @ G

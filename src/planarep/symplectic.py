@@ -71,7 +71,7 @@ class ExtendedPoint:
         return bform_matrix(self.model, self.Lam)
 
     def conjugate(self, g: np.ndarray) -> "ExtendedPoint":
-        ginv = np.linalg.inv(g)
+        ginv = self.model.inverse(g)
         return ExtendedPoint(self.phi.conjugate(g), g @ self.Lam @ ginv)
 
 

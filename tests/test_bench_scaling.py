@@ -1,0 +1,28 @@
+"""Smoke test of scripts/bench_scaling.py at two small genera."""
+
+import importlib.util
+import json
+import os
+import sys
+from pathlib import Path
+from unittest import mock
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_scaling.py"
+
+
+def test_bench_scaling_fits_slopes_for_every_model():
+    # the script pins BLAS in os.environ and puts src/ on sys.path when
+    # loaded; keep both out of the other tests
+    with mock.patch.dict(os.environ), mock.patch.object(sys, "path", list(sys.path)):
+        spec = importlib.util.spec_from_file_location("bench_scaling", SCRIPT)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    record = module.record([1, 2], 1)
+    json.dumps(record)  # what main writes must serialise
+    assert record["relator_lengths"] == [6, 10]
+    for row in ("per_handle", "walk"):
+        assert set(record["rows"][row]) == set(module.MODELS)
+        for r in record["rows"][row].values():
+            assert len(r["times_s"]) == 2 and all(t > 0 for t in r["times_s"])
+            assert isinstance(r["slope"], float)
+    assert all(name.split("/")[0] in record["rows"] for name in record["superlinear"])

@@ -282,7 +282,11 @@ def _ref_ad(model, X):
 
 
 def _ref_Ad(model, g):
-    ginv = np.linalg.inv(g)
+    # the closed-form inverse: g^H, or the adjugate for SL(2,R)
+    if model.kind == "SL2R":
+        ginv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]])
+    else:
+        ginv = g.conj().T
     return np.array([_ref_vec(model, g @ B @ ginv) for B in model.basis]).T
 
 
@@ -349,3 +353,23 @@ def test_stacked_vec_ad_Ad_bitwise(case):
         _assert_same(model.Ad_matrix(G[i]), _ref_Ad(model, G[i]))
     # leading axes beyond one are carried through
     _assert_same(model.Ad_matrix(G[None])[0], Ad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacks)
+def test_closed_form_inverses(case):
+    # g^H or the adjugate inverts g, and K^-1 Ad^T K inverts Ad (K the
+    # pairing Gram, Ad^T K Ad = K), to 1e-13 relative to |X^-1| |X|
+    name, seed, k, scale = case
+    model = get_model(name)
+    rng = np.random.default_rng(seed)
+    G = model.exp(model.unvec(scale * rng.standard_normal((k, model.d))))
+    A = model.Ad_matrix(G)
+    K, Kinv = model.pairing_gram, model.pairing_gram_inv
+    for X, Y, eye in ((G, model.inverse(G), model.identity),
+                      (A, Kinv @ A.swapaxes(-1, -2) @ K, np.eye(model.d))):
+        for x, y in zip(X, Y):
+            size = np.linalg.norm(y, 2) * np.linalg.norm(x, 2)
+            assert np.abs(y @ x - eye).max() <= 1e-13 * size
+    for i in range(k):
+        assert np.array_equal(model.inverse(G)[i], model.inverse(G[i]))

@@ -144,11 +144,15 @@ def test_feasibility_matches_oracle_on_seeded_specs():
 #
 # The oracle is the restart loop one generator at a time: per-element unvec
 # and exp, representatives rebuilt and zeta inverted at every use, r(phi)
-# multiplied out letter by letter, the Jacobian one column at a time and
-# rebuilt at every iteration (the solver keeps it across a rejected step,
-# which leaves the point where it was).  It
-# takes only the relator walk and the one-matrix exp from planarep (stacked
-# Ad_matrix and exp are checked against per-element calls, and exp against
+# and the Fox row of the long relator built one handle at a time from the
+# commutator forms d[x,y]/dx = 1 - x y x^-1 and d[x,y]/dy = x - [x,y], the
+# residual of the step projected onto the tangent space of G at r(phi) zeta^-1,
+# the Jacobian one column at a time and rebuilt at every iteration (the solver
+# keeps it across a rejected step, which leaves the point where it was).
+# Inverses are the closed forms: g^H for the unitary models, the adjugate
+# for SL(2,R), and K^-1 Ad^T K for Ad (K the pairing Gram).  It takes only
+# the stacked Ad_matrix of the generators and the one-matrix exp from
+# planarep (both are checked against per-element calls, and exp against
 # scipy's expm, in test_liegroup).  The stacked solver must follow the same
 # trajectory bit for bit.
 
@@ -157,31 +161,72 @@ def _oracle_unvec(model, v):
     return np.tensordot(np.asarray(v, dtype=float), model.basis, axes=(0, 0))
 
 
-def _oracle_value(pt, w):
-    out = pt.model.identity.copy()
-    for s in w:
-        g = pt.gens[abs(s) - 1]
-        out = out @ (g if s > 0 else np.linalg.inv(g))
+def _oracle_inv(model, g):
+    if model.kind == "SL2R":
+        return np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]])
+    return g.conj().T
+
+
+def _oracle_long_value(pt):
+    p, g = pt.pres, pt.gens
+    out = pt.model.identity
+    for j in range(p.genus):
+        x, y = g[p.x_index(j)], g[p.y_index(j)]
+        out = out @ (x @ y @ _oracle_inv(pt.model, x) @ _oracle_inv(pt.model, y))
+    for j in range(p.n_torsion):
+        out = out @ g[p.z_index(j)]
     return out
+
+
+def _oracle_long_row(pt):
+    p, model = pt.pres, pt.model
+    d, K = model.d, model.pairing_gram
+    Kinv = np.linalg.inv(K)
+    blocks = [None] * p.num_generators
+    P = np.eye(d)
+    for j in range(p.genus):
+        Ax, Ay = pt.ad_gens[p.x_index(j)], pt.ad_gens[p.y_index(j)]
+        Aa = Ax @ Ay @ (Kinv @ Ax.T @ K)
+        Ac = Aa @ (Kinv @ Ay.T @ K)
+        blocks[p.x_index(j)] = P @ (np.eye(d) - Aa)
+        blocks[p.y_index(j)] = P @ (Ax - Ac)
+        P = P @ Ac
+    for j in range(p.n_torsion):
+        blocks[p.z_index(j)] = P.copy()
+        P = P @ pt.ad_gens[p.z_index(j)]
+    return np.hstack(blocks)
+
+
+def _oracle_tangent(model, E):
+    # E = R - I projected orthogonally onto the tangent space of G at R
+    R = E + model.identity
+    if model.kind == "SL2R":
+        N = _oracle_inv(model, R).T
+        return E - (np.sum(E * N) / np.sum(N * N)) * N
+    Y = E @ R.conj().T
+    A = 0.5 * (Y - Y.conj().T)
+    if model.kind == "SU":
+        A = A - (np.trace(A) / model.n) * np.eye(model.n)
+    return A @ R
 
 
 def _oracle_assemble(spec, free, conj):
     gens = list(free)
     for k, cls in zip(conj, spec.classes):
-        gens.append(k @ cls.representative(spec.model) @ np.linalg.inv(k))
+        gens.append(k @ cls.representative(spec.model) @ _oracle_inv(spec.model, k))
     return RepPoint(spec.pres, spec.model, gens)
 
 
 def _oracle_residual(spec, pt):
-    r = _oracle_value(pt, spec.pres.long_relator)
-    return r @ np.linalg.inv(spec.zeta) - spec.model.identity
+    r = _oracle_long_value(pt)
+    return r @ _oracle_inv(spec.model, spec.zeta) - spec.model.identity
 
 
 def _oracle_jacobian(spec, pt):
     model, p = spec.model, spec.pres
     d = model.d
-    rtail = _oracle_value(pt, p.long_relator) @ np.linalg.inv(spec.zeta)
-    row = pt.walk(p.long_relator)[0]
+    rtail = _oracle_long_value(pt) @ _oracle_inv(model, spec.zeta)
+    row = _oracle_long_row(pt)
     cols = []
     for i in range(p.num_generators):
         A = row[:, i * d : (i + 1) * d]
@@ -206,7 +251,8 @@ def _oracle_solve_once(spec, rng):
         if np.sqrt(f) < spec.tol:
             break
         J = _oracle_jacobian(spec, pt)
-        r = np.concatenate([E.real.ravel(), E.imag.ravel()])
+        T = _oracle_tangent(model, E)
+        r = np.concatenate([T.real.ravel(), T.imag.ravel()])
         try:
             step = -(J.T @ np.linalg.solve(J @ J.T + lam * np.eye(len(r)), r))
         except np.linalg.LinAlgError:
@@ -527,6 +573,35 @@ def test_step_equals_normal_equations(case):
         assert np.linalg.cond(A) < 1e6
         want = -np.linalg.solve(A, J.T @ r)
         got = solver._lm_step(J, r, lam)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("case", [
+    ("SU2", 1, (4,), (1,)), ("U1", 1, (3, 3), (1, 2)), ("U2", 2, (3,), (4,)),
+    ("U3", 1, (3,), (4,)), ("SL2R", 2, (), ()), ("SL2R", 3, (), ()),
+], ids=lambda c: f"{c[0]}-g{c[1]}-{c[2]}")
+def test_tangent_residual_leaves_only_noise_out_of_the_step(case):
+    # J maps into T_R G, so J^T annihilates the part of the residual normal
+    # to G; along it J has singular values at rounding level only.  The step
+    # from the projected residual is the step restricted to the numerical
+    # range of J (singular values above 1e-8 of the largest)
+    spec = _oracle_spec(*case, "e", 0)
+    model, lam = spec.model, 1e-2
+    rng = np.random.default_rng(7)
+    for scale in (0.1, 0.5, 1.0):
+        G = model.exp(model.unvec(scale * rng.standard_normal((spec.pres.num_generators, model.d))))
+        pt = solver._assemble(spec, G)
+        E = solver._residual_matrix(spec, pt)
+        J = solver._jacobian(spec, pt)
+        T = solver._tangent_residual(model, E)
+        r, t = (np.concatenate([X.real.ravel(), X.imag.ravel()]) for X in (E, T))
+        assert np.linalg.norm(J.T @ (r - t)) <= 1e-12 * np.linalg.norm(J, 2) * np.linalg.norm(r)
+        assert np.linalg.norm(t) <= np.linalg.norm(r) * (1 + 1e-12)
+        U, sv, Vt = np.linalg.svd(J, full_matrices=False)
+        k = int(np.sum(sv > 1e-8 * sv[0]))
+        assert k <= model.d
+        want = -(Vt[:k].T @ (sv[:k] / (sv[:k] ** 2 + lam) * (U[:, :k].T @ r)))
+        got = solver._lm_step(J, t, lam)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 

@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -149,21 +151,30 @@ def test_degeneracy_structure_central_fiber():
 
 def test_report_builds_cup_and_relator_row_once(monkeypatch):
     phi = _point(3)
-    counts = {"cup": 0, "walk": 0}
+    counts = {"cup": 0, "row": 0, "walk": 0}
     cup_matrix, walk = symplectic.cup_matrix, RepPoint.walk
+    long_row = RepPoint.__dict__["long_row"].func
 
     def counting_cup(point):
         counts["cup"] += 1
         return cup_matrix(point)
 
+    def counting_row(point):
+        counts["row"] += 1
+        return long_row(point)
+
     def counting_walk(point, w):
         counts["walk"] += w == point.pres.long_relator
         return walk(point, w)
 
+    row = cached_property(counting_row)
+    row.__set_name__(RepPoint, "long_row")
     monkeypatch.setattr(symplectic, "cup_matrix", counting_cup)
+    monkeypatch.setattr(RepPoint, "long_row", row)
     monkeypatch.setattr(RepPoint, "walk", counting_walk)
     degeneracy_report(extend_point(phi), DEFAULT_TOL)
-    assert counts == {"cup": 1, "walk": 1}
+    # the row is built per handle, never by a walk along the long relator
+    assert counts == {"cup": 1, "row": 1, "walk": 0}
 
 
 def _dense_cup(phi):
