@@ -1,20 +1,24 @@
 #!/usr/bin/env python3
-"""Time the long relator's Fox row and value against the genus, and fit the
-log-log slope of each in the relator length 4l + n.
+"""Time the long relator's Fox row and value, Ad and the solver Jacobian
+against the genus, and fit the log-log slope of each in the relator length
+4l + n.
 
-Two rows are timed for each model (U1, SU2, SL2R, U2, U3) and genus l, on
+Four rows are timed for each model (U1, SU2, SL2R, U2, U3) and genus l, on
 one random point per (model, l) with torsion (3, 5):
 
 - per_handle: RepPoint.long_row plus RepPoint.long_relator_value, the
   per-handle closed forms the commands use;
 - walk: RepPoint.walk plus RepPoint.value along the long relator, the
-  letter-by-letter reference.
+  letter-by-letter reference;
+- Ad_matrix: LieModel.Ad_matrix on the stack of the 2l + n generators;
+- jacobian: the solver's Jacobian at the point, target e, with the row and
+  value already built, as at an iterate of a solve.
 
 Each time is the best of REPEATS calls, with the point's Ad matrices and
 inverses already built.  A row whose slope in 4l + n is above 1 is listed as
 superlinear.  BLAS is pinned to one thread, as perfbench/run.py pins it.
 
-Usage: python scripts/bench_scaling.py   (writes BENCH_17.json at the repo root)
+Usage: python scripts/bench_scaling.py   (writes BENCH_18.json at the repo root)
 """
 
 import os
@@ -27,6 +31,7 @@ import json  # noqa: E402
 import platform  # noqa: E402
 from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
+from types import SimpleNamespace  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -36,12 +41,13 @@ sys.path.insert(0, str(ROOT / "src"))
 from planarep.cohomology import RepPoint  # noqa: E402
 from planarep.liegroup import get_model  # noqa: E402
 from planarep.presentations import PlanarPresentation  # noqa: E402
+from planarep.solver import _jacobian  # noqa: E402
 
 MODELS = ("U1", "SU2", "SL2R", "U2", "U3")
 TORSION = (3, 5)
 GENERA = (4, 8, 16, 32, 64, 128)
 REPEATS = 9
-OUT = ROOT / "BENCH_17.json"
+OUT = ROOT / "BENCH_18.json"
 
 
 def per_handle(pt: RepPoint) -> tuple:
@@ -54,7 +60,18 @@ def walk(pt: RepPoint) -> tuple:
     return pt.walk(pt.pres.long_relator)[0], pt.value(pt.pres.long_relator)
 
 
-ROWS = {"per_handle": per_handle, "walk": walk}
+def ad_matrix(pt: RepPoint) -> np.ndarray:
+    return pt.model.Ad_matrix(pt.gens)
+
+
+def jacobian(pt: RepPoint) -> np.ndarray:
+    # of a solve spec, the Jacobian reads the model, the presentation and
+    # zeta^-1; SL(2,R) has no torsion classes to build a SolveSpec from
+    spec = SimpleNamespace(model=pt.model, pres=pt.pres, zeta_inv=pt.model.identity)
+    return _jacobian(spec, pt)
+
+
+ROWS = {"per_handle": per_handle, "walk": walk, "Ad_matrix": ad_matrix, "jacobian": jacobian}
 
 
 def best_of(fn, pt: RepPoint, repeats: int) -> float:
@@ -74,9 +91,9 @@ def measure(genera: list[int], repeats: int) -> dict:
         for genus in genera:
             pres = PlanarPresentation(genus, TORSION)
             rng = np.random.default_rng(genus)
-            gens = [model.random_element(rng) for _ in range(pres.num_generators)]
+            gens = np.array([model.random_element(rng) for _ in range(pres.num_generators)])
             pt = RepPoint(pres, model, gens)
-            for warm in ("ad_gens", "ad_gens_inv", "gens_inv"):
+            for warm in ("ad_gens", "ad_gens_inv", "gens_inv", "long_row", "long_relator_value"):
                 getattr(pt, warm)
             for row, fn in ROWS.items():
                 times[row].append(best_of(fn, pt, repeats))

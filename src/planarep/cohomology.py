@@ -214,12 +214,6 @@ def delta0(pt: RepPoint) -> np.ndarray:
     return (np.eye(pt.model.d) - pt.ad_gens).reshape(-1, pt.model.d)
 
 
-def delta1_free(pt: RepPoint) -> np.ndarray:
-    """(( 1+n)d x (2l+n)d) matrix of Ad-evaluated Fox derivatives."""
-    p = pt.pres
-    return np.vstack([pt.walk(r)[0] for r in (p.long_relator, *p.torsion_relators)])
-
-
 def torsion_fixed_dims(pt: RepPoint, tol: Tolerances = DEFAULT_TOL) -> list[int]:
     """f_j = dim ker(Ad_{phi(z_j)} - 1) for each torsion generator."""
     out = []

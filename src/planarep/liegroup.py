@@ -33,8 +33,9 @@ class LieModel:
     vec, unvec, exp, inverse, ad_matrix and Ad_matrix take stacks: leading
     axes of the argument are carried through, and each slice of the result
     is bitwise equal to the call on that slice alone, with the same memory
-    layout.  vec and unvec get this from one row-times-matrix product per
-    slice against a map built here.  The other methods take one element.
+    layout.  vec, unvec and Ad_matrix get this from one row-times-matrix
+    product per slice against a map built here.  The other methods take one
+    element.
 
     exp and log_principal are closed forms for these n <= 3 models; scipy's
     expm serves only the block matrices of dexp_matrix and
@@ -55,6 +56,11 @@ class LieModel:
         self._vec_map = np.concatenate(
             [self._basis_flat.real, self._basis_flat.imag], axis=1
         ).T.copy()
+        # Ad_g[b, a] = Re sum conj(basis[b])_ij basis[a]_kl g_ik h_lj, h = g^-1:
+        # row (i, k, l, j) of T, column (a, b), holds the basis product, and
+        # Re (w . T) = (Re w, Im w) . (Re T, -Im T) for the entries w of g (x) h
+        T = np.einsum("bij,akl->ikljab", basis.conj(), basis).reshape(n**4, -1)
+        self._Ad_map = np.concatenate([T.real, -T.imag]) if basis.dtype.kind == "c" else T
         # Gram matrix of the invariant pairing on the chosen basis
         self.pairing_gram = np.array(
             [[self.pairing(X, Y) for Y in basis] for X in basis]
@@ -94,9 +100,6 @@ class LieModel:
 
     # -- membership ----------------------------------------------------------
 
-    def alg_residual(self, X: np.ndarray) -> float:
-        return float(np.linalg.norm(X - self.project_alg(X)))
-
     def project_alg(self, X: np.ndarray) -> np.ndarray:
         if self.kind in ("U", "SU"):
             A = 0.5 * (X - X.conj().T)
@@ -105,14 +108,6 @@ class LieModel:
             return A
         A = np.asarray(X).real.copy()
         return A - (np.trace(A) / self.n) * np.eye(self.n)
-
-    def grp_residual(self, g: np.ndarray) -> float:
-        if self.kind in ("U", "SU"):
-            r = float(np.linalg.norm(g.conj().T @ g - self.identity))
-            if self.kind == "SU":
-                r += abs(np.linalg.det(g) - 1.0)
-            return r
-        return float(np.linalg.norm(g.imag)) + abs(np.linalg.det(g) - 1.0)
 
     def inverse(self, g: np.ndarray) -> np.ndarray:
         """g^-1 in closed form, (..., n, n) -> (..., n, n): g^H for the
@@ -200,15 +195,23 @@ class LieModel:
 
     def Ad_matrix(self, g: np.ndarray) -> np.ndarray:
         """Matrix of Ad_g = g (.) g^-1 in basis coordinates;
-        (..., n, n) -> (..., d, d)."""
-        ginv = self.inverse(g)[..., None, :, :]
-        return self._columns(np.asarray(g)[..., None, :, :] @ self.basis @ ginv)
+        (..., n, n) -> (..., d, d), each slice column-major.
+
+        Entry (b, a) is vec_b(g basis[a] g^-1), a fixed bilinear form in the
+        entries of g and h = inverse(g): the outer product g (x) h, split
+        into real and imaginary parts (real alone for SL(2,R)), times the
+        map built with the model, one row-times-matrix product per slice."""
+        g = np.asarray(g)
+        lead, n = g.shape[:-2], self.n
+        w = g[..., :, :, None, None] * self.inverse(g)[..., None, None, :, :]
+        w = w.reshape(lead + (1, n**4))
+        if self.basis.dtype.kind == "c":
+            w = np.concatenate([w.real, w.imag], axis=-1)
+        return np.matmul(w.real, self._Ad_map).reshape(lead + (self.d, self.d)).swapaxes(-1, -2)
 
     def _columns(self, M: np.ndarray) -> np.ndarray:
-        """(..., d, d) matrix whose column b is vec(M[..., b, :, :]).  Each
-        slice is column-major: the products downstream (the relator walk,
-        the solver Jacobian) round according to the operand layout, and the
-        reports are pinned to this one."""
+        """(..., d, d) matrix whose column b is vec(M[..., b, :, :]), each
+        slice column-major like Ad_matrix's; it serves ad_matrix."""
         return self.vec(M).swapaxes(-1, -2)
 
     def dexp_matrix(self, Lam: np.ndarray) -> np.ndarray:
@@ -231,10 +234,9 @@ class LieModel:
     # -- center ----------------------------------------------------------------
 
     def is_central(self, g: np.ndarray, tol: float = 1e-8) -> bool:
-        return all(
-            np.linalg.norm(g @ B - B @ g) <= tol * max(1.0, np.linalg.norm(g))
-            for B in self.basis
-        )
+        """g commutes with every basis element, to tol relative to |g|."""
+        gap = np.linalg.norm(g @ self.basis - self.basis @ g, axis=(-2, -1)).max()
+        return bool(gap <= tol * max(1.0, np.linalg.norm(g)))
 
     # -- random sampling ---------------------------------------------------------
 

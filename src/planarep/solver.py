@@ -184,21 +184,21 @@ def _residual_matrix(spec: SolveSpec, pt: RepPoint) -> np.ndarray:
 
 
 def _jacobian(spec: SolveSpec, pt: RepPoint) -> np.ndarray:
-    """Real Jacobian of vec(r(phi) zeta^-1) w.r.t. right-translated moves of
-    the free generators and the class conjugators."""
-    model, p = spec.model, spec.pres
-    d = model.d
-    rtail = pt.long_relator_value @ spec.zeta_inv
-    row = pt.long_row
-    # block i maps coords of the move of generator i -> coords of u(r)
-    blocks = [row[:, i * d : (i + 1) * d] for i in range(p.num_generators)]
-    for i in range(2 * p.genus, p.num_generators):
-        # z_j = k c k^-1: right-translated derivative is (1 - Ad_{z_j}) xi
-        blocks[i] = blocks[i] @ (np.eye(d) - pt.ad_gens[i])
-    # one column per (generator, basis direction)
-    M = model.unvec(np.concatenate([A.T for A in blocks])) @ rtail
-    M = M.reshape(len(M), -1)
-    return np.concatenate([M.real, M.imag], axis=1).T
+    """Real Jacobian (2n^2 x N) of (Re R, Im R), R = r(phi) zeta^-1, w.r.t.
+    right-translated moves of the free generators and the class conjugators.
+
+    A move with coordinates xi moves R by unvec(E' xi) R to first order, E' the
+    long row with each torsion block times (I - Ad_{z_j}), the derivative of
+    z_j = k c k^-1 in k.  unvec(v) R = sum_a v_a basis[a] R is linear in v,
+    so J = B(R) E' for the 2n^2 x d matrix B(R) whose column a is
+    (Re, Im) of basis[a] R: one product, no algebra element per column."""
+    model, f, d = spec.model, 2 * spec.pres.genus, spec.model.d
+    BR = model.basis @ (pt.long_relator_value @ spec.zeta_inv)
+    B = np.concatenate([BR.real, BR.imag], axis=1).reshape(d, -1).T
+    E = pt.long_row.copy()
+    blocks = E.reshape(d, -1, d).swapaxes(0, 1)  # block i is E's column block i
+    blocks[f:] = blocks[f:] @ (np.eye(d) - pt.ad_gens[f:])
+    return B @ E
 
 
 def _tangent_residual(model: LieModel, E: np.ndarray) -> np.ndarray:

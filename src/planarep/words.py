@@ -58,15 +58,6 @@ def commutator(a: Word, b: Word) -> Word:
     return w_mul(a, b, w_inv(a), w_inv(b))
 
 
-def is_reduced(letters: Iterable[int]) -> bool:
-    prev = None
-    for s in letters:
-        if s == 0 or (prev is not None and prev == -s):
-            return False
-        prev = s
-    return True
-
-
 def signed_count(w: Word, i: int) -> int:
     """Total exponent of generator i in w."""
     return sum(1 if s == i + 1 else -1 if s == -(i + 1) else 0 for s in w)

@@ -2,12 +2,47 @@
 
 ``su2_triangle_oracle`` restates the SU(2) class rule for three classes in
 radians, and ``su2_brute_force_feasible`` decides the same question by direct
-minimization, independently of the rule.
+minimization, independently of the rule.  ``alg_residual`` and
+``grp_residual`` measure membership in a model's algebra and group,
+``is_reduced`` tests a letter sequence for free reduction, and
+``delta1_free`` stacks the walked Fox rows of all relators.
 """
+
+from typing import Iterable
 
 import numpy as np
 
+from planarep.cohomology import RepPoint
+from planarep.liegroup import LieModel
 from planarep.solver import su2_product_rule
+
+
+def alg_residual(model: LieModel, X: np.ndarray) -> float:
+    return float(np.linalg.norm(X - model.project_alg(X)))
+
+
+def grp_residual(model: LieModel, g: np.ndarray) -> float:
+    if model.kind in ("U", "SU"):
+        r = float(np.linalg.norm(g.conj().T @ g - model.identity))
+        if model.kind == "SU":
+            r += abs(np.linalg.det(g) - 1.0)
+        return r
+    return float(np.linalg.norm(g.imag)) + abs(np.linalg.det(g) - 1.0)
+
+
+def is_reduced(letters: Iterable[int]) -> bool:
+    prev = None
+    for s in letters:
+        if s == 0 or (prev is not None and prev == -s):
+            return False
+        prev = s
+    return True
+
+
+def delta1_free(pt: RepPoint) -> np.ndarray:
+    """((1+n)d x (2l+n)d) matrix of Ad-evaluated Fox derivatives."""
+    p = pt.pres
+    return np.vstack([pt.walk(r)[0] for r in (p.long_relator, *p.torsion_relators)])
 
 
 def su2_triangle_oracle(

@@ -15,7 +15,6 @@ from planarep.cohomology import (
     RepPoint,
     cohomology_data,
     delta0,
-    delta1_free,
     euler_characteristic_expected,
     random_fnat_point,
 )
@@ -45,7 +44,7 @@ from planarep.symplectic import (
 )
 from planarep.words import commutator, gen, w_inv, w_mul
 
-from oracles import su2_brute_force_feasible, su2_triangle_oracle
+from oracles import delta1_free, su2_brute_force_feasible, su2_triangle_oracle
 
 SU2 = get_model("SU2")
 U1 = get_model("U1")

@@ -20,7 +20,8 @@ def test_bench_scaling_fits_slopes_for_every_model():
     record = module.record([1, 2], 1)
     json.dumps(record)  # what main writes must serialise
     assert record["relator_lengths"] == [6, 10]
-    for row in ("per_handle", "walk"):
+    assert set(record["rows"]) == {"per_handle", "walk", "Ad_matrix", "jacobian"}
+    for row in record["rows"]:
         assert set(record["rows"][row]) == set(module.MODELS)
         for r in record["rows"][row].values():
             assert len(r["times_s"]) == 2 and all(t > 0 for t in r["times_s"])

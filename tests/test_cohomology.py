@@ -8,7 +8,6 @@ from planarep.cohomology import (
     cocycle_extend,
     cohomology_data,
     delta0,
-    delta1_free,
     euler_characteristic_expected,
     random_fnat_point,
 )
@@ -17,6 +16,8 @@ from planarep.errors import InfeasibleSpec, NotFound, RelatorConstraintViolated
 from planarep.liegroup import get_model
 from planarep.presentations import PlanarPresentation
 from planarep.solver import SolveSpec, solve_relator
+
+from oracles import delta1_free
 
 
 def _det_one_class(model, m):

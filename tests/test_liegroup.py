@@ -13,6 +13,8 @@ from planarep.liegroup import get_model, spectral_margin
 from planarep.presentations import PlanarPresentation
 from planarep.symplectic import ExtendedPoint
 
+from oracles import alg_residual, grp_residual
+
 MODELS = ["SU2", "U1", "U2", "U3", "SL2R"]
 
 
@@ -42,7 +44,7 @@ def test_basis_is_reference_orthonormal(model):
 
 def test_basis_lies_in_algebra(model):
     for B in model.basis:
-        assert model.alg_residual(B) < 1e-12
+        assert alg_residual(model, B) < 1e-12
 
 
 def test_vec_unvec_round_trip(model):
@@ -75,7 +77,7 @@ def test_exp_is_group_element(model):
     rng = np.random.default_rng(7)
     for _ in range(5):
         g = model.random_element(rng)
-        assert model.grp_residual(g) < 1e-10
+        assert grp_residual(model, g) < 1e-10
 
 
 def test_log_round_trip(model):
@@ -118,7 +120,7 @@ def _log_checked(model, g):
         warnings.simplefilter("error")
         W = model.log_principal(g)
     assert np.linalg.norm(model.exp(W) - g) < 1e-12 * max(1.0, np.linalg.norm(g))
-    assert model.alg_residual(W) < 1e-12
+    assert alg_residual(model, W) < 1e-12
     return W
 
 
@@ -281,13 +283,30 @@ def _ref_ad(model, X):
     return np.array([_ref_vec(model, X @ B - B @ X) for B in model.basis]).T
 
 
-def _ref_Ad(model, g):
+def _ref_inv(model, g):
     # the closed-form inverse: g^H, or the adjugate for SL(2,R)
     if model.kind == "SL2R":
-        ginv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]])
-    else:
-        ginv = g.conj().T
-    return np.array([_ref_vec(model, g @ B @ ginv) for B in model.basis]).T
+        return np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]])
+    return g.conj().T
+
+
+def _ref_Ad(model, g):
+    # Ad_g[b, a] = Re sum conj(B_b)_ij (B_a)_kl g_ik h_lj with h = g^-1: the
+    # form is rebuilt here one basis pair at a time, and applied to the
+    # entries of g (x) h (real and imaginary parts) as one row-times-matrix
+    # product; its columns run over (a, b), so the result is column-major.
+    # numpy's complex product rounds according to the loop its operand
+    # strides select, so g (x) h is broadcast as Ad_matrix broadcasts it
+    n, d, basis = model.n, model.d, model.basis
+    T = np.empty((n**4, d * d), dtype=basis.dtype)
+    for a in range(d):
+        for b in range(d):
+            T[:, a * d + b] = np.multiply.outer(basis[b].conj(), basis[a]) \
+                .transpose(0, 2, 3, 1).ravel()
+    w = (g[:, :, None, None] * _ref_inv(model, g)[None, None, :, :]).ravel()
+    if model.kind != "SL2R":
+        w, T = np.concatenate([w.real, w.imag]), np.concatenate([T.real, -T.imag])
+    return (w.real[None, :] @ T).reshape(d, d).T
 
 
 def _assert_same(a, b):
@@ -333,6 +352,23 @@ def test_vec_matches_trace_definition(name, seed, scale):
     X = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     want = np.array([np.trace(B.conj().T @ X).real for B in model.basis])
     assert np.abs(model.vec(X) - want).max() <= 1e-14 * max(1.0, np.linalg.norm(X))
+
+
+@settings(max_examples=100, deadline=None)
+@given(stacks)
+def test_stacked_Ad_matches_conjugation_definition(case):
+    # column a of Ad_g is vec(g B_a g^-1), entry b Re tr(B_b^H g B_a g^-1),
+    # to 1e-14 relative to |g|^2 (the closed-form inverse has |g^-1| = |g|)
+    name, seed, k, scale = case
+    model = get_model(name)
+    rng = np.random.default_rng(seed)
+    G = model.exp(model.unvec(scale * rng.standard_normal((k, model.d))))
+    Ad = model.Ad_matrix(G)
+    for g, A in zip(G, Ad):
+        h = _ref_inv(model, g)
+        want = np.array([[np.trace(Bb.conj().T @ g @ Ba @ h).real for Ba in model.basis]
+                         for Bb in model.basis])
+        assert np.abs(A - want).max() <= 1e-14 * max(1.0, np.linalg.norm(g) ** 2)
 
 
 @settings(max_examples=60, deadline=None)

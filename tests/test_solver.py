@@ -147,8 +147,9 @@ def test_feasibility_matches_oracle_on_seeded_specs():
 # and the Fox row of the long relator built one handle at a time from the
 # commutator forms d[x,y]/dx = 1 - x y x^-1 and d[x,y]/dy = x - [x,y], the
 # residual of the step projected onto the tangent space of G at r(phi) zeta^-1,
-# the Jacobian one column at a time and rebuilt at every iteration (the solver
-# keeps it across a rejected step, which leaves the point where it was).
+# the Jacobian as B(R) E' with B(R) built one basis element at a time and
+# rebuilt at every iteration (the solver keeps it across a rejected step,
+# which leaves the point where it was).
 # Inverses are the closed forms: g^H for the unitary models, the adjugate
 # for SL(2,R), and K^-1 Ad^T K for Ad (K the pairing Gram).  It takes only
 # the stacked Ad_matrix of the generators and the one-matrix exp from
@@ -223,19 +224,20 @@ def _oracle_residual(spec, pt):
 
 
 def _oracle_jacobian(spec, pt):
+    # column (i, b) is (Re, Im) of unvec(A_i[:, b]) R, linear in the column:
+    # B(R) A_i for B(R) with column a the (Re, Im) of basis[a] R
     model, p = spec.model, spec.pres
     d = model.d
     rtail = _oracle_long_value(pt) @ _oracle_inv(model, spec.zeta)
-    row = _oracle_long_row(pt)
     cols = []
-    for i in range(p.num_generators):
+    for a in range(d):
+        M = model.basis[a] @ rtail
+        cols.append(np.concatenate([M.real.ravel(), M.imag.ravel()]))
+    row = _oracle_long_row(pt)
+    for i in range(2 * p.genus, p.num_generators):
         A = row[:, i * d : (i + 1) * d]
-        if i >= 2 * p.genus:
-            A = A @ (np.eye(d) - pt.ad_gens[i])
-        for b in range(d):
-            M = _oracle_unvec(model, A[:, b]) @ rtail
-            cols.append(np.concatenate([M.real.ravel(), M.imag.ravel()]))
-    return np.array(cols).T
+        A[...] = A @ (np.eye(d) - pt.ad_gens[i])
+    return np.array(cols).T @ row
 
 
 def _oracle_solve_once(spec, rng):
@@ -603,6 +605,46 @@ def test_tangent_residual_leaves_only_noise_out_of_the_step(case):
         want = -(Vt[:k].T @ (sv[:k] / (sv[:k] ** 2 + lam) * (U[:, :k].T @ r)))
         got = solver._lm_step(J, t, lam)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("case", [
+    ("SU2", 1, (4,), (1,)), ("U1", 1, (3, 3), (1, 2)), ("U2", 2, (3,), (4,)),
+    ("U3", 1, (3,), (4,)), ("SL2R", 2, (), ()),
+], ids=lambda c: f"{c[0]}-g{c[1]}-{c[2]}")
+def test_jacobian_matches_per_column_definition(case):
+    # column (i, b) of J is (Re, Im) of unvec(E'[:, (i, b)]) R, for R =
+    # r(phi) zeta^-1 and E' the long row with each torsion block times
+    # (I - Ad_{z_j}).  B(R) E' sums the same terms in another order, so the
+    # two agree to 1e-14 relative to the size |E'| |R| of the terms; at SL2R
+    # points far from e the terms cancel to a J far smaller than that
+    spec = _oracle_spec(*case, "e", 0)
+    model, d, f = spec.model, spec.model.d, 2 * spec.pres.genus
+    rng = np.random.default_rng(11)
+    for scale in (0.1, 1.0, 2.0):
+        G = model.exp(model.unvec(scale * rng.standard_normal((spec.pres.num_generators, model.d))))
+        pt = solver._assemble(spec, G)
+        R = pt.long_relator_value @ spec.zeta_inv
+        E = np.array(pt.long_row)
+        for i in range(f, spec.pres.num_generators):
+            E[:, i * d : (i + 1) * d] = E[:, i * d : (i + 1) * d] @ (np.eye(d) - pt.ad_gens[i])
+        want = np.array([np.concatenate([M.real.ravel(), M.imag.ravel()])
+                         for M in (model.unvec(col) @ R for col in E.T)]).T
+        J = solver._jacobian(spec, pt)
+        assert J.shape == want.shape
+        assert np.linalg.norm(J - want) <= 1e-14 * np.linalg.norm(E) * np.linalg.norm(R)
+
+
+def test_jacobian_builds_no_algebra_element_per_column(monkeypatch):
+    # J = B(R) E' is one product: no unvec, at SU2 genus 64 (N = 3 * 130)
+    spec = _oracle_spec("SU2", 64, (3, 5), (1, 1), "e", 1)
+    model = spec.model
+    G = model.exp(model.unvec(np.random.default_rng(3).standard_normal((spec.pres.num_generators, model.d))))
+    pt = solver._assemble(spec, G)
+    calls = []
+    unvec = type(model).unvec
+    monkeypatch.setattr(type(model), "unvec", lambda self, v: calls.append(v) or unvec(self, v))
+    J = solver._jacobian(spec, pt)
+    assert J.shape == (8, 3 * 130) and calls == []
 
 
 def test_solver_never_forms_the_normal_equations(monkeypatch):

@@ -4,13 +4,14 @@ from hypothesis import given
 from planarep.words import (
     commutator,
     gen,
-    is_reduced,
     signed_count,
     w_inv,
     w_mul,
     w_pow,
     word,
 )
+
+from oracles import is_reduced
 
 letters = st.integers(min_value=-6, max_value=6).filter(lambda s: s != 0)
 words = st.lists(letters, max_size=12).map(word)
