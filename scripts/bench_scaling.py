@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Time the long relator's Fox row and value, Ad and the solver Jacobian
-against the genus, and fit the log-log slope of each in the relator length
-4l + n.
+"""Time the long relator's Fox row and value, Ad, the solver Jacobian and
+cohomology_data against the genus, and fit the log-log slope of each in the
+relator length 4l + n.
 
-Four rows are timed for each model (U1, SU2, SL2R, U2, U3) and genus l, on
+Five rows are timed for each model (U1, SU2, SL2R, U2, U3) and genus l, on
 one random point per (model, l) with torsion (3, 5):
 
 - per_handle: RepPoint.long_row plus RepPoint.long_relator_value, the
@@ -12,13 +12,16 @@ one random point per (model, l) with torsion (3, 5):
   letter-by-letter reference;
 - Ad_matrix: LieModel.Ad_matrix on the stack of the 2l + n generators;
 - jacobian: the solver's Jacobian at the point, target e, with the row and
-  value already built, as at an iterate of a solve.
+  value already built, as at an iterate of a solve;
+- cohomology_data: the dims of H^0, H^1, H^2, with the row and value built
+  again in each call, at a point of Hom(pi, G) made from the same draws:
+  y_j = x_j^2, so every commutator is e, and z_j = e.
 
 Each time is the best of REPEATS calls, with the point's Ad matrices and
 inverses already built.  A row whose slope in 4l + n is above 1 is listed as
 superlinear.  BLAS is pinned to one thread, as perfbench/run.py pins it.
 
-Usage: python scripts/bench_scaling.py   (writes BENCH_18.json at the repo root)
+Usage: python scripts/bench_scaling.py   (writes BENCH_19.json at the repo root)
 """
 
 import os
@@ -38,7 +41,7 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from planarep.cohomology import RepPoint  # noqa: E402
+from planarep.cohomology import RepPoint, cohomology_data  # noqa: E402
 from planarep.liegroup import get_model  # noqa: E402
 from planarep.presentations import PlanarPresentation  # noqa: E402
 from planarep.solver import _jacobian  # noqa: E402
@@ -47,12 +50,16 @@ MODELS = ("U1", "SU2", "SL2R", "U2", "U3")
 TORSION = (3, 5)
 GENERA = (4, 8, 16, 32, 64, 128)
 REPEATS = 9
-OUT = ROOT / "BENCH_18.json"
+OUT = ROOT / "BENCH_19.json"
+
+
+def _drop_row_and_value(pt: RepPoint) -> None:
+    for name in ("long_row", "long_relator_value"):
+        pt.__dict__.pop(name, None)  # drop the cached copies
 
 
 def per_handle(pt: RepPoint) -> tuple:
-    for name in ("long_row", "long_relator_value"):
-        pt.__dict__.pop(name, None)  # drop the cached copies
+    _drop_row_and_value(pt)
     return pt.long_row, pt.long_relator_value
 
 
@@ -71,7 +78,23 @@ def jacobian(pt: RepPoint) -> np.ndarray:
     return _jacobian(spec, pt)
 
 
-ROWS = {"per_handle": per_handle, "walk": walk, "Ad_matrix": ad_matrix, "jacobian": jacobian}
+def cohomology(pt: RepPoint):
+    _drop_row_and_value(pt)
+    return cohomology_data(pt)
+
+
+def hom_point(pt: RepPoint) -> RepPoint:
+    """A point of Hom(pi, G) from pt's draws, for cohomology_data: the x_j
+    of pt, y_j = x_j^2 and z_j = e."""
+    p, g = pt.pres, np.array(pt.gens)
+    x = g[0 : 2 * p.genus : 2]
+    g[1 : 2 * p.genus : 2] = x @ x
+    g[2 * p.genus :] = pt.model.identity
+    return RepPoint(p, pt.model, g)
+
+
+ROWS = {"per_handle": per_handle, "walk": walk, "Ad_matrix": ad_matrix, "jacobian": jacobian,
+        "cohomology_data": cohomology}
 
 
 def best_of(fn, pt: RepPoint, repeats: int) -> float:
@@ -93,10 +116,12 @@ def measure(genera: list[int], repeats: int) -> dict:
             rng = np.random.default_rng(genus)
             gens = np.array([model.random_element(rng) for _ in range(pres.num_generators)])
             pt = RepPoint(pres, model, gens)
+            hom = hom_point(pt)
             for warm in ("ad_gens", "ad_gens_inv", "gens_inv", "long_row", "long_relator_value"):
                 getattr(pt, warm)
+            cohomology_data(hom)  # builds its Ad matrices, inverses and torsion values
             for row, fn in ROWS.items():
-                times[row].append(best_of(fn, pt, repeats))
+                times[row].append(best_of(fn, hom if fn is cohomology else pt, repeats))
         lengths = [4 * g + len(TORSION) for g in genera]
         for row in ROWS:
             slope = None

@@ -137,9 +137,17 @@ def _zeta(model, text: str):
     return model.identity.copy() if text == "e" else -model.identity
 
 
+@cache
+def _presentation(genus: int, torsion: tuple[int, ...]) -> PlanarPresentation:
+    """The presentation of (genus, torsion), built once per process, so its
+    long relator, names, measure and torsion relators are too.  A call that
+    raises caches nothing: invalid input is refused on every request."""
+    return PlanarPresentation(genus, torsion)
+
+
 def _solved_point(args, tol):
     model = get_model(args.group)
-    pres = PlanarPresentation(args.genus, args.torsion)
+    pres = _presentation(args.genus, args.torsion)
     if pres.num_generators == 0:
         raise MalformedInput("the presentation has no generators: nothing to solve")
     zeta = _zeta(model, args.target)
@@ -168,7 +176,7 @@ def _emit(args, command: str, payload: dict, tol: Tolerances) -> None:
 
 
 def cmd_analyze(args, tol: Tolerances) -> None:
-    pres = PlanarPresentation(args.genus, args.torsion)
+    pres = _presentation(args.genus, args.torsion)
     b, kappa = fundamental_cycle(pres)
     payload = {
         "presentation": pres.to_json(),
@@ -219,7 +227,7 @@ def cmd_symplectic(args, tol: Tolerances) -> None:
 
 def cmd_components(args, tol: Tolerances) -> None:
     model = get_model(args.group)
-    pres = PlanarPresentation(args.genus, args.torsion)
+    pres = _presentation(args.genus, args.torsion)
     per_gen = []
     for m in pres.torsion:
         classes = finite_order_classes(model, m)

@@ -6,9 +6,11 @@ delta0(X)_s = X - Ad_{phi(s)} X and delta1 rows are the Fox-derivative
 matrices of the relators pushed through Ad.
 
 The long relator's row and value (RepPoint.long_row, long_relator_value)
-are built per handle from the commutator forms of the Fox derivatives, with
-l + n sequential products.  The letter-by-letter walk (prefix_walk, walk,
-value) serves cup_matrix, which reads every prefix, and the tests.
+are built per handle from the commutator forms of the Fox derivatives.  Their
+products over the l + n factors c_1..c_l, z_1..z_n are taken by product_scan,
+a work-efficient (Blelloch) scan: linear work in O(log(l + n)) stacked
+products.  The letter-by-letter walk (prefix_walk, walk, value) serves
+cup_matrix, which reads every prefix, and the tests.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import warnings
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +29,53 @@ from .foxcalc import GroupRingElt
 from .liegroup import LieModel
 from .presentations import PlanarPresentation
 from .words import Word
+
+
+def _up_sweep(M: np.ndarray) -> list[np.ndarray]:
+    """The pairwise product tree over a stack M of k >= 1 square matrices:
+    level 0 is M, level t + 1 holds the products L[2i] L[2i + 1] of level t
+    in one stacked matmul, with an odd last factor carried up as it is.  The
+    last level holds M_0 .. M_{k-1} alone; the levels hold k - 1 products."""
+    levels = [M]
+    while len(M) > 1:
+        h = len(M) // 2
+        up = M[0 : 2 * h : 2] @ M[1 : 2 * h : 2]
+        M = np.concatenate([up, M[2 * h :]]) if len(M) % 2 else up
+        levels.append(M)
+    return levels
+
+
+def product_scan(M: np.ndarray) -> np.ndarray:
+    """The exclusive prefix products P[i] = M_0 .. M_{i-1} of a stack M of
+    k square matrices, by a work-efficient (Blelloch) scan (CMU-CS-90-190).
+    The up-sweep builds the pairwise product tree; the down-sweep hands each
+    node's prefix to its left child, and that prefix times the left child to
+    its right child.  The first node of every level has the prefix I, which
+    is not multiplied: at most 2k - 2 products in about 2 log2 k stacked
+    matmuls."""
+    P = np.empty_like(M)
+    if not len(M):
+        return P
+    levels = _up_sweep(M)
+    P[0] = np.eye(M.shape[-1])
+    Q = P[:0]  # the prefixes of nodes 1, 2, .. of the level above
+    for t in range(len(levels) - 2, -1, -1):
+        L, h = levels[t], len(levels[t]) // 2
+        down = P[1:] if t == 0 else np.empty_like(L[1:])
+        down[0], down[1::2] = L[0], Q  # node 1 gets I L_0; node 2i its parent's
+        if h > 1:  # node 2i + 1 gets its parent's prefix times node 2i
+            np.matmul(Q[: h - 1], L[2 : 2 * h : 2], out=down[2::2])
+        Q = down
+    return P
+
+
+def tree_product(M: np.ndarray) -> np.ndarray:
+    """M_0 .. M_{k-1} for a stack M of k square matrices, as the pairwise
+    tree of product_scan's up-sweep alone (k - 1 products in about log2 k
+    stacked matmuls); an empty stack gives a fresh identity."""
+    if not len(M):
+        return np.eye(M.shape[-1], dtype=M.dtype)
+    return _up_sweep(M)[-1][0]
 
 
 @dataclass
@@ -119,29 +168,25 @@ class RepPoint:
         Fox's d[x,y]/dx = 1 - x y x^-1 and d[x,y]/dy = x - [x,y] give the
         blocks P_j (I - Ad_{a_j}) for x_j, P_j (Ad_{x_j} - Ad_{c_j}) for
         y_j and P_{l+1} z_1..z_{k-1} for z_k, all through Ad.  The Ad's of
-        a_j and c_j are stacked over the handles; the prefixes are the only
-        sequential part, l + n products of d x d matrices.  No walk runs
+        a_j and c_j are stacked over the handles; the prefixes are one
+        product_scan over Ad of c_1..c_l, z_1..z_n: linear work in
+        O(log(l + n)) stacked products of d x d matrices.  No walk runs
         here: walk serves cup_matrix and the tests.
         """
         p, d = self.pres, self.model.d
         l, f, A = p.genus, 2 * p.genus, self.ad_gens
         E = np.empty((d, d * p.num_generators))
         blocks = E.reshape(d, -1, d).swapaxes(0, 1)  # block i is E's column block i
-        P = np.eye(d)
         if l:
             Ainv = self.ad_gens_inv
             Ada = A[0:f:2] @ A[1:f:2] @ Ainv[0:f:2]
             Adc = Ada @ Ainv[1:f:2]
-            Ps = np.empty((l, d, d))  # P_1 .. P_l
-            Ps[0] = P
-            for j in range(1, l):
-                np.matmul(Ps[j - 1], Adc[j - 1], out=Ps[j])
-            P = Ps[-1] @ Adc[-1]
-            np.matmul(Ps, np.eye(d) - Ada, out=blocks[0:f:2])
-            np.matmul(Ps, A[0:f:2] - Adc, out=blocks[1:f:2])
-        for i in range(f, p.num_generators):
-            blocks[i] = P
-            P = P @ A[i]
+            P = product_scan(np.concatenate([Adc, A[f:]]))
+            np.matmul(P[:l], np.eye(d) - Ada, out=blocks[0:f:2])
+            np.matmul(P[:l], A[0:f:2] - Adc, out=blocks[1:f:2])
+            blocks[f:] = P[l:]
+        else:
+            blocks[:] = product_scan(A)
         E.flags.writeable = False
         return E
 
@@ -154,13 +199,15 @@ class RepPoint:
 
     @cached_property
     def long_relator_value(self) -> np.ndarray:
-        """r(phi), the value of the long relator: the commutators stacked
-        over the handles, then l + n products."""
-        f = 2 * self.pres.genus
-        g = np.asarray(self.gens)
-        x, y = g[0:f:2], g[1:f:2]
-        c = x @ y @ self.model.inverse(x) @ self.model.inverse(y) if f else ()
-        return reduce(np.matmul, [*c, *g[f:]], self.model.identity)
+        """r(phi), the value of the long relator: the commutators c_j stacked
+        over the handles, then c_1..c_l z_1..z_n as one tree_product, linear
+        work in O(log(l + n)) stacked products."""
+        m, f = self.model, 2 * self.pres.genus
+        g = np.asarray(self.gens, dtype=m.identity.dtype).reshape(-1, *m.identity.shape)
+        if f:
+            x, y = g[0:f:2], g[1:f:2]
+            g = np.concatenate([x @ y @ m.inverse(x) @ m.inverse(y), g[f:]])
+        return tree_product(g)
 
     @cached_property
     def torsion_relator_values(self) -> list[np.ndarray]:
@@ -294,11 +341,13 @@ def block_basis(blocks: list[np.ndarray]) -> np.ndarray:
 
 def delta1_projective(pt: RepPoint, blocks: list[np.ndarray]) -> np.ndarray:
     """Row of the long relator restricted to the projective subspace
-    (d x dim columns, in the basis of projective_subspace's blocks): E_r Q,
-    one column block of E_r times one basis block at a time."""
-    d = pt.model.d
+    (d x dim columns, in the basis of projective_subspace's blocks): E_r Q.
+    A free generator's block is I_d, so E_r's 2l d free columns are copied
+    as they are; only the n torsion column blocks are multiplied."""
+    d, f = pt.model.d, 2 * pt.pres.genus
     E = pt.long_row
-    return np.hstack([E[:, i * d : (i + 1) * d] @ B for i, B in enumerate(blocks)])
+    tors = [E[:, (f + j) * d : (f + j + 1) * d] @ B for j, B in enumerate(blocks[f:])]
+    return np.hstack([E[:, : f * d], *tors])
 
 
 @dataclass

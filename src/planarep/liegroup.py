@@ -17,8 +17,10 @@ branch cut.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.linalg import expm, schur
+from scipy.linalg import schur
 
 from .errors import LogBranchFailure, UnsupportedModel
 
@@ -37,9 +39,8 @@ class LieModel:
     product per slice against a map built here.  The other methods take one
     element.
 
-    exp and log_principal are closed forms for these n <= 3 models; scipy's
-    expm serves only the block matrices of dexp_matrix and
-    symplectic.bform_matrix.
+    exp and log_principal are closed forms for these n <= 3 models;
+    dexp_matrix and symplectic.bform_matrix take phi_functions of ad.
     """
 
     def __init__(self, kind: str, n: int, basis: np.ndarray, name: str):
@@ -215,17 +216,9 @@ class LieModel:
         return self.vec(M).swapaxes(-1, -2)
 
     def dexp_matrix(self, Lam: np.ndarray) -> np.ndarray:
-        """Right-translated differential of exp: D = sum ad^k / (k+1)!.
-
-        Computed exactly (to machine precision) via the block-matrix
-        exponential [[A, I], [0, 0]] -> [[e^A, D(A)], [0, I]].
-        """
-        A = self.ad_matrix(Lam)
-        d = self.d
-        M = np.zeros((2 * d, 2 * d))
-        M[:d, :d] = A
-        M[:d, d:] = np.eye(d)
-        return expm(M)[:d, d:]
+        """Right-translated differential of exp: D = sum ad^k / (k+1)!,
+        phi1 of ad_Lam (phi_functions)."""
+        return phi_functions(self.ad_matrix(Lam))[0]
 
     def dexp_inv_matrix(self, Lam: np.ndarray) -> np.ndarray:
         """Inverse of dexp_matrix; for Lam of positive spectral margin."""
@@ -251,6 +244,33 @@ def spectral_margin(evals: np.ndarray) -> float:
     """pi - max |Im lambda| over the eigenvalues lambda of an algebra element
     (module docstring); positive exactly on the principal sheet."""
     return float(np.pi - np.max(np.abs(np.imag(evals))))
+
+
+def phi_functions(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """phi1(A) = sum A^k / (k+1)! and phi2(A) = sum A^k / (k+2)! for a
+    stack (..., d, d) of real matrices.
+
+    Taylor series at A / 2^s, with |A / 2^s|_1 <= 1/2 in every slice
+    (truncation below 1e-18), then s doublings
+        phi1(2X) = phi1 (X phi1 + 2) / 2,  phi2(2X) = (phi1 + phi2 (X phi1 + 2)) / 4,
+    where X phi1 + 2 = e^X + 1.  The error stays a few ulps of the result.
+    scipy's expm of the block matrix [[A, I], [0, 0]] loses three more
+    digits when ad has real eigenvalues of modulus near 8 (hyperbolic
+    elements of sl(2,R)), and that reaches dexp and the 2-form B."""
+    A = np.asarray(A, dtype=np.result_type(A, float))
+    eye = np.eye(A.shape[-1], dtype=A.dtype)
+    norm = np.abs(A).sum(axis=-2).max(initial=0.0)
+    s = max(0, int(np.ceil(np.log2(norm / 0.5)))) if norm > 0.5 else 0
+    X = A / 2.0**s
+    phi2 = eye / math.factorial(16)
+    for k in range(13, -1, -1):
+        phi2 = X @ phi2 + eye / math.factorial(k + 2)
+    phi1 = eye + X @ phi2
+    for _ in range(s):
+        Y = X @ phi1 + 2.0 * eye
+        phi1, phi2 = 0.5 * (phi1 @ Y), 0.25 * (phi1 + phi2 @ Y)
+        X = 2.0 * X
+    return phi1, phi2
 
 
 def _cosh_sinhc(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

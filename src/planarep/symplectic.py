@@ -12,7 +12,6 @@ from dataclasses import InitVar, dataclass
 from functools import cache, cached_property
 
 import numpy as np
-from scipy.linalg import expm
 
 from .config import Tolerances, DEFAULT_TOL
 from .cohomology import (
@@ -26,7 +25,7 @@ from .cohomology import (
 )
 from .errors import LogBranchFailure, NotACocycle, SingularDexp
 from .foxcalc import relator_filling_chain
-from .liegroup import LieModel, spectral_margin
+from .liegroup import LieModel, phi_functions, spectral_margin
 from .presentations import PlanarPresentation
 
 
@@ -198,19 +197,27 @@ def bform_O(model: LieModel, Lam: np.ndarray, V: np.ndarray, W: np.ndarray) -> f
 
     Evaluated by 32-node Gauss-Legendre quadrature; the numeric layer uses
     the closed form bform_matrix, and this definition is its test oracle.
-    Lam has positive spectral margin, so t Lam stays in the regular domain."""
+    Lam has positive spectral margin, so t Lam stays in the regular domain.
+
+    The integrand is summed in coordinates in np.longdouble: for a
+    hyperbolic Lam in sl(2,R), D has entries near e^|ad_Lam| / |ad_Lam| and
+    the pairing of D V with D W cancels them, so float64 loses about 1e-11
+    absolute at |ad_Lam| near 10.  Where longdouble is float64 the
+    integrand is float64."""
     x, wts = np.polynomial.legendre.leggauss(32)
     ts = 0.5 * (x + 1.0)
     wts = 0.5 * wts
-    lam_v, v_v, w_v = model.vec(Lam), np.asarray(V), np.asarray(W)
-    total = 0.0
+    ld = np.longdouble
+    A = model.ad_matrix(Lam).astype(ld)
+    brackets = model.ad_matrix(model.basis).astype(ld)  # [a, b] = sum a_k brackets[k] b
+    G = model.pairing_gram.astype(ld)
+    lam_v, v_v, w_v = (np.asarray(u, dtype=ld) for u in (model.vec(Lam), V, W))
+    total = ld(0)
     for t, wt in zip(ts, wts):
-        D = model.dexp_matrix(t * Lam)
-        a = model.unvec(D @ lam_v)
-        b = model.unvec(D @ v_v)
-        c = model.unvec(D @ w_v)
-        total += wt * t * t * 0.5 * model.pairing(a @ b - b @ a, c)
-    return total
+        D = phi_functions(ld(t) * A)[0]
+        a, b, c = D @ lam_v, D @ v_v, D @ w_v
+        total += ld(wt) * ld(t) ** 2 * 0.5 * (np.tensordot(a, brackets, 1) @ b @ G @ c)
+    return float(total)
 
 
 def bform_matrix(model: LieModel, Lam: np.ndarray) -> np.ndarray:
@@ -219,17 +226,12 @@ def bform_matrix(model: LieModel, Lam: np.ndarray) -> np.ndarray:
     Closed form of bform_O: with D(t Lam) Lam = Lam and the invariance of the
     pairing, B_Lam(V, W) = <F(ad_Lam) V, W> with F(z) = (sinh z - z)/z^2,
     so K = F(ad_Lam)^T G.  F = (phi2(z) - phi2(-z))/2 for
-    phi2(z) = (e^z - 1 - z)/z^2, and both phi2 blocks come from one block
-    exponential: [[A, I, 0], [0, 0, I], [0, 0, 0]] -> phi2(A) top right.
+    phi2(z) = (e^z - 1 - z)/z^2, both from one phi_functions call on the
+    stack (ad_Lam, -ad_Lam).
     """
-    A, d = model.ad_matrix(Lam), model.d
-    M = np.zeros((6 * d, 6 * d))
-    for o, S in ((0, A), (3 * d, -A)):
-        M[o : o + d, o : o + d] = S
-        M[o : o + d, o + d : o + 2 * d] = np.eye(d)
-        M[o + d : o + 2 * d, o + 2 * d : o + 3 * d] = np.eye(d)
-    X = expm(M)
-    F = 0.5 * (X[:d, 2 * d : 3 * d] - X[3 * d : 4 * d, 5 * d :])
+    A = model.ad_matrix(Lam)
+    phi2 = phi_functions(np.stack([A, -A]))[1]
+    F = 0.5 * (phi2[0] - phi2[1])
     return F.T @ model.pairing_gram
 
 

@@ -20,7 +20,7 @@ def test_bench_scaling_fits_slopes_for_every_model():
     record = module.record([1, 2], 1)
     json.dumps(record)  # what main writes must serialise
     assert record["relator_lengths"] == [6, 10]
-    assert set(record["rows"]) == {"per_handle", "walk", "Ad_matrix", "jacobian"}
+    assert set(record["rows"]) == {"per_handle", "walk", "Ad_matrix", "jacobian", "cohomology_data"}
     for row in record["rows"]:
         assert set(record["rows"][row]) == set(module.MODELS)
         for r in record["rows"][row].values():

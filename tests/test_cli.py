@@ -173,6 +173,19 @@ def test_bad_input_exits_2(capsys):
     assert main(["analyze", "--seed", "-1"]) == 2
 
 
+@pytest.mark.parametrize("command", ["analyze", "components", "cohomology"])
+def test_invalid_presentation_is_refused_on_every_call(capsys, command):
+    # presentations are cached per process; one that raises is not, so the
+    # same bad input exits 2 again, and a good one is built once
+    for flag in ("--genus=-1", "--torsion=1"):
+        for _ in range(2):
+            capsys.readouterr()
+            assert main([command, flag]) == 2, flag
+            assert "error:" in capsys.readouterr().err
+    pres = planarep.cli._presentation(2, (3,))
+    assert planarep.cli._presentation(2, (3,)) is pres
+
+
 @pytest.mark.parametrize("seed", [3, 8, 18, 37, 55, 107, 113])
 def test_sl2r_seeds_with_singular_trial_steps(capsys, seed):
     # trial steps at these seeds overflow to singular generators; they are

@@ -5,11 +5,16 @@ from hypothesis import assume, given, settings
 
 from planarep.cohomology import (
     RepPoint,
+    block_basis,
     cocycle_extend,
     cohomology_data,
     delta0,
+    delta1_projective,
     euler_characteristic_expected,
+    product_scan,
+    projective_subspace,
     random_fnat_point,
+    tree_product,
 )
 from planarep.components import finite_order_classes
 from planarep.errors import InfeasibleSpec, NotFound, RelatorConstraintViolated
@@ -233,6 +238,93 @@ def test_per_handle_row_and_value_match_the_walk(group, genus, torsion, scale, s
     if genus == 0:  # no handle: the same products as the walk, in its order
         assert np.array_equal(pt.long_row, E)
         assert np.array_equal(pt.long_relator_value, r)
+
+
+def _sequential(M, identity):
+    """Prefix products M_0 .. M_{i-1} and the total, left to right."""
+    out, P = [], identity
+    for A in M:
+        out.append(P)
+        P = P @ A
+    return out, P
+
+
+def test_product_scan_is_exact_on_signed_permutations():
+    # signed permutation matrices do not commute, and every product of them
+    # is exact, so any slip in the order or pairing of the scan shows bit for bit
+    rng = np.random.default_rng(19)
+    for k in range(71):
+        perms = np.array([np.eye(3)[rng.permutation(3)] for _ in range(k)]).reshape(k, 3, 3)
+        M = perms * rng.choice([-1.0, 1.0], size=(k, 1, 3))
+        P = product_scan(M)
+        want, want_total = _sequential(M, np.eye(3))
+        assert P.shape == M.shape and P.dtype == np.float64
+        assert all(np.array_equal(a, b) for a, b in zip(P, want))
+        assert np.array_equal(tree_product(M), want_total)
+
+
+def test_empty_product_is_a_fresh_identity():
+    # the presentation without generators has the empty long relator
+    model = get_model("SU2")
+    r = RepPoint(PlanarPresentation(0, ()), model, []).long_relator_value
+    assert np.array_equal(r, model.identity) and r.dtype == model.identity.dtype
+    assert not np.shares_memory(r, model.identity)
+    assert product_scan(np.empty((0, 3, 3))).shape == (0, 3, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["SU2", "U3", "SL2R"]),
+    st.integers(0, 70),
+    st.floats(0.3, 1.0),
+    st.integers(0, 10**6),
+)
+def test_product_scan_matches_the_sequential_product(group, k, scale, seed):
+    # group elements round, so the tree and the sequential order agree to the
+    # bounds of test_per_handle_row_and_value_match_the_walk on r(phi)
+    model, rng = get_model(group), np.random.default_rng(seed)
+    M = np.array([model.random_element(rng, scale) for _ in range(k)])
+    M = M.reshape(k, *model.identity.shape)
+    want, want_total = _sequential(M, model.identity)
+    for got, ref in (*zip(product_scan(M), want), (tree_product(M), want_total)):
+        err = np.abs(got - ref).max() / max(1.0, np.abs(ref).max())
+        assert err <= VALUE_BOUND.get(group, 1e-14)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["U1", "SU2", "U2", "U3", "SL2R"]),
+    st.integers(0, 16),
+    st.sampled_from([(), (3,), (2, 3, 7)]),
+    st.integers(0, 10**6),
+)
+def test_delta1_projective_is_the_row_times_the_basis(group, genus, torsion, seed):
+    # a free generator's block is I_d, whose 0/1 entries add only exact zeros:
+    # delta1_projective is the per-block product E_i B_i bit for bit, and its
+    # free columns are those of the dense E_r Q.  A torsion column is a sum of
+    # d products, which BLAS rounds by another order in the dense product
+    # than in the d x d one (measured over 1500 points, six per model, genus
+    # and torsion here: 348 differ, by at most 2.7e-16 relative to
+    # max(1, max|E_r|))
+    assume((genus, torsion) != (0, ()))
+    model, pres = get_model(group), PlanarPresentation(genus, torsion)
+    rng = np.random.default_rng(seed)
+    if group == "SL2R":  # no finite-order classes: any orthonormal torsion blocks
+        gens = [model.random_element(rng) for _ in range(pres.num_generators)]
+        pt = RepPoint(pres, model, gens)
+        widths = rng.integers(0, model.d + 1, size=len(torsion))
+        blocks = [np.eye(model.d)] * (2 * genus) + [
+            np.linalg.qr(rng.standard_normal((model.d, k)))[0] for k in widths
+        ]
+    else:
+        pt = random_fnat_point(pres, model, rng)
+        blocks = projective_subspace(pt)
+    d, f, E = model.d, 2 * genus, pt.long_row
+    got, dense = delta1_projective(pt, blocks), E @ block_basis(blocks)
+    per_block = [E[:, i * d : (i + 1) * d] @ B for i, B in enumerate(blocks)]
+    assert np.array_equal(got, np.hstack(per_block))
+    assert np.array_equal(got[:, : f * d], dense[:, : f * d])
+    assert np.abs(got - dense).max(initial=0.0) <= 1e-14 * max(1.0, np.abs(E).max())
 
 
 @pytest.mark.parametrize("group, genus, torsion, classes", [

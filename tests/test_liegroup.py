@@ -9,7 +9,7 @@ from scipy.linalg import expm
 from planarep.cohomology import RepPoint
 from planarep.config import DEFAULT_TOL
 from planarep.errors import LogBranchFailure, SingularDexp, UnsupportedModel
-from planarep.liegroup import get_model, spectral_margin
+from planarep.liegroup import get_model, phi_functions, spectral_margin
 from planarep.presentations import PlanarPresentation
 from planarep.symplectic import ExtendedPoint
 
@@ -198,6 +198,26 @@ def test_dexp_inv_round_trip(model):
     D = model.dexp_matrix(X)
     Dinv = model.dexp_inv_matrix(X)
     assert np.linalg.norm(D @ Dinv - np.eye(model.d)) < 1e-10
+
+
+def test_phi_functions_to_a_few_ulps_at_a_hyperbolic_sl2r_element():
+    # ad_Lam has eigenvalues 0 and +-8.02 and eigenvectors of condition 1.8,
+    # so the eigendecomposition gives phi1 and phi2 to a few ulps; scipy's
+    # expm of the block matrix [[A, I], [0, 0]] is off by 1e-12 relative here
+    m = get_model("SL2R")
+    Lam = m.random_alg(np.random.default_rng(31200), 1.5)
+    A = m.ad_matrix(Lam)
+    w, P = np.linalg.eig(A)
+    assert np.isrealobj(w) and np.abs(w).max() > 8 and np.linalg.cond(P) < 2
+    small = np.abs(w) < 1e-3
+    ws = np.where(small, 1.0, w)
+    f1 = np.where(small, 1 + w / 2, np.expm1(ws) / ws)
+    f2 = np.where(small, 0.5 + w / 6, (np.expm1(ws) - ws) / ws**2)
+    phi1, phi2 = phi_functions(A)
+    for got, f in ((phi1, f1), (phi2, f2)):
+        ref = (P * f) @ np.linalg.inv(P)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert np.array_equal(m.dexp_matrix(Lam), phi1)
 
 
 def test_regular_domain_boundary_su2():
