@@ -9,15 +9,14 @@ The long relator's row and value (RepPoint.long_row, long_relator_value)
 are built per handle from the commutator forms of the Fox derivatives.  Their
 products over the l + n factors c_1..c_l, z_1..z_n are taken by product_scan,
 a work-efficient (Blelloch) scan: linear work in O(log(l + n)) stacked
-products.  The letter-by-letter walk (prefix_walk, walk, value) serves
-cup_matrix, which reads every prefix, and the tests.
+products.  The cup matrix (symplectic.cup_matrix) is read off the same row
+in closed form.  The letter-by-letter walk and value serve cocycle_extend,
+the short torsion relators and the tests.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import deque
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -116,20 +115,18 @@ class RepPoint:
             out = out @ (self.gens[s - 1] if s > 0 else self.gens_inv[-s - 1])
         return out
 
-    def prefix_walk(self, w: Word) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """One prefix-Ad pass along w: (E_p, Ad_{phi(p)}) for every prefix p,
-        from the empty word up to w.
+    def walk(self, w: Word) -> tuple[np.ndarray, np.ndarray]:
+        """(E_w, Ad_{phi(w)}) by one pass along w, letter by letter.
 
-        E_p (d x N, N = d * #generators) is the Ad-evaluated Fox row of p: a
+        E_w (d x N, N = d * #generators) is the Ad-evaluated Fox row of w: a
         letter s after prefix q adds Ad_q to the block of s, a letter s^-1
         subtracts Ad_{q s^-1}.  Terms are added in ring_matrix's order, so
-        block i equals ring_matrix(fox_derivative(p, i)) bit for bit.  E_p is
-        updated in place by the next step.
+        block i equals ring_matrix(fox_derivative(w, i)) bit for bit.  It
+        serves cocycle_extend and is the tests' reference for long_row.
         """
         d = self.model.d
         E = np.zeros((d, d * self.pres.num_generators))
         P = np.eye(d)
-        yield E, P
         for s in w:
             i = abs(s) - 1
             block = E[:, i * d : (i + 1) * d]
@@ -139,13 +136,7 @@ class RepPoint:
             else:
                 P = P @ self.ad_gens_inv[i]
                 block -= P
-            yield E, P
-
-    def walk(self, w: Word) -> tuple[np.ndarray, np.ndarray]:
-        """(E_w, Ad_{phi(w)}), the end of prefix_walk(w).  The letter-by-letter
-        reference for long_row: it serves cup_matrix (through prefix_walk),
-        cocycle_extend and the tests."""
-        return deque(self.prefix_walk(w), maxlen=1)[0]
+        return E, P
 
     def ad_value(self, w: Word) -> np.ndarray:
         """Ad_{phi(w)} in basis coordinates."""
@@ -160,6 +151,13 @@ class RepPoint:
         return out
 
     @cached_property
+    def handle_ads(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Ad_{a_j}, Ad_{c_j}) stacked over the handles, a_j = x_j y_j x_j^-1."""
+        f, A, Ainv = 2 * self.pres.genus, self.ad_gens, self.ad_gens_inv
+        Ada = A[0:f:2] @ A[1:f:2] @ Ainv[0:f:2]
+        return Ada, Ada @ Ainv[1:f:2]
+
+    @cached_property
     def long_row(self) -> np.ndarray:
         """E_r, the Ad-evaluated Fox row of r = prod_j [x_j, y_j] z_1..z_n
         (d x N), per handle; read-only, since every reader shares it.
@@ -168,19 +166,16 @@ class RepPoint:
         Fox's d[x,y]/dx = 1 - x y x^-1 and d[x,y]/dy = x - [x,y] give the
         blocks P_j (I - Ad_{a_j}) for x_j, P_j (Ad_{x_j} - Ad_{c_j}) for
         y_j and P_{l+1} z_1..z_{k-1} for z_k, all through Ad.  The Ad's of
-        a_j and c_j are stacked over the handles; the prefixes are one
-        product_scan over Ad of c_1..c_l, z_1..z_n: linear work in
-        O(log(l + n)) stacked products of d x d matrices.  No walk runs
-        here: walk serves cup_matrix and the tests.
+        a_j and c_j are handle_ads; the prefixes are one product_scan over
+        Ad of c_1..c_l, z_1..z_n: linear work in O(log(l + n)) stacked
+        products of d x d matrices.  No walk runs here.
         """
         p, d = self.pres, self.model.d
         l, f, A = p.genus, 2 * p.genus, self.ad_gens
         E = np.empty((d, d * p.num_generators))
         blocks = E.reshape(d, -1, d).swapaxes(0, 1)  # block i is E's column block i
         if l:
-            Ainv = self.ad_gens_inv
-            Ada = A[0:f:2] @ A[1:f:2] @ Ainv[0:f:2]
-            Adc = Ada @ Ainv[1:f:2]
+            Ada, Adc = self.handle_ads
             P = product_scan(np.concatenate([Adc, A[f:]]))
             np.matmul(P[:l], np.eye(d) - Ada, out=blocks[0:f:2])
             np.matmul(P[:l], A[0:f:2] - Adc, out=blocks[1:f:2])

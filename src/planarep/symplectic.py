@@ -9,7 +9,7 @@ theorem, which check_moment_identity tests rather than assumes.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -24,9 +24,7 @@ from .cohomology import (
     projective_subspace,
 )
 from .errors import LogBranchFailure, NotACocycle, SingularDexp
-from .foxcalc import relator_filling_chain
 from .liegroup import LieModel, phi_functions, spectral_margin
-from .presentations import PlanarPresentation
 
 
 def default_calibration() -> None:
@@ -112,42 +110,47 @@ def action_field(pt: ExtendedPoint, X: np.ndarray) -> TangentVec:
 # --- cup-product evaluation --------------------------------------------------
 
 
-@cache
-def _cells(pres: PlanarPresentation) -> dict:
-    """Cells of the filling chain grouped by first entry, g -> [(h, q)],
-    cached per presentation."""
-    cells: dict = {}
-    for (g, h), q in relator_filling_chain(pres).terms.items():
-        cells.setdefault(g, []).append((h, float(q)))
-    return cells
-
-
 def cup_matrix(phi: RepPoint) -> np.ndarray:
     """Antisymmetric N x N matrix C of the cup pairing,
-    cup_eval(phi, u, v) = flat(u)^T C flat(v).
+    cup_eval(phi, u, v) = flat(u)^T C flat(v), in closed form from the long
+    relator's Fox row R = E_r; read it as RepPoint.cup, built once a point.
 
-    A cell q[g|h] of the filling chain adds q E_g^T G Ad_g E_h to M, with
-    (E_w, Ad_w) from RepPoint.walk and G the pairing Gram, and C = (M - M^T)/2.
-    Every h is one letter (the cells are [prefix|letter] and [s|s^-1]), so
-    E_h has one nonzero d x d block, I for s and -Ad_s^-1 for s^-1, and the
-    cell adds into that column block alone: O(N d^2) per cell, not O(N^2 d).
-    First entries that are relator prefixes are read off one walk along the
-    relator; the others (letters of the cancellation cells) get their own.
-    Readers take the copy cached on the point, RepPoint.cup, so a report
-    builds it once.
+    A cell q[g|h] of the filling chain adds q E_g^T G Ad_g E_h to M (G the
+    pairing Gram), and C = (M - M^T)/2.  As Ad_p E_s = E_{ps} - E_p, a
+    relator's [prefix|letter] cells add sum_k E_k^T G (E_{k+1} - E_k) over
+    its prefix rows E_k.  With the letters of r in blocks (x_j y_j per
+    handle, each z_k alone) and Ad^T G Ad = G, the cells -fill(r) add
+    - between blocks, the strictly block-upper part of -R^T G R;
+    - in handle j's 2d x 2d block, -sum_{t=1..3} F_t^T G (F_{t+1} - F_t),
+      F_t = [I, 0], [I, Ad_x], [I - Ad_a, Ad_x], [I - Ad_a, Ad_x - Ad_c] the
+      rows of x, xy, a = x y x^-1 and c = [x, y].
+    z^m adds (1/m) sum_{i<m} N_i^T G (N_{i+1} - N_i) to z's diagonal block,
+    N_i = I + A + .. + A^{i-1}, A = Ad_z; the [s|s^-1] cells add -G, which
+    is symmetric and drops from C.
     """
     p, G, d = phi.pres, phi.model.pairing_gram, phi.model.d
-    rels = (p.long_relator, *p.torsion_relators)
-    todo = dict(_cells(p))
-    own = [g for g in todo if all(r[: len(g)] != g for r in rels)]
-    n = p.num_generators * d
-    M = np.zeros((n, n))
-    for w in (*rels, *own):
-        for k, (E, A) in enumerate(phi.prefix_walk(w)):
-            for (s,), q in todo.pop(w[:k], ()):
-                i = abs(s) - 1
-                L = E.T @ (G @ A)
-                M[:, i * d : (i + 1) * d] += q * (L if s > 0 else L @ -phi.ad_gens_inv[i])
+    l, f, R = p.genus, 2 * p.genus, phi.long_row
+    gen = np.arange(p.num_generators)
+    block = np.repeat(np.where(gen < f, gen // 2, gen - l), d)  # x_j, y_j -> j; z_k -> l + k
+    M = np.where(block[:, None] < block, -(R.T @ (G @ R)), 0.0)
+    if l:
+        Ada, Adc = phi.handle_ads
+        F = np.zeros((l, 4, d, 2 * d))  # F[:, t] is F_{t+1} of every handle
+        F[..., :d] = np.eye(d)
+        F[:, 2:, :, :d] -= Ada[:, None]
+        F[:, 1:, :, d:] = phi.ad_gens[0:f:2, None]
+        F[:, 3, :, d:] -= Adc
+        H = (F[:, :3].swapaxes(-1, -2) @ G @ np.diff(F, axis=1)).sum(1)
+        i = np.arange(f * d).reshape(l, 2 * d, 1)
+        M[i, i.swapaxes(1, 2)] -= H
+    for j, m in enumerate(p.torsion):
+        A, N, P, T = phi.ad_gens[f + j], np.eye(d), np.eye(d), np.zeros((d, d))
+        for _ in range(m - 1):
+            P = P @ A
+            T += N.T @ G @ P
+            N = N + P
+        k = slice((f + j) * d, (f + j + 1) * d)
+        M[k, k] += T / m
     return 0.5 * (M - M.T)
 
 

@@ -4,8 +4,10 @@
 radians, and ``su2_brute_force_feasible`` decides the same question by direct
 minimization, independently of the rule.  ``alg_residual`` and
 ``grp_residual`` measure membership in a model's algebra and group,
-``is_reduced`` tests a letter sequence for free reduction, and
-``delta1_free`` stacks the walked Fox rows of all relators.
+``is_reduced`` tests a letter sequence for free reduction,
+``delta1_free`` stacks the walked Fox rows of all relators, and
+``cup_matrix_by_cells`` evaluates the cup matrix cell by cell over the exact
+filling chain, the reference for the closed form of ``cup_matrix``.
 """
 
 from typing import Iterable
@@ -13,6 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from planarep.cohomology import RepPoint
+from planarep.foxcalc import relator_filling_chain
 from planarep.liegroup import LieModel
 from planarep.solver import su2_product_rule
 
@@ -43,6 +46,22 @@ def delta1_free(pt: RepPoint) -> np.ndarray:
     """((1+n)d x (2l+n)d) matrix of Ad-evaluated Fox derivatives."""
     p = pt.pres
     return np.vstack([pt.walk(r)[0] for r in (p.long_relator, *p.torsion_relators)])
+
+
+def cup_matrix_by_cells(phi: RepPoint) -> np.ndarray:
+    """The cup matrix C = (M - M^T)/2 summed over the cells q[g|h] of
+    relator_filling_chain: each adds q E_g^T G Ad_g E_h to M, with
+    (E_g, Ad_g) from a walk of g.  Every h is one letter s^{+-1}, so E_h is
+    I or -Ad_s^-1 in the block of s, and the cell adds into that column
+    block alone."""
+    p, G, d = phi.pres, phi.model.pairing_gram, phi.model.d
+    M = np.zeros((p.num_generators * d,) * 2)
+    for (g, (s,)), q in relator_filling_chain(p).terms.items():
+        E, A = phi.walk(g)
+        i = abs(s) - 1
+        L = float(q) * (E.T @ (G @ A))
+        M[:, i * d : (i + 1) * d] += L if s > 0 else L @ -phi.ad_gens_inv[i]
+    return 0.5 * (M - M.T)
 
 
 def su2_triangle_oracle(

@@ -1,4 +1,4 @@
-"""Smoke test of scripts/bench_scaling.py at two small genera."""
+"""Smoke test of scripts/bench_scaling.py at two small genera, one sweep."""
 
 import importlib.util
 import json
@@ -17,13 +17,15 @@ def test_bench_scaling_fits_slopes_for_every_model():
         spec = importlib.util.spec_from_file_location("bench_scaling", SCRIPT)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-    record = module.record([1, 2], 1)
+    record = module.record([1, 2], 1, 1)
     json.dumps(record)  # what main writes must serialise
     assert record["relator_lengths"] == [6, 10]
-    assert set(record["rows"]) == {"per_handle", "walk", "Ad_matrix", "jacobian", "cohomology_data"}
+    assert set(record["rows"]) == {"per_handle", "walk", "Ad_matrix", "jacobian",
+                                   "cohomology_data", "cup_matrix"}
     for row in record["rows"]:
         assert set(record["rows"][row]) == set(module.MODELS)
         for r in record["rows"][row].values():
             assert len(r["times_s"]) == 2 and all(t > 0 for t in r["times_s"])
             assert isinstance(r["slope"], float)
+            assert r["sweep_slopes"] == [r["slope"]] and r["slope_spread"] == 0.0
     assert all(name.split("/")[0] in record["rows"] for name in record["superlinear"])

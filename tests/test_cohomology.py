@@ -21,6 +21,13 @@ from planarep.errors import InfeasibleSpec, NotFound, RelatorConstraintViolated
 from planarep.liegroup import get_model
 from planarep.presentations import PlanarPresentation
 from planarep.solver import SolveSpec, solve_relator
+from planarep.symplectic import (
+    check_moment_identity,
+    degeneracy_report,
+    extend_point,
+    tangent_from_u,
+    unflatten,
+)
 
 from oracles import delta1_free
 
@@ -333,20 +340,29 @@ def test_delta1_projective_is_the_row_times_the_basis(group, genus, torsion, see
 def test_solve_and_cohomology_never_walk_the_long_relator(
     monkeypatch, group, genus, torsion, classes
 ):
-    prefix_walk, value = RepPoint.prefix_walk, RepPoint.value
+    # solve, cohomology, the degeneracy report (cup matrix included) and the
+    # momentum identity read the long relator per handle, never letter by
+    # letter: no walk along it or along a prefix of it longer than one letter
+    walk, value = RepPoint.walk, RepPoint.value
 
     def refusing(walker):
         def refuse(point, w):
-            if w == point.pres.long_relator:
-                raise AssertionError("a letter-by-letter walk of the long relator")
+            if len(w) > 1 and point.pres.long_relator[: len(w)] == w:
+                raise AssertionError("a letter-by-letter walk along the long relator")
             return walker(point, w)
 
         return refuse
 
-    monkeypatch.setattr(RepPoint, "prefix_walk", refusing(prefix_walk))
+    monkeypatch.setattr(RepPoint, "walk", refusing(walk))
     monkeypatch.setattr(RepPoint, "value", refusing(value))
-    model = get_model(group)
-    spec = SolveSpec(PlanarPresentation(genus, torsion), model,
+    model, pres = get_model(group), PlanarPresentation(genus, torsion)
+    spec = SolveSpec(pres, model,
                      [finite_order_classes(model, m)[i] for m, i in zip(torsion, classes)])
-    data = cohomology_data(solve_relator(spec).point)
+    point = solve_relator(spec).point
+    data = cohomology_data(point)
     assert data.h0 == data.h2
+    pt = extend_point(point)
+    assert degeneracy_report(pt)["nondegenerate"]
+    u = unflatten(model, data.proj_basis @ data.cocycles[:, 0], pres.num_generators)
+    X = model.random_alg(np.random.default_rng(0))
+    assert check_moment_identity(pt, X, tangent_from_u(pt, u)) < 1e-6
