@@ -21,6 +21,16 @@ one random point per (model, l) with torsion (3, 5):
   N x N, so its slope tends to 2 as the genus grows, and it is listed as
   superlinear.
 
+A seventh row, solve_genus0, times solve_relator end to end on SU(2)
+t(3^k), k = 3 ... 12 (relator length k), for two class tuples per k, built
+from class 0 (e) and class 1 (rotation angle 2 pi / 3):
+
+- boundary: (1, 1, 1, 0, ..., 0) with target e, on the boundary of the
+  rank-2 product rule, so every solution is reducible and the point is
+  built, not searched (restarts_used 0);
+- interior: (1, ..., 1) with target -e, strictly inside the rule, searched
+  by the Levenberg-Marquardt restarts from seed 0.
+
 Each time is the median over SWEEPS interleaved sweeps (each sweep times
 every row, model and genus once more) of the best of REPEATS calls, with the
 point's Ad matrices and inverses already built.  Each row also records the
@@ -28,7 +38,17 @@ slope of every sweep and their spread (max - min), against which a later
 slope change is judged.  A row whose slope in 4l + n is above 1 is listed
 as superlinear.  BLAS is pinned to one thread, as perfbench/run.py pins it.
 
-Usage: python scripts/bench_scaling.py   (writes BENCH_20.json at the repo root)
+With --paired PARENT, the script instead runs perfbench/run.py of the
+checkout PARENT and of this one, --pairs times each on one workload and
+seed, alternating which side runs first, for the run length BENCHMARK.json
+sets.  It records every run's end-to-end metrics, their medians and
+quartiles per side and, per metric, how many pairs this checkout won,
+under "perfbench" / "<workload>/seed<seed>" in the same file.  A plain run
+keeps those entries; a paired run keeps the rows.
+
+Usage: python scripts/bench_scaling.py   (writes BENCH_21.json at the repo root)
+       python scripts/bench_scaling.py --paired ../parent --pairs 10 \
+           --workload component-scan --seed 1
 """
 
 import os
@@ -37,8 +57,10 @@ import sys
 # pin BLAS before numpy is imported, as perfbench/run.py does
 os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
 
+import argparse  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
+import subprocess  # noqa: E402
 from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
 from types import SimpleNamespace  # noqa: E402
@@ -49,9 +71,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from planarep.cohomology import RepPoint, cohomology_data  # noqa: E402
+from planarep.components import finite_order_classes  # noqa: E402
 from planarep.liegroup import get_model  # noqa: E402
 from planarep.presentations import PlanarPresentation  # noqa: E402
-from planarep.solver import _jacobian  # noqa: E402
+from planarep.solver import SolveSpec, _jacobian, solve_relator  # noqa: E402
 from planarep.symplectic import cup_matrix  # noqa: E402
 
 MODELS = ("U1", "SU2", "SL2R", "U2", "U3")
@@ -59,7 +82,8 @@ TORSION = (3, 5)
 GENERA = (4, 8, 16, 32, 64, 128)
 REPEATS = 9
 SWEEPS = 3
-OUT = ROOT / "BENCH_20.json"
+SOLVE_KS = tuple(range(3, 13))
+OUT = ROOT / "BENCH_21.json"
 
 
 def _drop_row_and_value(pt: RepPoint) -> None:
@@ -155,6 +179,27 @@ def measure(genera: list[int], repeats: int, sweeps: int) -> dict:
     return rows
 
 
+def genus0_specs(k: int) -> dict[str, SolveSpec]:
+    """The boundary and the interior tuple of SU(2) t(3^k) (module docstring)."""
+    model, pres = get_model("SU2"), PlanarPresentation(0, (3,) * k)
+    e, c = finite_order_classes(model, 3)
+    return {"boundary": SolveSpec(pres, model, [c] * 3 + [e] * (k - 3)),
+            "interior": SolveSpec(pres, model, [c] * k, -model.identity)}
+
+
+def measure_solve(ks: list[int], repeats: int, sweeps: int) -> dict:
+    specs = [genus0_specs(k) for k in ks]
+    times = {kind: [[] for _ in range(sweeps)] for kind in specs[0]}
+    for sweep in range(sweeps):
+        for by_kind in specs:
+            for kind, spec in by_kind.items():
+                times[kind][sweep].append(best_of(solve_relator, spec, repeats))
+    return {kind: {"times_s": np.median(per_sweep, axis=0).tolist(),
+                   "restarts_used": [solve_relator(by[kind]).restarts_used for by in specs],
+                   "slope": _slope(ks, np.median(per_sweep, axis=0))}
+            for kind, per_sweep in times.items()}
+
+
 def record(genera: list[int], repeats: int, sweeps: int = SWEEPS) -> dict:
     rows = measure(genera, repeats, sweeps)
     return {
@@ -174,17 +219,69 @@ def record(genera: list[int], repeats: int, sweeps: int = SWEEPS) -> dict:
         "rows": rows,
         "superlinear": [f"{row}/{name}" for row, by in rows.items()
                         for name, r in by.items() if r["slope"] is not None and r["slope"] > 1],
+        "solve_genus0": {"group": "SU2", "torsion_order": 3, "ks": list(SOLVE_KS),
+                         **measure_solve(list(SOLVE_KS), repeats, sweeps)},
     }
 
 
-def main() -> int:
-    rec = record(GENERA, REPEATS)
-    OUT.write_text(json.dumps(rec, indent=2) + "\n")
-    for row, by in rec["rows"].items():
-        for name, r in by.items():
-            slope = "-" if r["slope"] is None else f"{r['slope']:.2f} +- {r['slope_spread']:.2f}"
-            print(f"{row:10s} {name:5s} slope {slope}  "
+def paired(parent: Path, pairs: int, workload: str, seed: int) -> dict:
+    """perfbench/run.py of PARENT and of this checkout, ``pairs`` times each,
+    alternating which side runs first, for the benchmark's run length."""
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    runs = {"parent": [], "change": []}
+    for i in range(pairs):
+        order = [("parent", parent), ("change", ROOT)]
+        for side, root in order if i % 2 == 0 else order[::-1]:
+            argv = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
+                    "--seed", str(seed), "--seconds", str(seconds)]
+            out = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=True)
+            metrics = json.loads(out.stdout.splitlines()[-1])["metrics"]
+            runs[side].append({n: m["value"] for n, m in metrics.items()})
+    summary = {}
+    for m in bench["end_to_end"]:
+        sign = 1 if m["better"] == "higher" else -1
+        values = {side: [r[m["name"]] for r in rs] for side, rs in runs.items()}
+        summary[m["name"]] = {
+            **{side: {"median": float(np.median(v)),
+                      "quartiles": np.percentile(v, [25, 75]).tolist()}
+               for side, v in values.items()},
+            "better": m["better"],
+            "pairs_won": sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"])),
+        }
+    return {"workload": workload, "seed": seed, "seconds": seconds, "pairs": pairs,
+            "runs": runs, "metrics": summary}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--paired", type=Path, metavar="PARENT")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--workload", default="component-scan")
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args(argv)
+    old = json.loads(OUT.read_text()) if OUT.exists() else {}
+    if args.paired:
+        run = paired(args.paired.resolve(), args.pairs, args.workload, args.seed)
+        rec = {**old, "perfbench": {**old.get("perfbench", {}),
+                                    f"{args.workload}/seed{args.seed}": run}}
+        for name, m in run["metrics"].items():
+            print(f"{name:18s} parent {m['parent']['median']:.6g} -> change "
+                  f"{m['change']['median']:.6g}, {m['pairs_won']} of {args.pairs} pairs won")
+    else:
+        rec = record(GENERA, REPEATS)
+        if "perfbench" in old:
+            rec["perfbench"] = old["perfbench"]
+        for row, by in rec["rows"].items():
+            for name, r in by.items():
+                slope = "-" if r["slope"] is None else f"{r['slope']:.2f} +- {r['slope_spread']:.2f}"
+                print(f"{row:10s} {name:5s} slope {slope}  "
+                      + " ".join(f"{t * 1e3:.3f}" for t in r["times_s"]) + " ms")
+        for kind in ("boundary", "interior"):
+            r = rec["solve_genus0"][kind]
+            print(f"solve_genus0 {kind:8s} slope {r['slope']:.2f}  "
                   + " ".join(f"{t * 1e3:.3f}" for t in r["times_s"]) + " ms")
+    OUT.write_text(json.dumps(rec, indent=2) + "\n")
     return 0
 
 

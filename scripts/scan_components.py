@@ -5,7 +5,10 @@ solved point in each nonempty component.
 
 Feasibility is decided exactly for SU2 and U2 (and for U(n) at genus >= 1),
 so "unresolved" (the search ended without a point or a certificate) happens
-only for U3 at genus 0; SL2R has no class enumeration to scan.
+only for U3 at genus 0; SL2R has no class enumeration to scan.  At genus 0,
+an SU2 or U2 tuple on the boundary of the rank-2 rule has only reducible
+solutions; its point is built exactly in a maximal torus, not searched, so
+its dims are those of the reducible stratum, whatever the seed.
 
 Usage: python scripts/scan_components.py --genus 0 --torsion 3,4,4
 """

@@ -20,6 +20,7 @@ projected onto the tangent space of G at r(phi) zeta^-1 (_tangent_residual).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -87,9 +88,10 @@ def _mat_json(m: np.ndarray) -> list:
 # --- SU(2) feasibility rule ---------------------------------------------------
 
 
-def su2_product_rule(ts, minus: bool = False, slack=0) -> bool:
-    """Whether SU(2) classes with rotation angles ts (units of pi, each in
-    [0, 1]) have product e, or -e when ``minus``.
+def su2_product_rule(ts, minus: bool = False) -> tuple:
+    """The rank-2 product rule for SU(2) classes with rotation angles ts
+    (units of pi, each in [0, 1]) and product e, or -e when ``minus``:
+    (margin, signs), feasible iff margin >= 0.
 
     For target e the rule is: every odd-size subset S satisfies
     sum_S t - sum_{not S} t <= |S| - 1 (the rank-2 parabolic-weight
@@ -97,18 +99,24 @@ def su2_product_rule(ts, minus: bool = False, slack=0) -> bool:
     Lett. 1998).  For -e, the last class moves to its antipode, t -> 1 - t.
     The rule reads max over odd S of sum_S (2t - 1) <= sum t - 1, and the
     maximizing S is {t > 1/2}, its parity fixed by the t nearest 1/2: O(n),
-    exact on Fractions.  ``slack`` widens the bound for float angles.
+    exact on Fractions.  margin is sum t - 1 minus that max; signs are +1 on
+    S, -1 off it, the last flipped for -e, so that at margin 0 the diagonal
+    classes with angles signs_j t_j multiply to the target.
     """
     ts = list(ts)
     if not ts:
-        return not minus  # the empty product is e
+        return (-1 if minus else 0), []  # the empty product is e
     if minus:
         ts[-1] = 1 - ts[-1]
     gains = [2 * t - 1 for t in ts]
-    best = sum(g for g in gains if g > 0)
-    if sum(g > 0 for g in gains) % 2 == 0:
-        best -= min(abs(g) for g in gains)
-    return best <= sum(ts) - 1 + slack
+    S = [g > 0 for g in gains]
+    if sum(S) % 2 == 0:
+        i = min(range(len(gains)), key=lambda i: abs(gains[i]))
+        S[i] = not S[i]
+    signs = [1 if s else -1 for s in S]
+    if minus:
+        signs[-1] = -signs[-1]
+    return sum(ts) - 1 - sum(g for g, s in zip(gains, S) if s), signs
 
 
 # --- the solver ---------------------------------------------------------------
@@ -150,8 +158,14 @@ def _feasibility_oracle(spec: SolveSpec) -> bool | None:
         # every element of SU(n) is a commutator, and U(1) is abelian: the
         # determinant test is the whole answer
         return True
-    minus = _is_minus_e(spec)
-    if model.n != 2 or minus is None:
+    rule = _rank2_rule(spec)
+    return None if rule is None else rule[0] >= 0
+
+
+def _rank2_rule(spec: SolveSpec) -> tuple | None:
+    """su2_product_rule of a genus-0 SU(2)/U(2) spec with target e or -e, else None."""
+    model, minus = spec.model, _is_minus_e(spec)
+    if spec.pres.genus or model.kind == "SL2R" or model.n != 2 or minus is None:
         return None
     if model.kind == "SU":
         return su2_product_rule([2 * min(c.fractions) for c in spec.classes], minus)
@@ -160,6 +174,25 @@ def _feasibility_oracle(spec: SolveSpec) -> bool | None:
     odd = sum(sum(c.fractions) for c in spec.classes) % 2 == 1
     ts = [c.fractions[1] - c.fractions[0] for c in spec.classes]
     return su2_product_rule(ts, minus != odd)
+
+
+def _torus_point(spec: SolveSpec) -> SolveResult | None:
+    """The exact point of a genus-0 SU(2)/U(2) spec on the boundary of the
+    rank-2 rule (margin 0), where every solution is reducible: z_j =
+    k_j c_j k_j^-1 with k_j = I or w = [[0, 1], [-1, 0]], which swaps the
+    eigenvalues of the diagonal c_j, by the rule's signs.  Else None."""
+    rule = _rank2_rule(spec)
+    if rule is None or rule[0] != 0:
+        return None
+    # an SU(2) representative has the angle +t first, a U(2) one -t
+    swap = [(s > 0) == (spec.model.kind == "U") for s in rule[1]]
+    half = Fraction(int(_is_minus_e(spec)), 2)
+    phases = [sum(c.fractions[i ^ k] for c, k in zip(spec.classes, swap)) for i in (0, 1)]
+    if any((p - half) % 1 for p in phases):  # the product's entries, on Fractions
+        return None
+    pt = _assemble(spec, np.where(np.array(swap)[:, None, None], [[0, 1], [-1, 0]], np.eye(2)))
+    resid = float(np.linalg.norm(_residual_matrix(spec, pt)))
+    return SolveResult(pt, resid, 0, spec) if resid < spec.tol else None
 
 
 def _is_minus_e(spec: SolveSpec) -> bool | None:
@@ -265,7 +298,8 @@ def _solve_once(spec: SolveSpec, rng: np.random.Generator) -> tuple[RepPoint, fl
 
 
 def solve_relator(spec: SolveSpec) -> SolveResult:
-    """Find phi with r(phi) = zeta and each phi(z_j) in its class.
+    """Find phi with r(phi) = zeta and each phi(z_j) in its class: built,
+    with restarts_used 0, on the boundary of the rank-2 rule, else searched.
 
     Raises InfeasibleSpec when an exact obstruction certifies emptiness and
     NotFound when the restart budget is exhausted: not a proof of emptiness,
@@ -274,6 +308,8 @@ def solve_relator(spec: SolveSpec) -> SolveResult:
     feas = _feasibility_oracle(spec)
     if feas is False:
         raise InfeasibleSpec("certified infeasible by exact obstruction")
+    if feas and (built := _torus_point(spec)) is not None:
+        return built
     rng = np.random.default_rng(spec.seed)
     best: tuple[RepPoint, float] | None = None
     budget = spec.max_restarts if feas is not True else max(spec.max_restarts, 60)

@@ -80,7 +80,7 @@ def su2_triangle_oracle(
     if target not in ("e", "-e"):
         raise ValueError("target must be 'e' or '-e'")
     ts = [th / np.pi for th in (th1, th2, th3)]
-    return su2_product_rule(ts, minus=target == "-e", slack=1e-12 / np.pi)
+    return su2_product_rule(ts, minus=target == "-e")[0] >= -1e-12 / np.pi
 
 
 def su2_brute_force_feasible(

@@ -29,3 +29,10 @@ def test_bench_scaling_fits_slopes_for_every_model():
             assert isinstance(r["slope"], float)
             assert r["sweep_slopes"] == [r["slope"]] and r["slope_spread"] == 0.0
     assert all(name.split("/")[0] in record["rows"] for name in record["superlinear"])
+    # genus 0: the boundary tuple is built, the interior one searched
+    solve = record["solve_genus0"]
+    assert solve["ks"] == list(range(3, 13))
+    assert solve["boundary"]["restarts_used"] == [0] * 10
+    assert all(n >= 1 for n in solve["interior"]["restarts_used"])
+    for r in (solve["boundary"], solve["interior"]):
+        assert len(r["times_s"]) == 10 and isinstance(r["slope"], float)

@@ -384,3 +384,17 @@ def test_blank_class_list_means_default_classes(capsys, torsion):
     default = _run(capsys, *argv)
     assert blank[0] == 0
     assert blank == default
+
+
+@pytest.mark.parametrize("classes", ["0,1,1,1", "1,0,1,1", "1,1,0,1", "1,1,1,0"])
+def test_boundary_tuple_reports_the_reducible_stratum(capsys, classes):
+    # these tuples sit on the boundary of the rank-2 rule, where every
+    # solution is reducible: the point is built (no restart), and its
+    # stabilizer is the maximal torus
+    code, out = _run(capsys, "solve", "--group", "SU2", "--genus", "0", "--torsion=3,3,3,3",
+                     "--classes=" + classes, "--no-timestamp")
+    assert code == 0
+    report = json.loads(out)
+    assert report["result"]["restarts_used"] == 0
+    component = report["component"]
+    assert (component["stabilizer_dim"], component["h1"], component["orbit_dim"]) == (1, 2, 2)

@@ -1,4 +1,5 @@
 import importlib.util
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
@@ -7,10 +8,10 @@ from types import SimpleNamespace
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from planarep import solver
-from planarep.cohomology import RepPoint
+from planarep.cohomology import RepPoint, delta0
 from planarep.components import component_label, finite_order_classes
 from planarep.errors import InfeasibleSpec, NotFound
 from planarep.liegroup import get_model
@@ -303,16 +304,22 @@ def _oracle_spec(group, genus, torsion, idx, target, seed, **kw):
 
 
 @pytest.mark.parametrize("case", ORACLE_SPECS, ids=lambda c: f"{c[0]}-g{c[1]}-{c[2]}-{c[4]}")
-def test_stacked_solver_follows_oracle_bitwise(monkeypatch, case):
+def test_stacked_solver_follows_oracle_bitwise(case):
+    # restart by restart from one generator state, as solve_relator draws
+    # them: this covers the search also at the specs on the boundary of the
+    # rank-2 rule, which solve_relator builds without it
     spec = _oracle_spec(*case)
-    res = solve_relator(spec)
-    monkeypatch.setattr(solver, "_solve_once", _oracle_solve_once)
-    ref = solve_relator(spec)
-    assert res.restarts_used == ref.restarts_used
-    assert res.residual == ref.residual
-    assert len(res.point.gens) == len(ref.point.gens)
-    for g, h in zip(res.point.gens, ref.point.gens):
-        assert np.array_equal(g, h)
+    rng, ref_rng = np.random.default_rng(spec.seed), np.random.default_rng(spec.seed)
+    for _ in range(60):
+        pt, resid = solver._solve_once(spec, rng)
+        ref, ref_resid = _oracle_solve_once(spec, ref_rng)
+        assert resid == ref_resid
+        assert len(pt.gens) == len(ref.gens)
+        for g, h in zip(pt.gens, ref.gens):
+            assert np.array_equal(g, h)
+        if resid < spec.tol:
+            break
+    assert resid < spec.tol
 
 
 def test_stacked_solver_not_found_message_matches_oracle(monkeypatch):
@@ -464,13 +471,16 @@ def test_su2_rule_matches_enumeration_and_check_fold(tuples, target):
 
 
 def test_su2_rule_small_cases():
-    assert su2_product_rule([])
-    assert not su2_product_rule([], minus=True)
-    assert su2_product_rule([Fraction(0)]) and not su2_product_rule([Fraction(1, 2)])
-    assert su2_product_rule([Fraction(1)], minus=True)
+    def feasible(ts, minus=False):
+        return su2_product_rule(ts, minus)[0] >= 0
+
+    assert feasible([])
+    assert not feasible([], minus=True)
+    assert feasible([Fraction(0)]) and not feasible([Fraction(1, 2)])
+    assert feasible([Fraction(1)], minus=True)
     # two classes multiply to e iff their angles agree
-    assert su2_product_rule([Fraction(1, 3)] * 2)
-    assert not su2_product_rule([Fraction(1, 3), Fraction(2, 3)])
+    assert feasible([Fraction(1, 3)] * 2)
+    assert not feasible([Fraction(1, 3), Fraction(2, 3)])
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -543,11 +553,65 @@ def test_higher_genus_is_certified_feasible():
 
 
 def test_certified_feasible_not_found_is_a_solver_defect(monkeypatch):
-    spec = _oracle_spec("SU2", 0, (3, 3, 3), (1, 1, 1), "e", 0)
+    # an interior tuple: the rule holds strictly, so the point is searched
+    spec = _oracle_spec("SU2", 0, (3, 3, 3, 3), (1, 1, 1, 1), "e", 0)
     monkeypatch.setattr(solver, "_solve_once", lambda spec, rng: (None, float("inf")))
     with pytest.raises(NotFound, match=r"certified feasible but not solved "
                        r"within 60 restarts \(solver defect\); best residual inf"):
         solve_relator(spec)
+
+
+# --- the exact point on the boundary of the rule ------------------------------
+
+rank2_specs = st.tuples(
+    st.sampled_from(["SU2", "U2"]),
+    st.lists(st.tuples(st.integers(2, 7), st.integers(0, 10**4)), min_size=1, max_size=6),
+    st.sampled_from(["e", "-e"]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rank2_specs)
+@example(("SU2", [(3, 0), (3, 1), (3, 1), (3, 1)], "e"))
+@example(("SU2", [(3, 1), (3, 1), (3, 1), (3, 1)], "e"))  # interior
+@example(("SU2", [(3, 1), (6, 1), (6, 2)], "-e"))
+@example(("U2", [(3, 1), (3, 2), (3, 4)], "e"))
+@example(("U2", [(4, 1), (4, 2), (4, 8)], "-e"))
+def test_boundary_tuple_is_built_exactly(case):
+    # class index k is read modulo the number of classes of order m
+    group, tuples, target = case
+    model = get_model(group)
+    classes = [finite_order_classes(model, m)[k % len(finite_order_classes(model, m))]
+               for m, k in tuples]
+    spec = SolveSpec(PlanarPresentation(0, tuple(m for m, _ in tuples)), model, classes,
+                     -model.identity if target == "-e" else None)
+    feasible = solver._feasibility_oracle(spec)
+    built = solver._torus_point(spec)
+    assert (built is not None) == (feasible and solver._rank2_rule(spec)[0] == 0)
+    if built is None:
+        return
+    assert built.restarts_used == 0 and built.residual <= 1e-12
+    assert component_label(built.point) == [c.class_id for c in classes]
+    # a maximal torus fixes the point: delta0 has nullity >= d - 2, the one
+    # direction of the SU(2) torus plus, for U(2), the centre
+    sv = np.linalg.svd(delta0(built.point), compute_uv=False)
+    assert np.all(sv[2:] <= 1e-12)
+    # solve_relator returns the built point, whatever the seed
+    res = solve_relator(replace(spec, seed=17))
+    assert res.restarts_used == 0
+    assert all(np.array_equal(g, h) for g, h in zip(res.point.gens, built.point.gens))
+    if sum(c.fractions[0] != c.fractions[1] for c in classes) < 3:
+        return
+    # the search converges only linearly there, and stops about sqrt(residual)
+    # from the reducible locus: the smallest singular value of delta0 off
+    # the centre is that small, far above the rank cut, so a searched point
+    # reads as irreducible
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_torus_point", lambda spec: None)
+        res = solve_relator(spec)
+    sv = np.linalg.svd(delta0(res.point), compute_uv=False)
+    assert res.restarts_used >= 1
+    assert sv[2] <= 4 * np.sqrt(res.residual)
 
 
 # --- the step in the residual space -------------------------------------------
