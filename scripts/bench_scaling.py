@@ -31,6 +31,13 @@ from class 0 (e) and class 1 (rotation angle 2 pi / 3):
 - interior: (1, ..., 1) with target -e, strictly inside the rule, searched
   by the Levenberg-Marquardt restarts from seed 0.
 
+An eighth row, spec_setup, times the set-up of a solve request per class
+tuple on SU(2) and U(2) t(3^k), k = 2 ... 8: the CLI's _pick_classes, the
+SolveSpec and the exact certificate (solver._feasibility_oracle), for every
+class index i as the tuple (i, ..., i) and for the default tuple (no
+indices), each with target e and -e.  It is timed with a cold class cache,
+emptied before every tuple, and with a warm one.
+
 Each time is the median over SWEEPS interleaved sweeps (each sweep times
 every row, model and genus once more) of the best of REPEATS calls, with the
 point's Ad matrices and inverses already built.  Each row also records the
@@ -46,7 +53,7 @@ quartiles per side and, per metric, how many pairs this checkout won,
 under "perfbench" / "<workload>/seed<seed>" in the same file.  A plain run
 keeps those entries; a paired run keeps the rows.
 
-Usage: python scripts/bench_scaling.py   (writes BENCH_21.json at the repo root)
+Usage: python scripts/bench_scaling.py   (writes BENCH_22.json at the repo root)
        python scripts/bench_scaling.py --paired ../parent --pairs 10 \
            --workload component-scan --seed 1
 """
@@ -70,11 +77,12 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from planarep.cli import _pick_classes, _zeta  # noqa: E402
 from planarep.cohomology import RepPoint, cohomology_data  # noqa: E402
 from planarep.components import finite_order_classes  # noqa: E402
 from planarep.liegroup import get_model  # noqa: E402
 from planarep.presentations import PlanarPresentation  # noqa: E402
-from planarep.solver import SolveSpec, _jacobian, solve_relator  # noqa: E402
+from planarep.solver import SolveSpec, _feasibility_oracle, _jacobian, solve_relator  # noqa: E402
 from planarep.symplectic import cup_matrix  # noqa: E402
 
 MODELS = ("U1", "SU2", "SL2R", "U2", "U3")
@@ -83,7 +91,9 @@ GENERA = (4, 8, 16, 32, 64, 128)
 REPEATS = 9
 SWEEPS = 3
 SOLVE_KS = tuple(range(3, 13))
-OUT = ROOT / "BENCH_21.json"
+SETUP_KS = tuple(range(2, 9))
+SETUP_GROUPS = ("SU2", "U2")
+OUT = ROOT / "BENCH_22.json"
 
 
 def _drop_row_and_value(pt: RepPoint) -> None:
@@ -130,11 +140,11 @@ ROWS = {"per_handle": per_handle, "walk": walk, "Ad_matrix": ad_matrix, "jacobia
         "cohomology_data": cohomology, "cup_matrix": cup_matrix}
 
 
-def best_of(fn, pt: RepPoint, repeats: int) -> float:
+def best_of(fn, arg, repeats: int) -> float:
     best = float("inf")
     for _ in range(repeats):
         t0 = perf_counter()
-        fn(pt)
+        fn(arg)
         best = min(best, perf_counter() - t0)
     return best
 
@@ -200,6 +210,39 @@ def measure_solve(ks: list[int], repeats: int, sweeps: int) -> dict:
             for kind, per_sweep in times.items()}
 
 
+def setup_requests(name: str, k: int) -> list[tuple]:
+    """(model, presentation, class indices, target) of every tuple that
+    spec_setup times on t(3^k) (module docstring)."""
+    model, pres = get_model(name), PlanarPresentation(0, (3,) * k)
+    tuples = [(i,) * k for i in range(len(finite_order_classes(model, 3)))] + [()]
+    return [(model, pres, idxs, target) for idxs in tuples for target in ("e", "-e")]
+
+
+def spec_setup(requests: list[tuple], cold: bool) -> None:
+    for model, pres, idxs, target in requests:
+        if cold:
+            finite_order_classes.cache_clear()
+        classes = _pick_classes(model, pres, idxs, target)
+        _feasibility_oracle(SolveSpec(pres, model, classes, _zeta(model, target)))
+
+
+def measure_setup(ks: list[int], repeats: int, sweeps: int) -> dict:
+    cases = [(name, [setup_requests(name, k) for k in ks]) for name in SETUP_GROUPS]
+    times = {(name, mode): [[] for _ in range(sweeps)] for name, _ in cases
+             for mode in ("cold", "warm")}
+    for sweep in range(sweeps):
+        for name, per_k in cases:
+            for requests in per_k:
+                for mode in ("cold", "warm"):
+                    t = best_of(lambda r: spec_setup(r, mode == "cold"), requests, repeats)
+                    times[name, mode][sweep].append(t / len(requests))
+    medians = {key: np.median(per_sweep, axis=0).tolist() for key, per_sweep in times.items()}
+    return {name: {mode: {"tuples": [len(r) for r in per_k], "times_s": medians[name, mode],
+                          "slope": _slope(ks, medians[name, mode])}
+                   for mode in ("cold", "warm")}
+            for name, per_k in cases}
+
+
 def record(genera: list[int], repeats: int, sweeps: int = SWEEPS) -> dict:
     rows = measure(genera, repeats, sweeps)
     return {
@@ -221,6 +264,8 @@ def record(genera: list[int], repeats: int, sweeps: int = SWEEPS) -> dict:
                         for name, r in by.items() if r["slope"] is not None and r["slope"] > 1],
         "solve_genus0": {"group": "SU2", "torsion_order": 3, "ks": list(SOLVE_KS),
                          **measure_solve(list(SOLVE_KS), repeats, sweeps)},
+        "spec_setup": {"torsion_order": 3, "ks": list(SETUP_KS),
+                       **measure_setup(list(SETUP_KS), repeats, sweeps)},
     }
 
 
@@ -281,6 +326,10 @@ def main(argv=None) -> int:
             r = rec["solve_genus0"][kind]
             print(f"solve_genus0 {kind:8s} slope {r['slope']:.2f}  "
                   + " ".join(f"{t * 1e3:.3f}" for t in r["times_s"]) + " ms")
+        for name in SETUP_GROUPS:
+            for mode, r in rec["spec_setup"][name].items():
+                print(f"spec_setup {name:4s} {mode} slope {r['slope']:.2f}  "
+                      + " ".join(f"{t * 1e6:.1f}" for t in r["times_s"]) + " us per tuple")
     OUT.write_text(json.dumps(rec, indent=2) + "\n")
     return 0
 

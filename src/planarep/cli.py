@@ -108,28 +108,23 @@ def _default_classes(model, per_gen, target: str):
     first, that the solver's determinant test lets through.
 
     Only U(n) has that test: a tuple passes when the determinants of its
-    classes, exp(2 pi i * sum of the fractions), multiply to det(zeta).  When
-    no tuple passes, the first one is returned and the solver certifies it
-    empty."""
+    classes, exp(2 pi i phase), multiply to det(zeta).  When no tuple
+    passes, the first one is returned and the solver certifies it empty."""
     prefs = [classes[1:] + classes[:1] for classes in per_gen]
     if model.kind != "U":
         return [p[0] for p in prefs]
-
-    def phase(c):  # det(c) = exp(2 pi i phase(c))
-        return sum(c.fractions) % 1
-
     need = Fraction(model.n, 2) % 1 if target == "-e" else Fraction(0)
     # reach[j]: the phases the classes of generators j, j+1, ... can add up to
     reach = [{Fraction(0)}]
     for classes in reversed(per_gen):
-        reach.insert(0, {(r + phase(c)) % 1 for r in reach[0] for c in classes})
+        reach.insert(0, {(r + c.phase) % 1 for r in reach[0] for c in classes})
     if need not in reach[0]:
         return [p[0] for p in prefs]
     out = []
     for p, rest in zip(prefs, reach[1:]):
-        c = next(c for c in p if (need - phase(c)) % 1 in rest)
+        c = next(c for c in p if (need - c.phase) % 1 in rest)
         out.append(c)
-        need = (need - phase(c)) % 1
+        need = (need - c.phase) % 1
     return out
 
 

@@ -241,7 +241,7 @@ def random_fnat_point(
         classes = finite_order_classes(model, m)
         cls = classes[rng.integers(len(classes))]
         k = model.random_element(rng, scale)
-        gens.append(k @ cls.representative(model) @ model.inverse(k))
+        gens.append(k @ cls.representative @ model.inverse(k))
     return RepPoint(pres, model, gens)
 
 
@@ -254,15 +254,6 @@ def cocycle_extend(pt: RepPoint, u: list[np.ndarray], w: Word) -> np.ndarray:
 def delta0(pt: RepPoint) -> np.ndarray:
     """((2l+n)d x d) matrix with s-block X -> X - Ad_{phi(s)} X."""
     return (np.eye(pt.model.d) - pt.ad_gens).reshape(-1, pt.model.d)
-
-
-def torsion_fixed_dims(pt: RepPoint, tol: Tolerances = DEFAULT_TOL) -> list[int]:
-    """f_j = dim ker(Ad_{phi(z_j)} - 1) for each torsion generator."""
-    out = []
-    for j in range(pt.pres.n_torsion):
-        A = pt.ad_gens[pt.pres.z_index(j)] - np.eye(pt.model.d)
-        out.append(pt.model.d - _rank(A, tol))
-    return out
 
 
 def _rank_cut(s: np.ndarray, rel_tol: float) -> int:
@@ -303,7 +294,10 @@ def projective_subspace(
     generators: one block per generator, with orthonormal columns (d x k_i).
 
     A free generator's block is I_d, all of g; a torsion generator's block
-    is a basis of ker N_j with N_j = sum_k Ad_{phi(z_j)}^k.  Readers work
+    is a basis of ker N_j with N_j = sum_k Ad_{phi(z_j)}^k.  Ad_{phi(z_j)}
+    has order m_j, so N_j is m_j times the projector onto its fixed space,
+    and the block has d - f_j columns, f_j = dim ker(Ad_{phi(z_j)} - 1):
+    cohomology_data reads f_j off it, from the same rank cut.  Readers work
     block by block, at O(d^2) per generator; block_basis builds the dense
     N x dim matrix Q for those that need it.
     """
@@ -416,7 +410,7 @@ def cohomology_data(pt: RepPoint, tol: Tolerances = DEFAULT_TOL) -> CochainData:
         h0=d - rank0,
         h1=D0p.shape[0] - rank1 - rank0,
         h2=d - rank1,
-        f_j=torsion_fixed_dims(pt, tol),
+        f_j=[d - B.shape[1] for B in blocks[f:]],
         proj_blocks=blocks,
         delta0_proj=D0p,
         delta1_proj=D1p,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -35,9 +36,19 @@ class TorsionClass:
         inner = ",".join(str(f) for f in self.fractions)
         return f"{self.model_name}|m={self.order}|[{inner}]"
 
-    def representative(self, model: LieModel) -> np.ndarray:
+    @cached_property
+    def representative(self) -> np.ndarray:
+        """diag(exp(2 pi i f)) over the fractions, built once; read-only,
+        since every spec of the class shares it."""
         angles = [2.0 * np.pi * float(f) for f in self.fractions]
-        return np.diag(np.exp(1j * np.array(angles)))
+        rep = np.diag(np.exp(1j * np.array(angles)))
+        rep.flags.writeable = False
+        return rep
+
+    @cached_property
+    def phase(self) -> Fraction:
+        """The sum of the fractions mod 1, exactly: det(c) = exp(2 pi i phase)."""
+        return sum(self.fractions) % 1
 
     def weights(self) -> list[tuple[Fraction, int]]:
         """Rational weights k/m with multiplicities (parabolic-weight reading)."""
@@ -62,8 +73,11 @@ def _su2_fractions(k: int, m: int) -> tuple[Fraction, ...]:
     return tuple(sorted((a, b)))
 
 
-def finite_order_classes(model: LieModel, m: int) -> list[TorsionClass]:
-    """All conjugacy classes of elements g with g^m = e, canonically ordered."""
+@cache
+def finite_order_classes(model: LieModel, m: int) -> tuple[TorsionClass, ...]:
+    """All conjugacy classes of elements g with g^m = e, canonically ordered,
+    built at the first call per (model, m) and shared after it.  A call that
+    raises caches nothing."""
     if m < 1:
         raise ValueError("order must be >= 1")
     if model.kind == "SL2R":
@@ -72,21 +86,17 @@ def finite_order_classes(model: LieModel, m: int) -> list[TorsionClass]:
             "finite enumeration is not available"
         )
     if model.kind == "SU" and model.n == 2:
-        return [
+        return tuple(
             TorsionClass(model.name, m, _su2_fractions(k, m))
             for k in range(m // 2 + 1)
-        ]
+        )
     if model.kind == "U":
         from itertools import combinations_with_replacement
 
-        out = []
-        for ks in combinations_with_replacement(range(m), model.n):
-            out.append(
-                TorsionClass(
-                    model.name, m, tuple(sorted(Fraction(k, m) for k in ks))
-                )
-            )
-        return out
+        return tuple(
+            TorsionClass(model.name, m, tuple(sorted(Fraction(k, m) for k in ks)))
+            for ks in combinations_with_replacement(range(m), model.n)
+        )
     raise UnsupportedModel(f"no class enumeration for {model.name}")
 
 

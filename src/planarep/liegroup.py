@@ -40,7 +40,7 @@ class LieModel:
     element.
 
     exp and log_principal are closed forms for these n <= 3 models;
-    dexp_matrix and symplectic.bform_matrix take phi_functions of ad.
+    dexp_matrix and symplectic.bform_matrix take phi_functions of ad (phi_ad).
     """
 
     def __init__(self, kind: str, n: int, basis: np.ndarray, name: str):
@@ -215,14 +215,17 @@ class LieModel:
         slice column-major like Ad_matrix's; it serves ad_matrix."""
         return self.vec(M).swapaxes(-1, -2)
 
+    def phi_ad(self, Lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """phi_functions of the stack (ad_Lam, -ad_Lam), each slice bitwise
+        the call on it alone: phi1[0] is dexp_matrix(Lam), and
+        symplectic.bform_matrix reads phi2 of both slices."""
+        A = self.ad_matrix(Lam)
+        return phi_functions(np.stack([A, -A]))
+
     def dexp_matrix(self, Lam: np.ndarray) -> np.ndarray:
         """Right-translated differential of exp: D = sum ad^k / (k+1)!,
-        phi1 of ad_Lam (phi_functions)."""
-        return phi_functions(self.ad_matrix(Lam))[0]
-
-    def dexp_inv_matrix(self, Lam: np.ndarray) -> np.ndarray:
-        """Inverse of dexp_matrix; for Lam of positive spectral margin."""
-        return np.linalg.inv(self.dexp_matrix(Lam))
+        phi1 of ad_Lam (phi_ad)."""
+        return self.phi_ad(Lam)[0][0]
 
     # -- center ----------------------------------------------------------------
 

@@ -50,19 +50,26 @@ class SolveSpec:
             self.zeta = self.model.identity.copy()
         if not self.model.is_central(self.zeta):
             raise InfeasibleSpec("target zeta is not central")
-        for cls, m, rep in zip(self.classes, self.pres.torsion, self.reps):
+        for cls, m in zip(self.classes, self.pres.torsion):
             if cls.order != m:
                 raise InfeasibleSpec(
                     f"class {cls.class_id} has order {cls.order}, presentation wants {m}"
                 )
-            if np.linalg.norm(np.linalg.matrix_power(rep, m) - self.model.identity) > 1e-9:
+            # c^m = e exactly when m k/q is an integer for every fraction k/q
+            if any(m % f.denominator for f in cls.fractions):
                 raise InfeasibleSpec(f"class representative violates g^{m} = e")
 
     @cached_property
     def reps(self) -> np.ndarray:
         """The exact class representatives c_j, stacked (n_torsion, n, n)."""
         n = self.model.n
-        return np.array([c.representative(self.model) for c in self.classes]).reshape(-1, n, n)
+        return np.array([c.representative for c in self.classes]).reshape(-1, n, n)
+
+    @cached_property
+    def rank2_rule(self) -> tuple | None:
+        """_rank2_rule of the spec, decided once for the certificate and
+        the built torus point."""
+        return _rank2_rule(self)
 
     @cached_property
     def zeta_inv(self) -> np.ndarray:
@@ -149,16 +156,16 @@ def _feasibility_oracle(spec: SolveSpec) -> bool | None:
         # number |eu| <= 2l - 2 occurs (Milnor-Wood, Goldman): -e iff l >= 2
         return not _is_minus_e(spec) or p.genus >= 2
     if model.kind == "U":
-        det = complex(np.linalg.det(spec.zeta))
-        for rep in spec.reps:
-            det /= complex(np.linalg.det(rep))
-        if abs(det - 1.0) > 1e-9:
+        # det c_j = exp(2 pi i phase_j), so the product's determinant is one
+        # root of unity, summed exactly, against det zeta
+        phase = float(sum(c.phase for c in spec.classes) % 1)
+        if abs(np.linalg.det(spec.zeta) - np.exp(2j * np.pi * phase)) > 1e-9:
             return False
     if p.genus >= 1 or model.n == 1:
         # every element of SU(n) is a commutator, and U(1) is abelian: the
         # determinant test is the whole answer
         return True
-    rule = _rank2_rule(spec)
+    rule = spec.rank2_rule
     return None if rule is None else rule[0] >= 0
 
 
@@ -181,7 +188,7 @@ def _torus_point(spec: SolveSpec) -> SolveResult | None:
     rank-2 rule (margin 0), where every solution is reducible: z_j =
     k_j c_j k_j^-1 with k_j = I or w = [[0, 1], [-1, 0]], which swaps the
     eigenvalues of the diagonal c_j, by the rule's signs.  Else None."""
-    rule = _rank2_rule(spec)
+    rule = spec.rank2_rule
     if rule is None or rule[0] != 0:
         return None
     # an SU(2) representative has the angle +t first, a U(2) one -t

@@ -9,7 +9,6 @@ theorem, which check_moment_identity tests rather than assumes.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -56,16 +55,14 @@ class ExtendedPoint:
         resid = np.linalg.norm(model.exp(self.Lam) - self.phi.long_relator_value)
         if resid > 1e-6:
             raise LogBranchFailure(f"exp(Lambda) != r(phi), residual {resid:.2e}")
-        self._dexp_inv = model.dexp_inv_matrix(self.Lam)
+        # dexp(Lam)^-1 and the B matrix at Lam (bform_matrix) from one phi_ad
+        phi1, phi2 = model.phi_ad(self.Lam)
+        self._dexp_inv = np.linalg.inv(phi1[0])
+        self.bform = _bform(model, phi2)
 
     @property
     def model(self) -> LieModel:
         return self.phi.model
-
-    @cached_property
-    def bform(self) -> np.ndarray:
-        """B matrix at Lam (bform_matrix)."""
-        return bform_matrix(self.model, self.Lam)
 
     def conjugate(self, g: np.ndarray) -> "ExtendedPoint":
         ginv = self.model.inverse(g)
@@ -230,12 +227,14 @@ def bform_matrix(model: LieModel, Lam: np.ndarray) -> np.ndarray:
     pairing, B_Lam(V, W) = <F(ad_Lam) V, W> with F(z) = (sinh z - z)/z^2,
     so K = F(ad_Lam)^T G.  F = (phi2(z) - phi2(-z))/2 for
     phi2(z) = (e^z - 1 - z)/z^2, both from one phi_functions call on the
-    stack (ad_Lam, -ad_Lam).
+    stack (ad_Lam, -ad_Lam) (LieModel.phi_ad).
     """
-    A = model.ad_matrix(Lam)
-    phi2 = phi_functions(np.stack([A, -A]))[1]
-    F = 0.5 * (phi2[0] - phi2[1])
-    return F.T @ model.pairing_gram
+    return _bform(model, model.phi_ad(Lam)[1])
+
+
+def _bform(model: LieModel, phi2: np.ndarray) -> np.ndarray:
+    """K = F(ad_Lam)^T G from phi2 of the stack (ad_Lam, -ad_Lam)."""
+    return (0.5 * (phi2[0] - phi2[1])).T @ model.pairing_gram
 
 
 # --- extended 2-form, momentum map, identities -------------------------------

@@ -5,6 +5,8 @@ radians, and ``su2_brute_force_feasible`` decides the same question by direct
 minimization, independently of the rule.  ``alg_residual`` and
 ``grp_residual`` measure membership in a model's algebra and group,
 ``is_reduced`` tests a letter sequence for free reduction,
+``torsion_fixed_dims`` cuts each torsion generator's fixed dimension from an
+SVD of Ad - 1, ``det_certificate`` is the U(n) determinant test on floats,
 ``delta1_free`` stacks the walked Fox rows of all relators, and
 ``cup_matrix_by_cells`` evaluates the cup matrix cell by cell over the exact
 filling chain, the reference for the closed form of ``cup_matrix``.
@@ -14,7 +16,8 @@ from typing import Iterable
 
 import numpy as np
 
-from planarep.cohomology import RepPoint
+from planarep.cohomology import RepPoint, _rank
+from planarep.config import DEFAULT_TOL, Tolerances
 from planarep.foxcalc import relator_filling_chain
 from planarep.liegroup import LieModel
 from planarep.solver import su2_product_rule
@@ -40,6 +43,25 @@ def is_reduced(letters: Iterable[int]) -> bool:
             return False
         prev = s
     return True
+
+
+def torsion_fixed_dims(pt: RepPoint, tol: Tolerances = DEFAULT_TOL) -> list[int]:
+    """f_j = dim ker(Ad_{phi(z_j)} - 1) for each torsion generator, by an SVD
+    of Ad_{phi(z_j)} - 1: the reference for cohomology_data's f_j, which is
+    read off the kernel block of N_j instead."""
+    d = pt.model.d
+    return [d - _rank(pt.ad_gens[pt.pres.z_index(j)] - np.eye(d), tol)
+            for j in range(pt.pres.n_torsion)]
+
+
+def det_certificate(classes, zeta: np.ndarray) -> bool:
+    """The U(n) determinant test by floats: det(zeta) over the product of
+    the representatives' determinants is 1 to 1e-9.  The reference for
+    solver._feasibility_oracle, which sums the classes' phases exactly."""
+    det = complex(np.linalg.det(zeta))
+    for c in classes:
+        det /= complex(np.linalg.det(c.representative))
+    return abs(det - 1.0) <= 1e-9
 
 
 def delta1_free(pt: RepPoint) -> np.ndarray:

@@ -70,7 +70,7 @@ def _random_presentations(count, seed):
 
 def _det_one_class(model, m):
     for cls in finite_order_classes(model, m)[1:]:
-        if abs(np.linalg.det(cls.representative(model)) - 1.0) < 1e-9:
+        if abs(np.linalg.det(cls.representative) - 1.0) < 1e-9:
             return cls
     return finite_order_classes(model, m)[0]
 

@@ -36,3 +36,14 @@ def test_bench_scaling_fits_slopes_for_every_model():
     assert all(n >= 1 for n in solve["interior"]["restarts_used"])
     for r in (solve["boundary"], solve["interior"]):
         assert len(r["times_s"]) == 10 and isinstance(r["slope"], float)
+    # spec set-up per class tuple, with a cold class cache and a warm one
+    setup = record["spec_setup"]
+    assert setup["ks"] == list(range(2, 9))
+    assert set(setup) - {"torsion_order", "ks"} == set(module.SETUP_GROUPS)
+    for name in module.SETUP_GROUPS:
+        assert set(setup[name]) == {"cold", "warm"}
+        for r in setup[name].values():
+            assert len(r["times_s"]) == 7 and all(t > 0 for t in r["times_s"])
+            assert isinstance(r["slope"], float)
+    assert setup["SU2"]["warm"]["tuples"] == [6] * 7
+    assert setup["U2"]["warm"]["tuples"] == [14] * 7

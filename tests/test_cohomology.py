@@ -29,13 +29,13 @@ from planarep.symplectic import (
     unflatten,
 )
 
-from oracles import delta1_free
+from oracles import delta1_free, torsion_fixed_dims
 
 
 def _det_one_class(model, m):
     """First nontrivial class whose representative has determinant 1."""
     for cls in finite_order_classes(model, m)[1:]:
-        if abs(np.linalg.det(cls.representative(model)) - 1.0) < 1e-9:
+        if abs(np.linalg.det(cls.representative) - 1.0) < 1e-9:
             return cls
     return finite_order_classes(model, m)[0]
 
@@ -209,6 +209,35 @@ def test_bases_built_on_first_read_match_the_dims(group, genus, torsion, seed):
     assert H.shape[1] == data.h1
     for D, basis in ((data.delta1_proj, Z), (data.delta0_proj.T, H)):
         assert np.linalg.norm(D @ basis) <= 1e-12 * max(1.0, np.linalg.norm(D))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["U1", "SU2", "U2", "U3"]),
+    st.lists(st.tuples(st.integers(2, 7), st.integers(0, 10**6)), min_size=1, max_size=2),
+    st.integers(0, 10**6),
+)
+def test_fixed_dims_are_read_off_the_projective_blocks(group, draws, seed):
+    # genus 1 with torsion (m1, m1, m2, m2): x random, y = x^2 and each pair
+    # z, z^-1 of a class drawn per order under a random conjugator, so that
+    # the long relator [x, y] z1 z1^-1 z2 z2^-1 is e
+    model = get_model(group)
+    rng = np.random.default_rng(seed)
+    pres = PlanarPresentation(1, tuple(m for m, _ in draws for _ in (0, 1)))
+    x = model.random_element(rng)
+    gens = [x, x @ x]
+    for m, pick in draws:
+        classes = finite_order_classes(model, m)
+        k = model.random_element(rng)
+        z = k @ classes[pick % len(classes)].representative @ model.inverse(k)
+        gens += [z, model.inverse(z)]
+    pt = RepPoint(pres, model, gens)
+    data = cohomology_data(pt)
+    blocks = projective_subspace(pt)[2:]
+    assert data.f_j == torsion_fixed_dims(pt)
+    assert data.f_j == [model.d - B.shape[1] for B in blocks]
+    euler = data.h0 - data.h1 + data.h2
+    assert euler == euler_characteristic_expected(pt, data.f_j)
 
 
 # Worst relative differences max|long_row - walk| / max(1, max|walk|), and

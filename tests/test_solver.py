@@ -1,7 +1,7 @@
 import importlib.util
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,7 +18,7 @@ from planarep.liegroup import get_model
 from planarep.presentations import PlanarPresentation
 from planarep.solver import SolveSpec, solve_relator, su2_product_rule
 
-from oracles import su2_brute_force_feasible, su2_triangle_oracle
+from oracles import det_certificate, su2_brute_force_feasible, su2_triangle_oracle
 
 SU2 = get_model("SU2")
 U2 = get_model("U2")
@@ -92,7 +92,7 @@ def test_u_det_obstruction():
     classes = finite_order_classes(u2, 3)
     bad = next(
         c for c in classes
-        if abs(np.linalg.det(c.representative(u2)) - 1.0) > 1e-9
+        if abs(np.linalg.det(c.representative) - 1.0) > 1e-9
     )
     with pytest.raises(InfeasibleSpec):
         solve_relator(SolveSpec(PlanarPresentation(1, (3,)), u2, [bad], seed=0))
@@ -215,7 +215,7 @@ def _oracle_tangent(model, E):
 def _oracle_assemble(spec, free, conj):
     gens = list(free)
     for k, cls in zip(conj, spec.classes):
-        gens.append(k @ cls.representative(spec.model) @ _oracle_inv(spec.model, k))
+        gens.append(k @ cls.representative @ _oracle_inv(spec.model, k))
     return RepPoint(spec.pres, spec.model, gens)
 
 
@@ -543,6 +543,37 @@ def test_solver_agrees_with_su2_rule_on_four_and_five_generators(monkeypatch):
         seen[feasible] += 1
         _assert_solver_agrees(monkeypatch, spec, feasible)
     assert seen[True] and seen[False]
+
+
+@pytest.mark.parametrize("name", ["U1", "U2", "U3"])
+def test_exact_det_certificate_matches_the_float_product(name):
+    # at genus 1 the U(n) certificate is the determinant test alone; the
+    # test is symmetric in the classes, so each multiset is one tuple
+    model = get_model(name)
+    for m, k in product(range(2, 6), range(1, 4)):
+        pres = PlanarPresentation(1, (m,) * k)
+        for classes in combinations_with_replacement(finite_order_classes(model, m), k):
+            for zeta in (model.identity, -model.identity):
+                spec = SolveSpec(pres, model, list(classes), zeta)
+                assert solver._feasibility_oracle(spec) == det_certificate(classes, zeta)
+
+
+def test_solve_relator_reads_the_rank2_rule_once(monkeypatch):
+    calls = []
+    rule = solver._rank2_rule
+    monkeypatch.setattr(solver, "_rank2_rule", lambda spec: calls.append(spec) or rule(spec))
+    cases = [("SU2", (3, 3, 3, 3), (0, 1, 1, 1), "e"),  # boundary: built
+             ("SU2", (3, 3, 3, 3), (1, 1, 1, 1), "e"),  # interior: searched
+             ("SU2", (3, 3, 3, 3), (0, 0, 0, 1), "e"),  # certified empty
+             ("U2", (3, 3), (1, 2), "e")]  # boundary: built
+    for group, torsion, idx, target in cases:
+        calls.clear()
+        spec = _oracle_spec(group, 0, torsion, idx, target, 0)
+        try:
+            solve_relator(spec)
+        except InfeasibleSpec:
+            pass
+        assert len(calls) == 1 and calls[0] is spec
 
 
 def test_higher_genus_is_certified_feasible():

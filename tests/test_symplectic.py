@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
-from planarep import symplectic
+from planarep import liegroup, symplectic
 from planarep.cohomology import (
     RepPoint,
     block_basis,
@@ -244,7 +244,7 @@ def _torsion_element(model, m, rng):
         rep = np.array([[c, -s], [s, c]])
     else:
         classes = finite_order_classes(model, m)
-        rep = classes[rng.integers(len(classes))].representative(model)
+        rep = classes[rng.integers(len(classes))].representative
     g = model.random_element(rng, 0.6)
     return g @ rep @ np.linalg.inv(g)
 
@@ -323,7 +323,7 @@ def test_matrix_grams_match_per_pair_reference(group, gt, seed):
     cols = list(basis.T)
     ref_cup = _cup_reference(pt.phi, cols)
     R = _fox_row(pt.phi, pres.long_relator)
-    Dinv = model.dexp_inv_matrix(pt.Lam)
+    Dinv = np.linalg.inv(model.dexp_matrix(pt.Lam))
     Vs = [Dinv @ R @ u for u in cols]
     ref_ext = ref_cup.copy()
     for i in range(k):
@@ -369,6 +369,24 @@ def test_star_domain_is_checked_along_the_whole_segment():
     assert np.linalg.svd(MODEL.dexp_matrix(Lam), compute_uv=False)[-1] > 0.2
     with pytest.raises(SingularDexp):
         ExtendedPoint(phi, Lam)
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_extended_point_reads_dexp_and_bform_off_one_phi_call(monkeypatch, group):
+    # a random point of genus 2: r(phi) is not central, so ad_Lam != 0
+    model = get_model(group)
+    rng = np.random.default_rng(7)
+    phi = RepPoint(PlanarPresentation(2, ()), model,
+                   [model.random_element(rng, 0.3) for _ in range(4)])
+    calls = []
+    phi_functions = liegroup.phi_functions
+    monkeypatch.setattr(liegroup, "phi_functions", lambda A: calls.append(A) or phi_functions(A))
+    pt = extend_point(phi)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    # bit for bit the single-purpose forms
+    assert np.array_equal(pt._dexp_inv, np.linalg.inv(model.dexp_matrix(pt.Lam)))
+    assert np.array_equal(pt.bform, bform_matrix(model, pt.Lam))
 
 
 @settings(max_examples=60, deadline=None)
