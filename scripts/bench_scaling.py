@@ -38,6 +38,12 @@ class index i as the tuple (i, ..., i) and for the default tuple (no
 indices), each with target e and -e.  It is timed with a cold class cache,
 emptied before every tuple, and with a warm one.
 
+The cli rows time whole CLI requests, in process, for the subcommands
+symplectic and momenttest on SU(2) t(3,5) classes (1, 2) and U(3) t(3)
+class 4, at the genera of the run up to CLI_MAX_GENUS, with each report
+discarded.  They call nothing but planarep.cli.main, so this script, copied
+into an older checkout, times that checkout's commands the same way.
+
 Each time is the median over SWEEPS interleaved sweeps (each sweep times
 every row, model and genus once more) of the best of REPEATS calls, with the
 point's Ad matrices and inverses already built.  Each row also records the
@@ -53,7 +59,7 @@ quartiles per side and, per metric, how many pairs this checkout won,
 under "perfbench" / "<workload>/seed<seed>" in the same file.  A plain run
 keeps those entries; a paired run keeps the rows.
 
-Usage: python scripts/bench_scaling.py   (writes BENCH_22.json at the repo root)
+Usage: python scripts/bench_scaling.py   (writes BENCH_23.json at the repo root)
        python scripts/bench_scaling.py --paired ../parent --pairs 10 \
            --workload component-scan --seed 1
 """
@@ -65,9 +71,12 @@ import sys
 os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import subprocess  # noqa: E402
+import warnings  # noqa: E402
 from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
 from types import SimpleNamespace  # noqa: E402
@@ -77,6 +86,7 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+import planarep.cli as cli  # noqa: E402
 from planarep.cli import _pick_classes, _zeta  # noqa: E402
 from planarep.cohomology import RepPoint, cohomology_data  # noqa: E402
 from planarep.components import finite_order_classes  # noqa: E402
@@ -93,7 +103,10 @@ SWEEPS = 3
 SOLVE_KS = tuple(range(3, 13))
 SETUP_KS = tuple(range(2, 9))
 SETUP_GROUPS = ("SU2", "U2")
-OUT = ROOT / "BENCH_22.json"
+CLI_COMMANDS = ("symplectic", "momenttest")
+CLI_CASES = {"SU2": ((3, 5), (1, 2)), "U3": ((3,), (4,))}  # group -> (torsion, classes)
+CLI_MAX_GENUS = 64
+OUT = ROOT / "BENCH_23.json"
 
 
 def _drop_row_and_value(pt: RepPoint) -> None:
@@ -243,8 +256,45 @@ def measure_setup(ks: list[int], repeats: int, sweeps: int) -> dict:
             for name, per_k in cases}
 
 
+def cli_argv(command: str, group: str, genus: int) -> list[str]:
+    torsion, classes = (",".join(map(str, t)) for t in CLI_CASES[group])
+    return [command, "--group", group, "--genus", str(genus), f"--torsion={torsion}",
+            f"--classes={classes}", "--no-timestamp"]
+
+
+def run_cli(argv: list[str]) -> int:
+    """Exit code of one in-process CLI request; its report and warnings are
+    discarded."""
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("ignore")
+        return cli.main(argv)
+
+
+def measure_cli(genera: list[int], repeats: int, sweeps: int) -> dict:
+    cases = [(command, group) for command in CLI_COMMANDS for group in CLI_CASES]
+    # one untimed request per case and genus first: it builds the process
+    # caches (presentations, class tables) that a stream of requests shares
+    codes = {case: [run_cli(cli_argv(*case, g)) for g in genera] for case in cases}
+    times = {case: [[] for _ in range(sweeps)] for case in cases}
+    for sweep in range(sweeps):
+        for case in cases:
+            for g in genera:
+                times[case][sweep].append(best_of(run_cli, cli_argv(*case, g), repeats))
+    out = {command: {} for command in CLI_COMMANDS}
+    for (command, group), per_sweep in times.items():
+        torsion, classes = CLI_CASES[group]
+        median = np.median(per_sweep, axis=0)
+        out[command][group] = {
+            "torsion": list(torsion), "classes": list(classes), "exit_codes": codes[command, group],
+            "times_s": median.tolist(), "spread_s": np.ptp(per_sweep, axis=0).tolist(),
+            "slope": _slope([4 * g + len(torsion) for g in genera], median)}
+    return out
+
+
 def record(genera: list[int], repeats: int, sweeps: int = SWEEPS) -> dict:
     rows = measure(genera, repeats, sweeps)
+    cli_genera = [g for g in genera if g <= CLI_MAX_GENUS]
     return {
         "script": "scripts/bench_scaling.py",
         "environment": {
@@ -266,6 +316,7 @@ def record(genera: list[int], repeats: int, sweeps: int = SWEEPS) -> dict:
                          **measure_solve(list(SOLVE_KS), repeats, sweeps)},
         "spec_setup": {"torsion_order": 3, "ks": list(SETUP_KS),
                        **measure_setup(list(SETUP_KS), repeats, sweeps)},
+        "cli": {"genera": cli_genera, **measure_cli(cli_genera, repeats, sweeps)},
     }
 
 
@@ -330,6 +381,11 @@ def main(argv=None) -> int:
             for mode, r in rec["spec_setup"][name].items():
                 print(f"spec_setup {name:4s} {mode} slope {r['slope']:.2f}  "
                       + " ".join(f"{t * 1e6:.1f}" for t in r["times_s"]) + " us per tuple")
+        for command in CLI_COMMANDS:
+            for group, r in rec["cli"][command].items():
+                print(f"cli {command:10s} {group:4s} slope {r['slope']:.2f}  "
+                      + " ".join(f"{t * 1e3:.2f} +- {s * 1e3:.2f}"
+                                 for t, s in zip(r["times_s"], r["spread_s"])) + " ms")
     OUT.write_text(json.dumps(rec, indent=2) + "\n")
     return 0
 

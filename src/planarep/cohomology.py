@@ -297,9 +297,9 @@ def projective_subspace(
     is a basis of ker N_j with N_j = sum_k Ad_{phi(z_j)}^k.  Ad_{phi(z_j)}
     has order m_j, so N_j is m_j times the projector onto its fixed space,
     and the block has d - f_j columns, f_j = dim ker(Ad_{phi(z_j)} - 1):
-    cohomology_data reads f_j off it, from the same rank cut.  Readers work
-    block by block, at O(d^2) per generator; block_basis builds the dense
-    N x dim matrix Q for those that need it.
+    cohomology_data reads f_j off it, from the same rank cut.  Readers apply
+    the blocks' N x dim basis Q block by block (times_basis), at O(d^2) per
+    generator, and never build it.
     """
     if not pt.is_fnat(tol.tau_grp):
         raise RelatorConstraintViolated("point is not in Hom(F-natural, G)")
@@ -318,25 +318,19 @@ def projective_subspace(
     return blocks
 
 
-def block_basis(blocks: list[np.ndarray]) -> np.ndarray:
-    """The dense block-diagonal matrix Q (N x dim) of projective_subspace."""
-    rows = np.cumsum([0] + [B.shape[0] for B in blocks])
-    cols = np.cumsum([0] + [B.shape[1] for B in blocks])
-    Q = np.zeros((rows[-1], cols[-1]))
-    for B, r, c in zip(blocks, rows, cols):
-        Q[r : r + B.shape[0], c : c + B.shape[1]] = B
-    return Q
+def times_basis(M: np.ndarray, blocks: list[np.ndarray], f: int) -> np.ndarray:
+    """M Q for Q the basis of projective_subspace's blocks, f of them free:
+    a free block is I_d, so M's free columns are copied as they are and only
+    the torsion column blocks are multiplied.  Q^T X is times_basis(X^T)^T."""
+    d = blocks[0].shape[0] if blocks else 0
+    tors = [M[:, (f + j) * d : (f + j + 1) * d] @ B for j, B in enumerate(blocks[f:])]
+    return np.hstack([M[:, : f * d], *tors])
 
 
 def delta1_projective(pt: RepPoint, blocks: list[np.ndarray]) -> np.ndarray:
     """Row of the long relator restricted to the projective subspace
-    (d x dim columns, in the basis of projective_subspace's blocks): E_r Q.
-    A free generator's block is I_d, so E_r's 2l d free columns are copied
-    as they are; only the n torsion column blocks are multiplied."""
-    d, f = pt.model.d, 2 * pt.pres.genus
-    E = pt.long_row
-    tors = [E[:, (f + j) * d : (f + j + 1) * d] @ B for j, B in enumerate(blocks[f:])]
-    return np.hstack([E[:, : f * d], *tors])
+    (d x dim columns, in the basis of projective_subspace's blocks): E_r Q."""
+    return times_basis(pt.long_row, blocks, 2 * pt.pres.genus)
 
 
 @dataclass
@@ -357,13 +351,6 @@ class CochainData:
         return (self.h0, self.h1, self.h2)
 
     @cached_property
-    def proj_basis(self) -> np.ndarray:
-        """Columns: basis of C^1(P(P), g_phi) in C^1 coords, the dense Q of
-        proj_blocks, built on first read (N x dim, so quadratic in the
-        relator length; the dims need only the blocks)."""
-        return block_basis(self.proj_blocks)
-
-    @cached_property
     def cocycles(self) -> np.ndarray:
         """Columns: orthonormal basis of ker delta1_proj in projective coords."""
         rank1 = self.delta1_proj.shape[0] - self.h2
@@ -382,18 +369,22 @@ class CochainData:
         return U[:, : self.h1]
 
 
-def cohomology_data(pt: RepPoint, tol: Tolerances = DEFAULT_TOL) -> CochainData:
+def cohomology_data(
+    pt: RepPoint, tol: Tolerances = DEFAULT_TOL, blocks: list[np.ndarray] | None = None
+) -> CochainData:
     """Dims of H^0, H^1, H^2 at the point, with the complex they come from.
 
     Requires an F-natural point with central long-relator value.  Every
     step works on the per-generator blocks, so the cost is linear in the
-    relator length.
+    relator length.  blocks, projective_subspace(pt, tol), are computed
+    here unless given (an ExtendedPoint holds them).
     """
     if not pt.relators_central(tol.tau_grp):
         raise RelatorConstraintViolated("relator values must be central")
     d, f = pt.model.d, 2 * pt.pres.genus
     D0 = delta0(pt).reshape(-1, d, d)  # the s-blocks of delta0
-    blocks = projective_subspace(pt, tol)
+    if blocks is None:
+        blocks = projective_subspace(pt, tol)
     # a free generator's block is I_d, so only the torsion blocks project
     tors = [B.T @ D for B, D in zip(blocks[f:], D0[f:])]
     # delta0 must land inside the projective subspace: D0 = Q Q^T D0

@@ -104,7 +104,10 @@ def resolve_class(
     model: LieModel, g: np.ndarray, m: int, tol: float = 1e-6
 ) -> TorsionClass:
     """Round the spectrum of g to its exact root-of-unity class."""
-    evals = np.linalg.eigvals(g)
+    return _round_spectrum(model, np.linalg.eigvals(g), m, tol)
+
+
+def _round_spectrum(model: LieModel, evals: np.ndarray, m: int, tol: float) -> TorsionClass:
     fractions = []
     for lam in evals:
         frac = np.angle(lam) / (2.0 * np.pi) % 1.0
@@ -118,13 +121,13 @@ def resolve_class(
 
 
 def component_label(pt, tol: float = 1e-6) -> list[str]:
-    """Class id of each torsion-generator image (conjugation invariant)."""
-    p = pt.pres
-    out = []
-    for j, m in enumerate(p.torsion):
-        cls = resolve_class(pt.model, pt.gens[p.z_index(j)], m, tol)
-        out.append(cls.class_id)
-    return out
+    """Class id of each torsion-generator image (conjugation invariant),
+    from one stacked eigvals over the torsion generators."""
+    evals = np.linalg.eigvals(np.asarray(pt.gens)[2 * pt.pres.genus :])
+    return [
+        _round_spectrum(pt.model, ev, m, tol).class_id
+        for ev, m in zip(evals, pt.pres.torsion)
+    ]
 
 
 def weight_dictionary(cls: TorsionClass) -> list[dict]:

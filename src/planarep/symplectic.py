@@ -4,11 +4,14 @@ principal sheet, the extended 2-form and the momentum map.
 The conventions are fixed: the extended 2-form is omega = cup - B and the
 momentum map is mu = -<Lam, .>, so that omega(X_M, .) = d(X o mu) holds as a
 theorem, which check_moment_identity tests rather than assumes.
+Tangent vectors, omega and both Grams live in R^dim = C^1(P(P), g_phi), the
+coordinates of the projective blocks that an extended point carries.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -16,11 +19,11 @@ from .config import Tolerances, DEFAULT_TOL
 from .cohomology import (
     RepPoint,
     _rank,
-    _rank_cut,
-    block_basis,
+    _svd_nullspace,
     cohomology_data,
     delta1_projective,
     projective_subspace,
+    times_basis,
 )
 from .errors import LogBranchFailure, NotACocycle, SingularDexp
 from .liegroup import LieModel, phi_functions, spectral_margin
@@ -41,7 +44,9 @@ class ExtendedPoint:
     sheet: a point of the pullback manifold.  Raises SingularDexp when the
     spectral margin of Lambda is below tol.tau_grp (the segment [0, Lambda]
     is then not known to stay in the regular domain, where dexp is
-    invertible), and LogBranchFailure when exp(Lambda) != r(phi)."""
+    invertible), and LogBranchFailure when exp(Lambda) != r(phi).  Its
+    tangent vectors use the coordinates of blocks = projective_subspace(phi,
+    tol); row = E_r Q and cup = Q^T C Q in them are built on first read."""
 
     phi: RepPoint
     Lam: np.ndarray
@@ -59,6 +64,15 @@ class ExtendedPoint:
         phi1, phi2 = model.phi_ad(self.Lam)
         self._dexp_inv = np.linalg.inv(phi1[0])
         self.bform = _bform(model, phi2)
+        self.blocks = projective_subspace(self.phi, tol)
+
+    @cached_property
+    def row(self) -> np.ndarray:
+        return delta1_projective(self.phi, self.blocks)
+
+    @cached_property
+    def cup(self) -> np.ndarray:
+        return cup_projective(self.phi, self.blocks)
 
     @property
     def model(self) -> LieModel:
@@ -79,23 +93,24 @@ def extend_point(phi: RepPoint, tol: Tolerances = DEFAULT_TOL) -> ExtendedPoint:
 
 @dataclass
 class TangentVec:
-    """Tangent vector at an extended point: u in C^1(P(P), g_phi) as one
-    coordinate vector per generator, plus the induced V = D(Lam)^-1 delta1 u."""
+    """Tangent vector at an extended point: u in C^1(P(P), g_phi) (dim
+    coordinates), plus the induced V = D(Lam)^-1 delta1 u (d coordinates)."""
 
-    u: list  # list of d-coordinate vectors, one per generator
-    V: np.ndarray  # d-coordinate vector
+    u: np.ndarray
+    V: np.ndarray
 
 
-def tangent_from_u(pt: ExtendedPoint, u: list[np.ndarray]) -> TangentVec:
-    return TangentVec(u=u, V=pt._dexp_inv @ (pt.phi.long_row @ np.concatenate(u)))
+def tangent_from_u(pt: ExtendedPoint, u: np.ndarray) -> TangentVec:
+    return TangentVec(u=u, V=pt._dexp_inv @ (pt.row @ u))
 
 
 def action_field(pt: ExtendedPoint, X: np.ndarray) -> TangentVec:
     """Fundamental vector field of the conjugation action at pt:
-    u_s = X - Ad_{phi(s)} X and V = [X, Lam]."""
+    u = Q^T delta0 X, (delta0 X)_s = X - Ad_{phi(s)} X, and V = [X, Lam]."""
     model = pt.model
     x = model.vec(X)
-    u = [x - A @ x for A in pt.phi.ad_gens]
+    d0x = (x - pt.phi.ad_gens @ x).reshape(1, -1)  # delta0 X as one row
+    u = times_basis(d0x, pt.blocks, 2 * pt.phi.pres.genus)[0]
     V = model.vec(X @ pt.Lam - pt.Lam @ X)
     t = tangent_from_u(pt, u)
     # consistency of the two V computations (exactness of the chain identity)
@@ -151,38 +166,31 @@ def cup_matrix(phi: RepPoint) -> np.ndarray:
     return 0.5 * (M - M.T)
 
 
-def cup_eval(
-    phi: RepPoint, u: list[np.ndarray], v: list[np.ndarray]
-) -> float:
-    """Antisymmetrized cup product of u, v evaluated on the filling chain:
-    (1/2) sum_cells q ( <u(g), Ad_{phi(g)} v(h)> - <v(g), Ad_{phi(g)} u(h)> ).
-    """
-    return float(np.concatenate(u) @ phi.cup @ np.concatenate(v))
+def cup_eval(phi: RepPoint, u: np.ndarray, v: np.ndarray) -> float:
+    """Cup product u^T C v of two C^1 vectors (N coordinates, d per
+    generator), C the closed-form cup matrix of the point."""
+    return float(u @ phi.cup @ v)
+
+
+def cup_projective(phi: RepPoint, blocks: list[np.ndarray]) -> np.ndarray:
+    """Q^T C Q, the cup matrix in the coordinates of projective_subspace's
+    blocks, by times_basis from both sides: Q^T (C Q) = ((C Q)^T Q)^T."""
+    f = 2 * phi.pres.genus
+    return times_basis(times_basis(phi.cup, blocks, f).T, blocks, f).T
 
 
 def pairing_H1(
-    phi: RepPoint,
-    u: list[np.ndarray],
-    v: list[np.ndarray],
-    tol: Tolerances = DEFAULT_TOL,
+    phi: RepPoint, u: np.ndarray, v: np.ndarray, tol: Tolerances = DEFAULT_TOL
 ) -> float:
-    """The alternating 2-form on H^1 evaluated on cocycle representatives."""
+    """The alternating 2-form on H^1 evaluated on cocycle representatives,
+    given in the coordinates of projective_subspace(phi, tol)."""
     blocks = projective_subspace(phi, tol)
-    Q = block_basis(blocks)
     D1p = delta1_projective(phi, blocks)
     for w in (u, v):
-        flat = np.concatenate(w)
-        coords = Q.T @ flat
-        resid = np.linalg.norm(D1p @ coords)
-        resid += np.linalg.norm(flat - Q @ coords)
-        if resid > 1e-6 * max(1.0, np.linalg.norm(flat)):
+        resid = np.linalg.norm(D1p @ w)
+        if resid > 1e-6 * max(1.0, np.linalg.norm(w)):
             raise NotACocycle(f"delta1 residual {resid:.2e}")
-    return cup_eval(phi, u, v)
-
-
-def unflatten(model: LieModel, flat: np.ndarray, n_gens: int) -> list[np.ndarray]:
-    d = model.d
-    return [flat[i * d : (i + 1) * d] for i in range(n_gens)]
+    return float(u @ cup_projective(phi, blocks) @ v)
 
 
 # --- the 2-form B on the principal sheet ----------------------------------
@@ -241,8 +249,9 @@ def _bform(model: LieModel, phi2: np.ndarray) -> np.ndarray:
 
 
 def omega_extended(pt: ExtendedPoint, t1: TangentVec, t2: TangentVec) -> float:
-    """omega_ext = (cup part over the filling chain) - B(V1, V2)."""
-    cup = np.concatenate(t1.u) @ pt.phi.cup @ np.concatenate(t2.u)
+    """omega_ext = u1^T (Q^T C Q) u2 - B(V1, V2), the cup part read off the
+    point's projected cup matrix."""
+    cup = t1.u @ pt.cup @ t2.u
     b = t1.V @ pt.bform @ t2.V
     return float(cup - b)
 
@@ -262,66 +271,69 @@ def check_moment_identity(pt: ExtendedPoint, X: np.ndarray, t: TangentVec) -> fl
 # --- degeneracy / rank reports -------------------------------------------------
 
 
-def gram_on_cocycles(phi: RepPoint, basis: np.ndarray) -> np.ndarray:
-    """Gram matrix of the cup pairing on given C^1 columns: Z^T C Z."""
-    G = basis.T @ phi.cup @ basis
+def gram_on_cocycles(cup: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Gram matrix W^T C W of the cup pairing on the columns W of basis, C
+    the cup matrix in their coordinates: ExtendedPoint.cup for projective ones."""
+    G = basis.T @ cup @ basis
     return 0.5 * (G - G.T)
 
 
-def gram_extended(pt: ExtendedPoint, basis: np.ndarray) -> np.ndarray:
-    """Gram matrix of omega_ext on tangents spanned by C^1 basis columns:
-    Q^T (C - T^T K T) Q with T = dexp(Lam)^-1 R, R the Fox row of
-    the long relator, so that T Q holds the V of the basis tangents."""
-    V = pt._dexp_inv @ pt.phi.long_row @ basis
-    G = basis.T @ pt.phi.cup @ basis - V.T @ pt.bform @ V
+def gram_extended(pt: ExtendedPoint) -> np.ndarray:
+    """Gram matrix of omega_ext on C^1(P(P), g_phi), in the point's
+    projective coordinates: Q^T C Q - T^T K T with T = dexp(Lam)^-1 E_r Q,
+    whose columns are the V of the coordinate tangents."""
+    T = pt._dexp_inv @ pt.row
+    G = pt.cup - T.T @ pt.bform @ T
     return 0.5 * (G - G.T)
 
 
 def principal_angles(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Principal angles between the column spans of A and B."""
-    qa, _ = np.linalg.qr(A)
-    qb, _ = np.linalg.qr(B)
-    s = np.linalg.svd(qa.T @ qb, compute_uv=False)
-    return np.arccos(np.clip(s, -1.0, 1.0))
+    """Principal angles between the column spans of A and B, each as
+    arctan2(sine, cosine) (Bjorck & Golub, Math. Comp. 27, 1973): the sines,
+    the norms of (I - Qa Qa^T) Y for B's principal vectors Y, keep a small
+    angle to relative rounding; arccos of a cosine near 1 keeps only noise."""
+    qa, qb = np.linalg.qr(A)[0], np.linalg.qr(B)[0]
+    _, cos, Vt = np.linalg.svd(qa.T @ qb, full_matrices=False)
+    Y = qb @ Vt.T
+    sin = np.linalg.norm(Y - qa @ (qa.T @ Y), axis=0)
+    return np.arctan2(sin, cos)
 
 
 def degeneracy_report(point: ExtendedPoint, tol: Tolerances = DEFAULT_TOL) -> dict:
     """Rank structure at an extended point: the nullspace of the cup pairing
-    on Z^1 against B^1, and the rank of the full tangent-space Gram of omega.
-    Both Grams read the cup matrix and the long relator's Fox row cached on
-    the point, so the report builds each once.
+    on Z^1 against B^1, and the rank of the full tangent-space Gram of omega,
+    all in the point's projective coordinates (Q has orthonormal columns, so
+    the angles are those in C^1).  Both Grams read the point's cached cup
+    matrix and Fox row, so the report builds each once.
     """
     phi = point.phi
-    data = cohomology_data(phi, tol)
-    Z1 = data.proj_basis @ data.cocycles  # cocycle basis in C^1 coordinates
-    Gz = gram_on_cocycles(phi, Z1)
+    data = cohomology_data(phi, tol, point.blocks)
+    W = data.cocycles
+    Gz = gram_on_cocycles(point.cup, W)
     null, rank_z1, _ = _gram_nullspace(Gz, tol.rank_rel)
+    dim = W.shape[0]
     report = {
         "rank_on_Z1": rank_z1,
         "h1": data.h1,
-        "dim_Z1": int(Z1.shape[1]),
-        "dim_C1_proj": int(data.proj_basis.shape[1]),
+        "dim_Z1": int(W.shape[1]),
+        "dim_C1_proj": int(dim),
     }
-    # compare ker(Gram) with im(delta0) inside Z^1 coordinates
+    # compare ker(Gram) with im(delta0) in projective coordinates
     rank_b1 = phi.model.d - data.h0
     if null.shape[1] == 0 or rank_b1 == 0:
         report["nullspace_matches_B1"] = null.shape[1] == rank_b1
         report["max_principal_angle"] = 0.0
     else:
-        null_c1 = Z1 @ null
-        B1 = data.proj_basis @ data.delta0_proj
-        angles = principal_angles(null_c1, B1)
+        angles = principal_angles(W @ null, data.delta0_proj)
         ok = null.shape[1] == rank_b1 and float(np.max(angles)) < 1e-6
         report["nullspace_matches_B1"] = bool(ok)
         report["max_principal_angle"] = float(np.max(angles))
-    rank_full = _rank(gram_extended(point, data.proj_basis), tol)
+    rank_full = _rank(gram_extended(point), tol)
     report["full_rank"] = rank_full
-    report["nondegenerate"] = rank_full == data.proj_basis.shape[1]
+    report["nondegenerate"] = rank_full == dim
     return report
 
 
 def _gram_nullspace(G: np.ndarray, rel_tol: float):
     """(nullspace basis, rank, singular values) of a Gram matrix."""
-    _, s, Vt = np.linalg.svd(G)
-    rank = _rank_cut(s, rel_tol)
-    return Vt[rank:].T, rank, s
+    return _svd_nullspace(G, rel_tol)

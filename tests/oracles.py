@@ -7,9 +7,11 @@ minimization, independently of the rule.  ``alg_residual`` and
 ``is_reduced`` tests a letter sequence for free reduction,
 ``torsion_fixed_dims`` cuts each torsion generator's fixed dimension from an
 SVD of Ad - 1, ``det_certificate`` is the U(n) determinant test on floats,
-``delta1_free`` stacks the walked Fox rows of all relators, and
+``delta1_free`` stacks the walked Fox rows of all relators,
 ``cup_matrix_by_cells`` evaluates the cup matrix cell by cell over the exact
-filling chain, the reference for the closed form of ``cup_matrix``.
+filling chain, the reference for the closed form of ``cup_matrix``, and
+``block_basis`` builds the dense basis Q of the projective blocks, the
+reference for the blockwise forms in projective coordinates.
 """
 
 from typing import Iterable
@@ -68,6 +70,16 @@ def delta1_free(pt: RepPoint) -> np.ndarray:
     """((1+n)d x (2l+n)d) matrix of Ad-evaluated Fox derivatives."""
     p = pt.pres
     return np.vstack([pt.walk(r)[0] for r in (p.long_relator, *p.torsion_relators)])
+
+
+def block_basis(blocks: list[np.ndarray]) -> np.ndarray:
+    """The dense block-diagonal matrix Q (N x dim) of projective_subspace."""
+    rows = np.cumsum([0] + [B.shape[0] for B in blocks])
+    cols = np.cumsum([0] + [B.shape[1] for B in blocks])
+    Q = np.zeros((rows[-1], cols[-1]))
+    for B, r, c in zip(blocks, rows, cols):
+        Q[r : r + B.shape[0], c : c + B.shape[1]] = B
+    return Q
 
 
 def cup_matrix_by_cells(phi: RepPoint) -> np.ndarray:

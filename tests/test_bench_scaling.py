@@ -47,3 +47,13 @@ def test_bench_scaling_fits_slopes_for_every_model():
             assert isinstance(r["slope"], float)
     assert setup["SU2"]["warm"]["tuples"] == [6] * 7
     assert setup["U2"]["warm"]["tuples"] == [14] * 7
+    # end to end through the CLI: every request of the rows succeeds
+    cli = record["cli"]
+    assert cli["genera"] == [1, 2]
+    assert set(cli) - {"genera"} == set(module.CLI_COMMANDS)
+    for command in module.CLI_COMMANDS:
+        assert set(cli[command]) == set(module.CLI_CASES)
+        for r in cli[command].values():
+            assert r["exit_codes"] == [0, 0]
+            assert len(r["times_s"]) == 2 and all(t > 0 for t in r["times_s"])
+            assert r["spread_s"] == [0.0, 0.0] and isinstance(r["slope"], float)

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from planarep import liegroup, symplectic
 from planarep.cohomology import (
     RepPoint,
-    block_basis,
     cohomology_data,
     delta0,
     projective_subspace,
@@ -26,6 +25,7 @@ from planarep.symplectic import (
     bform_O,
     bform_matrix,
     check_moment_identity,
+    cup_projective,
     degeneracy_report,
     extend_point,
     gram_extended,
@@ -33,11 +33,11 @@ from planarep.symplectic import (
     moment_pairing,
     omega_extended,
     pairing_H1,
+    principal_angles,
     tangent_from_u,
-    unflatten,
 )
 
-from oracles import cup_matrix_by_cells
+from oracles import block_basis, cup_matrix_by_cells
 
 MODEL = get_model("SU2")
 PRES = PlanarPresentation(1, (3,))
@@ -52,18 +52,15 @@ def _point(seed, pres=PRES, model=MODEL, zeta=None, torsion_class_index=1):
 
 
 def _random_tangent(pt, rng):
-    data = cohomology_data(pt.phi)
-    coords = rng.standard_normal(data.proj_basis.shape[1])
-    u = unflatten(pt.model, data.proj_basis @ coords, pt.phi.pres.num_generators)
-    return tangent_from_u(pt, u), data
+    return tangent_from_u(pt, rng.standard_normal(pt.row.shape[1]))
 
 
 def test_pairing_antisymmetry():
     rng = np.random.default_rng(0)
     pt = extend_point(_point(0))
     for _ in range(5):
-        t1, _ = _random_tangent(pt, rng)
-        t2, _ = _random_tangent(pt, rng)
+        t1 = _random_tangent(pt, rng)
+        t2 = _random_tangent(pt, rng)
         a = omega_extended(pt, t1, t2)
         b = omega_extended(pt, t2, t1)
         assert abs(a + b) < 1e-12 * max(1.0, abs(a))
@@ -74,12 +71,11 @@ def test_pairing_coboundary_insensitivity():
     phi = _point(1)
     data = cohomology_data(phi)
     rng = np.random.default_rng(1)
-    Q = data.proj_basis
     for _ in range(5):
         X = rng.standard_normal(phi.model.d)
-        cob = unflatten(phi.model, delta0(phi) @ X, phi.pres.num_generators)
+        cob = data.delta0_proj @ X
         coords = rng.standard_normal(data.cocycles.shape[1])
-        u = unflatten(phi.model, Q @ (data.cocycles @ coords), phi.pres.num_generators)
+        u = data.cocycles @ coords
         val = pairing_H1(phi, cob, u)
         assert abs(val) < 1e-10
         assert abs(pairing_H1(phi, u, cob)) < 1e-10
@@ -88,7 +84,7 @@ def test_pairing_coboundary_insensitivity():
 def test_pairing_rejects_non_cocycles():
     phi = _point(2)
     rng = np.random.default_rng(2)
-    u = [rng.standard_normal(phi.model.d) for _ in range(phi.pres.num_generators)]
+    u = rng.standard_normal(cohomology_data(phi).delta1_proj.shape[1])
     with pytest.raises(NotACocycle):
         pairing_H1(phi, u, u)
 
@@ -99,8 +95,7 @@ def test_gram_rank_on_harmonic_equals_h1():
     for seed, pres, zeta in cases:
         phi = _point(seed, pres=pres, zeta=zeta)
         data = cohomology_data(phi)
-        H = data.proj_basis @ data.harmonic
-        G = gram_on_cocycles(phi, H)
+        G = gram_on_cocycles(cup_projective(phi, data.proj_blocks), data.harmonic)
         s = np.linalg.svd(G, compute_uv=False)
         rank = int(np.sum(s > 1e-8 * max(1.0, s[0] if len(s) else 0.0)))
         assert rank == data.h1
@@ -113,7 +108,7 @@ def test_moment_identity_fresh_points():
         pt = extend_point(_point(seed + 10))
         for _ in range(3):
             X = MODEL.random_alg(rng)
-            t, _ = _random_tangent(pt, rng)
+            t = _random_tangent(pt, rng)
             scale = max(1.0, abs(moment_pairing(pt, X)))
             worst = max(worst, check_moment_identity(pt, X, t) / scale)
     assert worst < 1e-6
@@ -135,9 +130,11 @@ def test_action_field_is_coboundary_direction():
     X = MODEL.random_alg(np.random.default_rng(6))
     t = action_field(pt, X)
     x = MODEL.vec(X)
-    for i, block in enumerate(pt.phi.ad_gens):
-        expected = x - block @ x
-        assert np.linalg.norm(t.u[i] - expected) < 1e-12
+    # u holds the projective coordinates of delta0 X, which lies in the
+    # projective subspace: Q u gives back every block X - Ad_s X
+    Q = block_basis(pt.blocks)
+    expected = np.concatenate([x - block @ x for block in pt.phi.ad_gens])
+    assert np.linalg.norm(Q @ t.u - expected) < 1e-12
 
 
 def test_degeneracy_structure_central_fiber():
@@ -303,7 +300,7 @@ def _cup_reference(phi, cols):
 
 
 def _close(a, b, rtol=1e-11):
-    return np.max(np.abs(a - b)) <= rtol * max(1.0, np.max(np.abs(b)))
+    return np.max(np.abs(a - b), initial=0.0) <= rtol * max(1.0, np.max(np.abs(b), initial=0.0))
 
 
 presentations = st.sampled_from(
@@ -319,8 +316,8 @@ def test_matrix_grams_match_per_pair_reference(group, gt, seed):
     pt = _extended_point(model, pres, seed)
     k = 4
     rng = np.random.default_rng(seed + 1)
-    basis = rng.standard_normal((pres.num_generators * model.d, k))
-    cols = list(basis.T)
+    basis = rng.standard_normal((pt.row.shape[1], k))  # projective coordinates
+    cols = list((block_basis(pt.blocks) @ basis).T)
     ref_cup = _cup_reference(pt.phi, cols)
     R = _fox_row(pt.phi, pres.long_relator)
     Dinv = np.linalg.inv(model.dexp_matrix(pt.Lam))
@@ -331,8 +328,48 @@ def test_matrix_grams_match_per_pair_reference(group, gt, seed):
             b = bform_O(model, pt.Lam, Vs[i], Vs[j])
             ref_ext[i, j] -= b
             ref_ext[j, i] += b
-    assert _close(gram_on_cocycles(pt.phi, basis), ref_cup)
-    assert _close(gram_extended(pt, basis), ref_ext)
+    assert _close(gram_on_cocycles(pt.cup, basis), ref_cup)
+    assert _close(basis.T @ gram_extended(pt) @ basis, ref_ext)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(GROUPS),
+    st.sampled_from([(g, t) for g in range(4) for t in ((3,), (2, 3))]),
+    st.integers(0, 10**6),
+)
+def test_projective_forms_match_the_dense_basis(group, gt, seed):
+    # the Grams and omega in projective coordinates, from the blockwise
+    # E_r Q and Q^T C Q, against the same forms on the C^1 columns Q W of
+    # the dense basis Q
+    model, pres = get_model(group), PlanarPresentation(*gt)
+    pt = _extended_point(model, pres, seed)
+    Q = block_basis(pt.blocks)
+    W = np.random.default_rng(seed + 2).standard_normal((Q.shape[1], 4))
+    C, K = pt.phi.cup, pt.bform
+    T = pt._dexp_inv @ pt.phi.long_row @ Q  # the V of the coordinate tangents
+    full = Q.T @ C @ Q - T.T @ K @ T
+    cup = (Q @ W).T @ C @ (Q @ W)
+    assert _close(gram_on_cocycles(pt.cup, W), 0.5 * (cup - cup.T))
+    assert _close(gram_extended(pt), 0.5 * (full - full.T))
+    t1, t2 = tangent_from_u(pt, W[:, 0]), tangent_from_u(pt, W[:, 1])
+    assert _close(t1.V, T @ W[:, 0])
+    omega = cup[0, 1] - W[:, 0] @ T.T @ K @ T @ W[:, 1]
+    assert _close(np.array(omega_extended(pt, t1, t2)), np.array(omega))
+
+
+@pytest.mark.parametrize("angle", [1e-12, 1e-10, 1e-8, 1e-6, 0.3, 1.2])
+def test_principal_angles_recover_a_known_angle(angle):
+    # spans of 3 columns in R^7 at one known angle and two zero ones, in a
+    # random orthonormal frame; arccos of the cosine alone reads the small
+    # angles as rounding (1e-10 as 0, 1e-6 as 1.00004e-6)
+    U = np.linalg.qr(np.random.default_rng(3).standard_normal((7, 7)))[0]
+    A = U[:, :3] @ np.diag([2.0, 1.0, 0.5])
+    B = U[:, :3].copy()
+    B[:, 0] = np.cos(angle) * U[:, 0] + np.sin(angle) * U[:, 3]
+    got = np.sort(principal_angles(A, B))
+    assert got[:2] == pytest.approx([0.0, 0.0], abs=1e-15)
+    assert got[2] == pytest.approx(angle, rel=1e-6)
 
 
 @settings(max_examples=60, deadline=None)
