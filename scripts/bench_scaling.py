@@ -59,7 +59,7 @@ quartiles per side and, per metric, how many pairs this checkout won,
 under "perfbench" / "<workload>/seed<seed>" in the same file.  A plain run
 keeps those entries; a paired run keeps the rows.
 
-Usage: python scripts/bench_scaling.py   (writes BENCH_23.json at the repo root)
+Usage: python scripts/bench_scaling.py   (writes BENCH_24.json at the repo root)
        python scripts/bench_scaling.py --paired ../parent --pairs 10 \
            --workload component-scan --seed 1
 """
@@ -106,7 +106,7 @@ SETUP_GROUPS = ("SU2", "U2")
 CLI_COMMANDS = ("symplectic", "momenttest")
 CLI_CASES = {"SU2": ((3, 5), (1, 2)), "U3": ((3,), (4,))}  # group -> (torsion, classes)
 CLI_MAX_GENUS = 64
-OUT = ROOT / "BENCH_23.json"
+OUT = ROOT / "BENCH_24.json"
 
 
 def _drop_row_and_value(pt: RepPoint) -> None:

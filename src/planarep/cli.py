@@ -208,7 +208,7 @@ def cmd_cohomology(args, tol: Tolerances) -> None:
 def cmd_symplectic(args, tol: Tolerances) -> None:
     res, spec = _solved_point(args, tol)
     pt = extend_point(res.point, tol)
-    report = degeneracy_report(pt, tol)
+    report = degeneracy_report(pt)
     payload = {
         "group": spec.model.name,
         "presentation": spec.pres.to_json(),
@@ -263,7 +263,8 @@ def cmd_momenttest(args, tol: Tolerances) -> None:
     res, spec = _solved_point(args, tol)
     pt = extend_point(res.point, tol)
     model, pres = spec.model, spec.pres
-    dim = cohomology_data(res.point, tol, pt.blocks).delta1_proj.shape[1]
+    pt.data.dims  # refuses a point that cohomology refuses, before any trial
+    dim = pt.data.delta1_proj.shape[1]
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for _ in range(args.trials):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -271,14 +272,11 @@ def _rank_cut(s: np.ndarray, rel_tol: float) -> int:
     return int(np.sum(s > thresh))
 
 
-def _svd_nullspace(
-    A: np.ndarray, rel_tol: float | None = None, *, rank: int | None = None
-) -> tuple[np.ndarray, int, np.ndarray]:
-    """(orthonormal nullspace basis, rank, singular values); the rank is cut
-    at rel_tol by _rank_cut unless a rank already decided is given."""
+def _svd_nullspace(A: np.ndarray, rel_tol: float) -> tuple[np.ndarray, int, np.ndarray]:
+    """(orthonormal nullspace basis, rank, singular values), the rank cut at
+    rel_tol by _rank_cut."""
     _, s, Vt = np.linalg.svd(A)
-    if rank is None:
-        rank = _rank_cut(s, rel_tol)
+    rank = _rank_cut(s, rel_tol)
     return Vt[rank:].T, rank, s
 
 
@@ -335,26 +333,72 @@ def delta1_projective(pt: RepPoint, blocks: list[np.ndarray]) -> np.ndarray:
 
 @dataclass
 class CochainData:
-    """Numerical summary of the twisted complexes at a point.  The bases are
-    built on first read from the ranks behind h0 and h2."""
+    """The projective complex of an F-natural point, read by cohomology and by
+    extended points, each part built on first read; only dims and its
+    readers need central relator values, and dims checks them first."""
 
-    h0: int
-    h1: int
-    h2: int
-    f_j: list[int]
-    proj_blocks: list[np.ndarray]  # projective_subspace's per-generator blocks
-    delta0_proj: np.ndarray  # delta0 in projective coordinates
-    delta1_proj: np.ndarray
+    pt: RepPoint
+    tol: Tolerances = DEFAULT_TOL
+
+    @cached_property
+    def proj_blocks(self) -> list[np.ndarray]:
+        """projective_subspace(pt, tol), the blocks of the basis Q."""
+        return projective_subspace(self.pt, self.tol)
 
     @property
+    def f_j(self) -> list[int]:
+        """Fixed dims of the torsion generators, read off their blocks."""
+        tors = self.proj_blocks[2 * self.pt.pres.genus :]
+        return [self.pt.model.d - B.shape[1] for B in tors]
+
+    @cached_property
+    def delta0_proj(self) -> np.ndarray:
+        """Q^T delta0, delta0 in projective coordinates (dim x d); refuses a
+        delta0 that leaves the projective subspace."""
+        d, f, blocks = self.pt.model.d, 2 * self.pt.pres.genus, self.proj_blocks
+        D0 = delta0(self.pt)
+        D0p = times_basis(D0.T, blocks, f).T
+        # delta0 must land inside the projective subspace: D0 = Q Q^T D0
+        k = list(accumulate((B.shape[1] for B in blocks[f:]), initial=f * d))
+        back = [B @ D0p[a:b] for B, a, b in zip(blocks[f:], k, k[1:])]
+        resid = np.linalg.norm(D0[f * d :] - np.reshape(back, (-1, d)))
+        if resid > 1e-6 * max(1.0, np.linalg.norm(D0)):
+            raise RelatorConstraintViolated(
+                f"delta0 leaves the projective subspace (residual {resid:.2e})"
+            )
+        return D0p
+
+    @cached_property
+    def delta1_proj(self) -> np.ndarray:
+        """E_r Q, the long relator's row in projective coordinates (d x dim)."""
+        return delta1_projective(self.pt, self.proj_blocks)
+
+    @cached_property
+    def cup(self) -> np.ndarray:
+        """Q^T C Q, the cup matrix (RepPoint.cup) in projective coordinates,
+        by times_basis from both sides: Q^T (C Q) = ((C Q)^T Q)^T."""
+        f, blocks = 2 * self.pt.pres.genus, self.proj_blocks
+        return times_basis(times_basis(self.pt.cup, blocks, f).T, blocks, f).T
+
+    @cached_property
     def dims(self) -> tuple[int, int, int]:
-        return (self.h0, self.h1, self.h2)
+        """(h0, h1, h2) from the ranks of delta0_proj and delta1_proj, decided
+        on first read; the relator values must be central."""
+        if not self.pt.relators_central(self.tol.tau_grp):
+            raise RelatorConstraintViolated("relator values must be central")
+        D0p, D1p, d = self.delta0_proj, self.delta1_proj, self.pt.model.d
+        rank1, rank0 = _rank(D1p, self.tol), _rank(D0p, self.tol)
+        return d - rank0, D0p.shape[0] - rank1 - rank0, d - rank1
+
+    h0 = property(lambda self: self.dims[0])
+    h1 = property(lambda self: self.dims[1])
+    h2 = property(lambda self: self.dims[2])
 
     @cached_property
     def cocycles(self) -> np.ndarray:
         """Columns: orthonormal basis of ker delta1_proj in projective coords."""
         rank1 = self.delta1_proj.shape[0] - self.h2
-        return _svd_nullspace(self.delta1_proj, rank=rank1)[0]
+        return np.linalg.svd(self.delta1_proj)[2][rank1:].T
 
     @cached_property
     def harmonic(self) -> np.ndarray:
@@ -369,43 +413,13 @@ class CochainData:
         return U[:, : self.h1]
 
 
-def cohomology_data(
-    pt: RepPoint, tol: Tolerances = DEFAULT_TOL, blocks: list[np.ndarray] | None = None
-) -> CochainData:
-    """Dims of H^0, H^1, H^2 at the point, with the complex they come from.
-
-    Requires an F-natural point with central long-relator value.  Every
-    step works on the per-generator blocks, so the cost is linear in the
-    relator length.  blocks, projective_subspace(pt, tol), are computed
-    here unless given (an ExtendedPoint holds them).
-    """
-    if not pt.relators_central(tol.tau_grp):
-        raise RelatorConstraintViolated("relator values must be central")
-    d, f = pt.model.d, 2 * pt.pres.genus
-    D0 = delta0(pt).reshape(-1, d, d)  # the s-blocks of delta0
-    if blocks is None:
-        blocks = projective_subspace(pt, tol)
-    # a free generator's block is I_d, so only the torsion blocks project
-    tors = [B.T @ D for B, D in zip(blocks[f:], D0[f:])]
-    # delta0 must land inside the projective subspace: D0 = Q Q^T D0
-    back = np.reshape([B @ C for B, C in zip(blocks[f:], tors)], (-1, d, d))
-    resid = np.linalg.norm(D0[f:] - back)
-    if resid > 1e-6 * max(1.0, np.linalg.norm(D0)):
-        raise RelatorConstraintViolated(
-            f"delta0 leaves the projective subspace (residual {resid:.2e})"
-        )
-    D0p = np.vstack([D0[:f].reshape(-1, d), *tors])
-    D1p = delta1_projective(pt, blocks)
-    rank1, rank0 = _rank(D1p, tol), _rank(D0p, tol)
-    return CochainData(
-        h0=d - rank0,
-        h1=D0p.shape[0] - rank1 - rank0,
-        h2=d - rank1,
-        f_j=[d - B.shape[1] for B in blocks[f:]],
-        proj_blocks=blocks,
-        delta0_proj=D0p,
-        delta1_proj=D1p,
-    )
+def cohomology_data(pt: RepPoint, tol: Tolerances = DEFAULT_TOL) -> CochainData:
+    """CochainData(pt, tol) with the dims of H^0, H^1, H^2 decided, linear
+    in the relator length; a point whose relator values are not central is
+    refused before anything is built."""
+    data = CochainData(pt, tol)
+    data.dims
+    return data
 
 
 def euler_characteristic_expected(pt: RepPoint, f_j: list[int]) -> int:

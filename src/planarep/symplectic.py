@@ -5,26 +5,18 @@ The conventions are fixed: the extended 2-form is omega = cup - B and the
 momentum map is mu = -<Lam, .>, so that omega(X_M, .) = d(X o mu) holds as a
 theorem, which check_moment_identity tests rather than assumes.
 Tangent vectors, omega and both Grams live in R^dim = C^1(P(P), g_phi), the
-coordinates of the projective blocks that an extended point carries.
+coordinates of the projective complex (CochainData) that an extended point
+carries.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .config import Tolerances, DEFAULT_TOL
-from .cohomology import (
-    RepPoint,
-    _rank,
-    _svd_nullspace,
-    cohomology_data,
-    delta1_projective,
-    projective_subspace,
-    times_basis,
-)
+from .cohomology import CochainData, RepPoint, _rank, _svd_nullspace, times_basis
 from .errors import LogBranchFailure, NotACocycle, SingularDexp
 from .liegroup import LieModel, phi_functions, spectral_margin
 
@@ -45,8 +37,8 @@ class ExtendedPoint:
     spectral margin of Lambda is below tol.tau_grp (the segment [0, Lambda]
     is then not known to stay in the regular domain, where dexp is
     invertible), and LogBranchFailure when exp(Lambda) != r(phi).  Its
-    tangent vectors use the coordinates of blocks = projective_subspace(phi,
-    tol); row = E_r Q and cup = Q^T C Q in them are built on first read."""
+    tangent vectors use the coordinates of data = CochainData(phi, tol) and
+    read its E_r Q and Q^T C Q; only the reports on H^1 read its dims."""
 
     phi: RepPoint
     Lam: np.ndarray
@@ -64,15 +56,7 @@ class ExtendedPoint:
         phi1, phi2 = model.phi_ad(self.Lam)
         self._dexp_inv = np.linalg.inv(phi1[0])
         self.bform = _bform(model, phi2)
-        self.blocks = projective_subspace(self.phi, tol)
-
-    @cached_property
-    def row(self) -> np.ndarray:
-        return delta1_projective(self.phi, self.blocks)
-
-    @cached_property
-    def cup(self) -> np.ndarray:
-        return cup_projective(self.phi, self.blocks)
+        self.data = CochainData(self.phi, tol)
 
     @property
     def model(self) -> LieModel:
@@ -80,7 +64,7 @@ class ExtendedPoint:
 
     def conjugate(self, g: np.ndarray) -> "ExtendedPoint":
         ginv = self.model.inverse(g)
-        return ExtendedPoint(self.phi.conjugate(g), g @ self.Lam @ ginv)
+        return ExtendedPoint(self.phi.conjugate(g), g @ self.Lam @ ginv, self.data.tol)
 
 
 def extend_point(phi: RepPoint, tol: Tolerances = DEFAULT_TOL) -> ExtendedPoint:
@@ -101,7 +85,7 @@ class TangentVec:
 
 
 def tangent_from_u(pt: ExtendedPoint, u: np.ndarray) -> TangentVec:
-    return TangentVec(u=u, V=pt._dexp_inv @ (pt.row @ u))
+    return TangentVec(u=u, V=pt._dexp_inv @ (pt.data.delta1_proj @ u))
 
 
 def action_field(pt: ExtendedPoint, X: np.ndarray) -> TangentVec:
@@ -110,7 +94,7 @@ def action_field(pt: ExtendedPoint, X: np.ndarray) -> TangentVec:
     model = pt.model
     x = model.vec(X)
     d0x = (x - pt.phi.ad_gens @ x).reshape(1, -1)  # delta0 X as one row
-    u = times_basis(d0x, pt.blocks, 2 * pt.phi.pres.genus)[0]
+    u = times_basis(d0x, pt.data.proj_blocks, 2 * pt.phi.pres.genus)[0]
     V = model.vec(X @ pt.Lam - pt.Lam @ X)
     t = tangent_from_u(pt, u)
     # consistency of the two V computations (exactness of the chain identity)
@@ -172,25 +156,17 @@ def cup_eval(phi: RepPoint, u: np.ndarray, v: np.ndarray) -> float:
     return float(u @ phi.cup @ v)
 
 
-def cup_projective(phi: RepPoint, blocks: list[np.ndarray]) -> np.ndarray:
-    """Q^T C Q, the cup matrix in the coordinates of projective_subspace's
-    blocks, by times_basis from both sides: Q^T (C Q) = ((C Q)^T Q)^T."""
-    f = 2 * phi.pres.genus
-    return times_basis(times_basis(phi.cup, blocks, f).T, blocks, f).T
-
-
 def pairing_H1(
     phi: RepPoint, u: np.ndarray, v: np.ndarray, tol: Tolerances = DEFAULT_TOL
 ) -> float:
     """The alternating 2-form on H^1 evaluated on cocycle representatives,
     given in the coordinates of projective_subspace(phi, tol)."""
-    blocks = projective_subspace(phi, tol)
-    D1p = delta1_projective(phi, blocks)
+    data = CochainData(phi, tol)
     for w in (u, v):
-        resid = np.linalg.norm(D1p @ w)
+        resid = np.linalg.norm(data.delta1_proj @ w)
         if resid > 1e-6 * max(1.0, np.linalg.norm(w)):
             raise NotACocycle(f"delta1 residual {resid:.2e}")
-    return float(u @ cup_projective(phi, blocks) @ v)
+    return float(u @ data.cup @ v)
 
 
 # --- the 2-form B on the principal sheet ----------------------------------
@@ -251,7 +227,7 @@ def _bform(model: LieModel, phi2: np.ndarray) -> np.ndarray:
 def omega_extended(pt: ExtendedPoint, t1: TangentVec, t2: TangentVec) -> float:
     """omega_ext = u1^T (Q^T C Q) u2 - B(V1, V2), the cup part read off the
     point's projected cup matrix."""
-    cup = t1.u @ pt.cup @ t2.u
+    cup = t1.u @ pt.data.cup @ t2.u
     b = t1.V @ pt.bform @ t2.V
     return float(cup - b)
 
@@ -273,7 +249,7 @@ def check_moment_identity(pt: ExtendedPoint, X: np.ndarray, t: TangentVec) -> fl
 
 def gram_on_cocycles(cup: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Gram matrix W^T C W of the cup pairing on the columns W of basis, C
-    the cup matrix in their coordinates: ExtendedPoint.cup for projective ones."""
+    the cup matrix in their coordinates: CochainData.cup for projective ones."""
     G = basis.T @ cup @ basis
     return 0.5 * (G - G.T)
 
@@ -282,8 +258,8 @@ def gram_extended(pt: ExtendedPoint) -> np.ndarray:
     """Gram matrix of omega_ext on C^1(P(P), g_phi), in the point's
     projective coordinates: Q^T C Q - T^T K T with T = dexp(Lam)^-1 E_r Q,
     whose columns are the V of the coordinate tangents."""
-    T = pt._dexp_inv @ pt.row
-    G = pt.cup - T.T @ pt.bform @ T
+    T = pt._dexp_inv @ pt.data.delta1_proj
+    G = pt.data.cup - T.T @ pt.bform @ T
     return 0.5 * (G - G.T)
 
 
@@ -299,17 +275,17 @@ def principal_angles(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.arctan2(sin, cos)
 
 
-def degeneracy_report(point: ExtendedPoint, tol: Tolerances = DEFAULT_TOL) -> dict:
+def degeneracy_report(point: ExtendedPoint) -> dict:
     """Rank structure at an extended point: the nullspace of the cup pairing
     on Z^1 against B^1, and the rank of the full tangent-space Gram of omega,
     all in the point's projective coordinates (Q has orthonormal columns, so
-    the angles are those in C^1).  Both Grams read the point's cached cup
-    matrix and Fox row, so the report builds each once.
+    the angles are those in C^1).  Both Grams read the complex point.data,
+    so the report builds its cup matrix and projected row once, and every
+    rank in it is cut at that complex's tolerance.
     """
-    phi = point.phi
-    data = cohomology_data(phi, tol, point.blocks)
+    data, tol = point.data, point.data.tol
     W = data.cocycles
-    Gz = gram_on_cocycles(point.cup, W)
+    Gz = gram_on_cocycles(data.cup, W)
     null, rank_z1, _ = _gram_nullspace(Gz, tol.rank_rel)
     dim = W.shape[0]
     report = {
@@ -319,7 +295,7 @@ def degeneracy_report(point: ExtendedPoint, tol: Tolerances = DEFAULT_TOL) -> di
         "dim_C1_proj": int(dim),
     }
     # compare ker(Gram) with im(delta0) in projective coordinates
-    rank_b1 = phi.model.d - data.h0
+    rank_b1 = point.model.d - data.h0
     if null.shape[1] == 0 or rank_b1 == 0:
         report["nullspace_matches_B1"] = null.shape[1] == rank_b1
         report["max_principal_angle"] = 0.0

@@ -19,7 +19,6 @@ from planarep.cohomology import (
     random_fnat_point,
 )
 from planarep.components import component_label, finite_order_classes
-from planarep.config import DEFAULT_TOL
 from planarep.errors import InfeasibleSpec, NotFound
 from planarep.foxcalc import (
     GroupRingElt,
@@ -34,7 +33,6 @@ from planarep.presentations import PlanarPresentation
 from planarep.solver import SolveSpec, solve_relator
 from planarep.symplectic import (
     check_moment_identity,
-    cup_projective,
     degeneracy_report,
     extend_point,
     gram_on_cocycles,
@@ -204,7 +202,7 @@ def test_criterion_05_pairing_properties():
         cob = data.delta0_proj @ X
         worst_cob = max(worst_cob, abs(pairing_H1(phi, u, cob)))
         # nondegeneracy on harmonic representatives
-        G = gram_on_cocycles(cup_projective(phi, data.proj_blocks), data.harmonic)
+        G = gram_on_cocycles(data.cup, data.harmonic)
         s = np.linalg.svd(G, compute_uv=False) if G.size else np.zeros(0)
         rank = int(np.sum(s > 1e-8 * max(1.0, s[0] if len(s) else 0.0)))
         assert rank == data.h1
@@ -222,7 +220,7 @@ def test_criterion_06_momentum_identity():
     for seed in range(20):
         pt = extend_point(_central_point(SU2, pres, 300 + seed))
         X = SU2.random_alg(rng)
-        coords = rng.standard_normal(pt.row.shape[1])
+        coords = rng.standard_normal(pt.data.delta1_proj.shape[1])
         t = tangent_from_u(pt, coords)
         scale = max(1.0, abs(moment_pairing(pt, X)), np.linalg.norm(coords))
         worst = max(worst, check_moment_identity(pt, X, t) / scale)
@@ -244,7 +242,7 @@ def test_criterion_07_degeneracy_structure():
     worst_angle = 0.0
     for seed in range(20):
         pt = extend_point(_central_point(SU2, pres, 500 + seed))
-        rep = degeneracy_report(pt, DEFAULT_TOL)
+        rep = degeneracy_report(pt)
         assert rep["nullspace_matches_B1"]
         assert rep["full_rank"] == rep["dim_C1_proj"]
         worst_angle = max(worst_angle, rep["max_principal_angle"])

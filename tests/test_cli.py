@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import planarep.cli
+from planarep import cohomology, symplectic
 from planarep.cli import main
 from planarep.errors import PlanarepError
 
@@ -84,6 +85,24 @@ def test_symplectic_report(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["degeneracy"]["nondegenerate"]
+
+
+@pytest.mark.parametrize("command", ["symplectic", "momenttest"])
+@pytest.mark.parametrize("group, classes", [("SU2", "1"), ("U3", "4")])
+def test_request_builds_one_projective_complex(capsys, monkeypatch, command, group, classes):
+    # the dims, the Grams and the tangent vectors all read the extended
+    # point's complex: one cut of the blocks and one E_r Q per request,
+    # counted under every module name that could call them
+    calls = []
+    for name in ("projective_subspace", "delta1_projective"):
+        f = getattr(cohomology, name)
+        for module in (cohomology, symplectic, planarep.cli):
+            monkeypatch.setattr(module, name, lambda *a, f=f: calls.append(f.__name__) or f(*a),
+                                raising=False)
+    code, _ = _run(capsys, command, "--group", group, "--genus", "1", "--torsion", "3",
+                   "--classes", classes, "--seed", "2", "--no-timestamp")
+    assert code == 0
+    assert sorted(calls) == ["delta1_projective", "projective_subspace"]
 
 
 def test_exit_code_parse_error(capsys):

@@ -5,16 +5,22 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
-from planarep import liegroup, symplectic
+from planarep import cohomology, liegroup, symplectic
 from planarep.cohomology import (
+    CochainData,
     RepPoint,
     cohomology_data,
     delta0,
     projective_subspace,
 )
 from planarep.components import finite_order_classes
-from planarep.config import DEFAULT_TOL
-from planarep.errors import LogBranchFailure, NotACocycle, SingularDexp
+from planarep.config import DEFAULT_TOL, Tolerances
+from planarep.errors import (
+    LogBranchFailure,
+    NotACocycle,
+    RelatorConstraintViolated,
+    SingularDexp,
+)
 from planarep.foxcalc import fox_derivative, relator_filling_chain
 from planarep.liegroup import get_model, spectral_margin
 from planarep.presentations import PlanarPresentation
@@ -25,7 +31,6 @@ from planarep.symplectic import (
     bform_O,
     bform_matrix,
     check_moment_identity,
-    cup_projective,
     degeneracy_report,
     extend_point,
     gram_extended,
@@ -52,7 +57,7 @@ def _point(seed, pres=PRES, model=MODEL, zeta=None, torsion_class_index=1):
 
 
 def _random_tangent(pt, rng):
-    return tangent_from_u(pt, rng.standard_normal(pt.row.shape[1]))
+    return tangent_from_u(pt, rng.standard_normal(pt.data.delta1_proj.shape[1]))
 
 
 def test_pairing_antisymmetry():
@@ -95,7 +100,7 @@ def test_gram_rank_on_harmonic_equals_h1():
     for seed, pres, zeta in cases:
         phi = _point(seed, pres=pres, zeta=zeta)
         data = cohomology_data(phi)
-        G = gram_on_cocycles(cup_projective(phi, data.proj_blocks), data.harmonic)
+        G = gram_on_cocycles(data.cup, data.harmonic)
         s = np.linalg.svd(G, compute_uv=False)
         rank = int(np.sum(s > 1e-8 * max(1.0, s[0] if len(s) else 0.0)))
         assert rank == data.h1
@@ -132,15 +137,29 @@ def test_action_field_is_coboundary_direction():
     x = MODEL.vec(X)
     # u holds the projective coordinates of delta0 X, which lies in the
     # projective subspace: Q u gives back every block X - Ad_s X
-    Q = block_basis(pt.blocks)
+    Q = block_basis(pt.data.proj_blocks)
     expected = np.concatenate([x - block @ x for block in pt.phi.ad_gens])
     assert np.linalg.norm(Q @ t.u - expected) < 1e-12
+
+
+def test_conjugate_keeps_the_point_tolerance(monkeypatch):
+    tol = Tolerances(rank_rel=1e-6)
+    pt = extend_point(_point(3), tol)
+    cuts = []
+    svd_nullspace = cohomology._svd_nullspace
+    monkeypatch.setattr(cohomology, "_svd_nullspace",
+                        lambda A, rel_tol: cuts.append(rel_tol) or svd_nullspace(A, rel_tol))
+    conj = pt.conjugate(MODEL.random_element(np.random.default_rng(4)))
+    assert conj.data.tol is tol
+    conj.data.proj_blocks
+    assert cuts == [1e-6]  # the block of the one torsion generator
+    assert conj.data.dims == pt.data.dims
 
 
 def test_degeneracy_structure_central_fiber():
     for seed in range(3):
         pt = extend_point(_point(seed + 20))
-        report = degeneracy_report(pt, DEFAULT_TOL)
+        report = degeneracy_report(pt)
         assert report["nullspace_matches_B1"]
         assert report["max_principal_angle"] < 1e-6
         assert report["nondegenerate"]
@@ -171,7 +190,7 @@ def test_report_builds_cup_and_relator_row_once(monkeypatch):
     monkeypatch.setattr(symplectic, "cup_matrix", counting_cup)
     monkeypatch.setattr(RepPoint, "long_row", row)
     monkeypatch.setattr(RepPoint, "walk", counting_walk)
-    degeneracy_report(extend_point(phi), DEFAULT_TOL)
+    degeneracy_report(extend_point(phi))
     # the row is built per handle, never by a walk along the long relator
     assert counts == {"cup": 1, "row": 1, "walk": 0}
 
@@ -316,8 +335,8 @@ def test_matrix_grams_match_per_pair_reference(group, gt, seed):
     pt = _extended_point(model, pres, seed)
     k = 4
     rng = np.random.default_rng(seed + 1)
-    basis = rng.standard_normal((pt.row.shape[1], k))  # projective coordinates
-    cols = list((block_basis(pt.blocks) @ basis).T)
+    basis = rng.standard_normal((pt.data.delta1_proj.shape[1], k))  # projective coordinates
+    cols = list((block_basis(pt.data.proj_blocks) @ basis).T)
     ref_cup = _cup_reference(pt.phi, cols)
     R = _fox_row(pt.phi, pres.long_relator)
     Dinv = np.linalg.inv(model.dexp_matrix(pt.Lam))
@@ -328,7 +347,7 @@ def test_matrix_grams_match_per_pair_reference(group, gt, seed):
             b = bform_O(model, pt.Lam, Vs[i], Vs[j])
             ref_ext[i, j] -= b
             ref_ext[j, i] += b
-    assert _close(gram_on_cocycles(pt.cup, basis), ref_cup)
+    assert _close(gram_on_cocycles(pt.data.cup, basis), ref_cup)
     assert _close(basis.T @ gram_extended(pt) @ basis, ref_ext)
 
 
@@ -344,18 +363,48 @@ def test_projective_forms_match_the_dense_basis(group, gt, seed):
     # the dense basis Q
     model, pres = get_model(group), PlanarPresentation(*gt)
     pt = _extended_point(model, pres, seed)
-    Q = block_basis(pt.blocks)
+    Q = block_basis(pt.data.proj_blocks)
     W = np.random.default_rng(seed + 2).standard_normal((Q.shape[1], 4))
     C, K = pt.phi.cup, pt.bform
     T = pt._dexp_inv @ pt.phi.long_row @ Q  # the V of the coordinate tangents
     full = Q.T @ C @ Q - T.T @ K @ T
     cup = (Q @ W).T @ C @ (Q @ W)
-    assert _close(gram_on_cocycles(pt.cup, W), 0.5 * (cup - cup.T))
+    assert _close(gram_on_cocycles(pt.data.cup, W), 0.5 * (cup - cup.T))
     assert _close(gram_extended(pt), 0.5 * (full - full.T))
     t1, t2 = tangent_from_u(pt, W[:, 0]), tangent_from_u(pt, W[:, 1])
     assert _close(t1.V, T @ W[:, 0])
     omega = cup[0, 1] - W[:, 0] @ T.T @ K @ T @ W[:, 1]
     assert _close(np.array(omega_extended(pt, t1, t2)), np.array(omega))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(GROUPS), presentations, st.integers(0, 10**6))
+def test_complex_off_the_central_fibre(group, gt, seed):
+    # the coboundaries and the cup matrix of the complex need no central
+    # relator values, so they match the dense products at any F-natural
+    # point; its dims refuse such a point, and cohomology_data refuses it
+    # before the blocks are cut
+    model, pres = get_model(group), PlanarPresentation(*gt)
+    rng = np.random.default_rng(seed)
+    gens = [model.random_element(rng, 0.6) for _ in range(2 * pres.genus)]
+    gens += [_torsion_element(model, m, rng) for m in pres.torsion]
+    phi = RepPoint(pres, model, gens)
+    assume(not phi.relators_central())
+    data = CochainData(phi)
+    Q = block_basis(data.proj_blocks)
+    for got, want in ((data.delta0_proj, Q.T @ delta0(phi)),
+                      (data.delta1_proj, phi.long_row @ Q),
+                      (data.cup, Q.T @ phi.cup @ Q)):
+        assert got.shape == want.shape
+        assert _close(got, want, rtol=1e-12)
+    with pytest.raises(RelatorConstraintViolated):
+        data.dims
+    cuts = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cohomology, "projective_subspace", lambda *a: cuts.append(a))
+        with pytest.raises(RelatorConstraintViolated):
+            cohomology_data(RepPoint(pres, model, gens))
+    assert cuts == []
 
 
 @pytest.mark.parametrize("angle", [1e-12, 1e-10, 1e-8, 1e-6, 0.3, 1.2])
