@@ -59,7 +59,7 @@ quartiles per side and, per metric, how many pairs this checkout won,
 under "perfbench" / "<workload>/seed<seed>" in the same file.  A plain run
 keeps those entries; a paired run keeps the rows.
 
-Usage: python scripts/bench_scaling.py   (writes BENCH_24.json at the repo root)
+Usage: python scripts/bench_scaling.py   (writes BENCH_25.json at the repo root)
        python scripts/bench_scaling.py --paired ../parent --pairs 10 \
            --workload component-scan --seed 1
 """
@@ -87,7 +87,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import planarep.cli as cli  # noqa: E402
-from planarep.cli import _pick_classes, _zeta  # noqa: E402
+from planarep.cli import _pick_classes  # noqa: E402
 from planarep.cohomology import RepPoint, cohomology_data  # noqa: E402
 from planarep.components import finite_order_classes  # noqa: E402
 from planarep.liegroup import get_model  # noqa: E402
@@ -106,7 +106,7 @@ SETUP_GROUPS = ("SU2", "U2")
 CLI_COMMANDS = ("symplectic", "momenttest")
 CLI_CASES = {"SU2": ((3, 5), (1, 2)), "U3": ((3,), (4,))}  # group -> (torsion, classes)
 CLI_MAX_GENUS = 64
-OUT = ROOT / "BENCH_24.json"
+OUT = ROOT / "BENCH_25.json"
 
 
 def _drop_row_and_value(pt: RepPoint) -> None:
@@ -129,8 +129,8 @@ def ad_matrix(pt: RepPoint) -> np.ndarray:
 
 def jacobian(pt: RepPoint) -> np.ndarray:
     # of a solve spec, the Jacobian reads the model, the presentation and
-    # zeta^-1; SL(2,R) has no torsion classes to build a SolveSpec from
-    spec = SimpleNamespace(model=pt.model, pres=pt.pres, zeta_inv=pt.model.identity)
+    # zeta; SL(2,R) has no torsion classes to build a SolveSpec from
+    spec = SimpleNamespace(model=pt.model, pres=pt.pres, zeta=pt.model.identity)
     return _jacobian(spec, pt)
 
 
@@ -207,7 +207,7 @@ def genus0_specs(k: int) -> dict[str, SolveSpec]:
     model, pres = get_model("SU2"), PlanarPresentation(0, (3,) * k)
     e, c = finite_order_classes(model, 3)
     return {"boundary": SolveSpec(pres, model, [c] * 3 + [e] * (k - 3)),
-            "interior": SolveSpec(pres, model, [c] * k, -model.identity)}
+            "interior": SolveSpec(pres, model, [c] * k, minus=True)}
 
 
 def measure_solve(ks: list[int], repeats: int, sweeps: int) -> dict:
@@ -236,7 +236,7 @@ def spec_setup(requests: list[tuple], cold: bool) -> None:
         if cold:
             finite_order_classes.cache_clear()
         classes = _pick_classes(model, pres, idxs, target)
-        _feasibility_oracle(SolveSpec(pres, model, classes, _zeta(model, target)))
+        _feasibility_oracle(SolveSpec(pres, model, classes, minus=target == "-e"))
 
 
 def measure_setup(ks: list[int], repeats: int, sweeps: int) -> dict:

@@ -36,7 +36,6 @@ def main():
     model = get_model(args.group)
     torsion = tuple(int(t) for t in args.torsion.split(","))
     pres = PlanarPresentation(args.genus, torsion)
-    zeta = model.identity.copy() if args.target == "e" else -model.identity
     per_gen = [finite_order_classes(model, m) for m in torsion]
 
     n_total = n_solved = n_infeasible = n_notfound = 0
@@ -44,7 +43,7 @@ def main():
         n_total += 1
         label = " , ".join(c.class_id for c in combo)
         try:
-            spec = SolveSpec(pres, model, list(combo), zeta,
+            spec = SolveSpec(pres, model, list(combo), minus=args.target == "-e",
                              seed=args.seed, tol=1e-12)
             res = solve_relator(spec)
         except InfeasibleSpec:

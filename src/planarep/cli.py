@@ -28,7 +28,7 @@ from .errors import MalformedInput, PlanarepError, ToleranceExceeded
 from .foxcalc import abelianized_boundary, fundamental_cycle
 from .liegroup import get_model
 from .presentations import PlanarPresentation
-from .solver import SolveSpec, solve_relator
+from .solver import SolveSpec, solve_relator, target_phase
 from .symplectic import (
     check_moment_identity,
     degeneracy_report,
@@ -106,13 +106,13 @@ def _default_classes(model, per_gen, target: str):
     """The first class tuple, taking each order's first nontrivial class
     first, that the solver's determinant test lets through.
 
-    Only U(n) has that test: a tuple passes when the determinants of its
-    classes, exp(2 pi i phase), multiply to det(zeta).  When no tuple
-    passes, the first one is returned and the solver certifies it empty."""
+    Only U(n) has that test: a tuple passes when its classes' phases add up
+    to the target's, target_phase.  When no tuple passes, the first one is
+    returned and the solver certifies it empty."""
     prefs = [classes[1:] + classes[:1] for classes in per_gen]
     if model.kind != "U":
         return [p[0] for p in prefs]
-    need = Fraction(model.n, 2) % 1 if target == "-e" else Fraction(0)
+    need = target_phase(model.n, target == "-e")
     # reach[j]: the phases the classes of generators j, j+1, ... can add up to
     reach = [{Fraction(0)}]
     for classes in reversed(per_gen):
@@ -125,10 +125,6 @@ def _default_classes(model, per_gen, target: str):
         out.append(c)
         need = (need - c.phase) % 1
     return out
-
-
-def _zeta(model, text: str):
-    return model.identity.copy() if text == "e" else -model.identity
 
 
 @cache
@@ -144,9 +140,9 @@ def _solved_point(args, tol):
     pres = _presentation(args.genus, args.torsion)
     if pres.num_generators == 0:
         raise MalformedInput("the presentation has no generators: nothing to solve")
-    zeta = _zeta(model, args.target)
     classes = _pick_classes(model, pres, args.classes, args.target)
-    spec = SolveSpec(pres, model, classes, zeta, seed=args.seed, tol=tol.tau_grp)
+    spec = SolveSpec(pres, model, classes, minus=args.target == "-e",
+                     seed=args.seed, tol=tol.tau_grp)
     return solve_relator(spec), spec
 
 

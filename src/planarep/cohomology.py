@@ -84,17 +84,20 @@ class RepPoint:
 
     pres: PlanarPresentation
     model: LieModel
-    # one (n x n) matrix per presentation generator: a list or a stack
-    gens: list | np.ndarray
+    # one (n x n) matrix per presentation generator, given as any sequence
+    # and stored as one (#generators, n, n) stack in the model's dtype
+    gens: np.ndarray
 
     def __post_init__(self):
+        eye = self.model.identity
+        self.gens = np.asarray(self.gens, dtype=eye.dtype).reshape(-1, *eye.shape)
         if len(self.gens) != self.pres.num_generators:
             raise ValueError("one matrix per generator required")
 
     @cached_property
     def ad_gens(self) -> np.ndarray:
         """Ad_{phi(s)} of every generator s, stacked (#generators, d, d)."""
-        return self.model.Ad_matrix(np.asarray(self.gens))
+        return self.model.Ad_matrix(self.gens)
 
     @cached_property
     def ad_gens_inv(self) -> np.ndarray:
@@ -105,7 +108,7 @@ class RepPoint:
     @cached_property
     def gens_inv(self) -> np.ndarray:
         """phi(s)^-1 of every generator s, stacked."""
-        return self.model.inverse(np.asarray(self.gens))
+        return self.model.inverse(self.gens)
 
     def value(self, w: Word) -> np.ndarray:
         """phi(w) as a group element, one product per letter: it serves
@@ -198,8 +201,7 @@ class RepPoint:
         """r(phi), the value of the long relator: the commutators c_j stacked
         over the handles, then c_1..c_l z_1..z_n as one tree_product, linear
         work in O(log(l + n)) stacked products."""
-        m, f = self.model, 2 * self.pres.genus
-        g = np.asarray(self.gens, dtype=m.identity.dtype).reshape(-1, *m.identity.shape)
+        m, f, g = self.model, 2 * self.pres.genus, self.gens
         if f:
             x, y = g[0:f:2], g[1:f:2]
             g = np.concatenate([x @ y @ m.inverse(x) @ m.inverse(y), g[f:]])
@@ -223,8 +225,7 @@ class RepPoint:
         )
 
     def conjugate(self, g: np.ndarray) -> "RepPoint":
-        ginv = self.model.inverse(g)
-        return RepPoint(self.pres, self.model, [g @ h @ ginv for h in self.gens])
+        return RepPoint(self.pres, self.model, g @ self.gens @ self.model.inverse(g))
 
 
 def random_fnat_point(

@@ -123,7 +123,7 @@ def _round_spectrum(model: LieModel, evals: np.ndarray, m: int, tol: float) -> T
 def component_label(pt, tol: float = 1e-6) -> list[str]:
     """Class id of each torsion-generator image (conjugation invariant),
     from one stacked eigvals over the torsion generators."""
-    evals = np.linalg.eigvals(np.asarray(pt.gens)[2 * pt.pres.genus :])
+    evals = np.linalg.eigvals(pt.gens[2 * pt.pres.genus :])
     return [
         _round_spectrum(pt.model, ev, m, tol).class_id
         for ev, m in zip(evals, pt.pres.torsion)

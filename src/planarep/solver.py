@@ -1,4 +1,4 @@
-"""Numerical search for representation points: solve r(phi) = zeta over
+"""Numerical search for representation points: solve r(phi) = e or -e over
 prescribed torsion classes.
 
 Torsion generators are parameterized exactly as k_j c_j k_j^{-1} with c_j the
@@ -14,7 +14,8 @@ genus, while the unknowns number N = d (2l + n).  So the step
 for lam > 0 (Nocedal-Wright, Numerical Optimization, 10.3), from a
 2n^2 x 2n^2 solve: an iteration costs O(N), linear in the relator length
 4l + n, and no N x N matrix is formed.  The r of the step is the residual
-projected onto the tangent space of G at r(phi) zeta^-1 (_tangent_residual).
+projected onto the tangent space of G at r(phi) zeta (_tangent_residual),
+zeta the target, its own inverse.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class SolveSpec:
     pres: PlanarPresentation
     model: LieModel
     classes: list[TorsionClass]
-    zeta: np.ndarray | None = None  # central target; default identity
+    minus: bool = False  # target -e, else e
     seed: int = 0
     max_restarts: int = 30
     max_iters: int = 120
@@ -46,10 +47,6 @@ class SolveSpec:
     def __post_init__(self):
         if len(self.classes) != self.pres.n_torsion:
             raise InfeasibleSpec("one torsion class per torsion generator required")
-        if self.zeta is None:
-            self.zeta = self.model.identity.copy()
-        if not self.model.is_central(self.zeta):
-            raise InfeasibleSpec("target zeta is not central")
         for cls, m in zip(self.classes, self.pres.torsion):
             if cls.order != m:
                 raise InfeasibleSpec(
@@ -72,8 +69,9 @@ class SolveSpec:
         return _rank2_rule(self)
 
     @cached_property
-    def zeta_inv(self) -> np.ndarray:
-        return self.model.inverse(self.zeta)
+    def zeta(self) -> np.ndarray:
+        """The target, -e or e: central, and its own inverse."""
+        return -self.model.identity if self.minus else self.model.identity.copy()
 
     def to_json(self) -> dict:
         return {
@@ -90,6 +88,12 @@ class SolveSpec:
 
 def _mat_json(m: np.ndarray) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
+
+
+def target_phase(n: int, minus: bool) -> Fraction:
+    """The determinant phase of the target in U(n), exactly:
+    det(-e) = exp(2 pi i n/2), det e = 1."""
+    return Fraction(n, 2) % 1 if minus else Fraction(0)
 
 
 # --- SU(2) feasibility rule ---------------------------------------------------
@@ -146,20 +150,19 @@ class SolveResult:
 
 def _feasibility_oracle(spec: SolveSpec) -> bool | None:
     """Exact feasibility: True or False where a theorem decides the spec,
-    None where none applies here (SL(2,R) with torsion; at genus 0, U(n) for
-    n >= 3 and U(2) with a target other than e or -e)."""
+    None where none applies here (SL(2,R) with torsion; U(n) at genus 0
+    for n >= 3)."""
     model, p = spec.model, spec.pres
     if model.kind == "SL2R":
         if p.n_torsion:
             return None
         # lifts to SL(2,R) have product of commutators (-1)^eu, and every Euler
         # number |eu| <= 2l - 2 occurs (Milnor-Wood, Goldman): -e iff l >= 2
-        return not _is_minus_e(spec) or p.genus >= 2
+        return not spec.minus or p.genus >= 2
     if model.kind == "U":
-        # det c_j = exp(2 pi i phase_j), so the product's determinant is one
-        # root of unity, summed exactly, against det zeta
-        phase = float(sum(c.phase for c in spec.classes) % 1)
-        if abs(np.linalg.det(spec.zeta) - np.exp(2j * np.pi * phase)) > 1e-9:
+        # det c_j = exp(2 pi i phase_j): the product's determinant phase,
+        # summed exactly, against the target's
+        if sum(c.phase for c in spec.classes) % 1 != target_phase(model.n, spec.minus):
             return False
     if p.genus >= 1 or model.n == 1:
         # every element of SU(n) is a commutator, and U(1) is abelian: the
@@ -170,17 +173,17 @@ def _feasibility_oracle(spec: SolveSpec) -> bool | None:
 
 
 def _rank2_rule(spec: SolveSpec) -> tuple | None:
-    """su2_product_rule of a genus-0 SU(2)/U(2) spec with target e or -e, else None."""
-    model, minus = spec.model, _is_minus_e(spec)
-    if spec.pres.genus or model.kind == "SL2R" or model.n != 2 or minus is None:
+    """su2_product_rule of a genus-0 SU(2)/U(2) spec, else None."""
+    model = spec.model
+    if spec.pres.genus or model.kind == "SL2R" or model.n != 2:
         return None
     if model.kind == "SU":
-        return su2_product_rule([2 * min(c.fractions) for c in spec.classes], minus)
+        return su2_product_rule([2 * min(c.fractions) for c in spec.classes], spec.minus)
     # U(2): fractions (a, b) are e^{pi i (a+b)} times the SU(2) class t = b - a,
     # and the scalar parts multiply to (-1)^{sum (a+b)}
     odd = sum(sum(c.fractions) for c in spec.classes) % 2 == 1
     ts = [c.fractions[1] - c.fractions[0] for c in spec.classes]
-    return su2_product_rule(ts, minus != odd)
+    return su2_product_rule(ts, spec.minus != odd)
 
 
 def _torus_point(spec: SolveSpec) -> SolveResult | None:
@@ -193,21 +196,13 @@ def _torus_point(spec: SolveSpec) -> SolveResult | None:
         return None
     # an SU(2) representative has the angle +t first, a U(2) one -t
     swap = [(s > 0) == (spec.model.kind == "U") for s in rule[1]]
-    half = Fraction(int(_is_minus_e(spec)), 2)
+    half = Fraction(int(spec.minus), 2)
     phases = [sum(c.fractions[i ^ k] for c, k in zip(spec.classes, swap)) for i in (0, 1)]
     if any((p - half) % 1 for p in phases):  # the product's entries, on Fractions
         return None
     pt = _assemble(spec, np.where(np.array(swap)[:, None, None], [[0, 1], [-1, 0]], np.eye(2)))
     resid = float(np.linalg.norm(_residual_matrix(spec, pt)))
     return SolveResult(pt, resid, 0, spec) if resid < spec.tol else None
-
-
-def _is_minus_e(spec: SolveSpec) -> bool | None:
-    """True for zeta = -e, False for e, None for any other central zeta."""
-    for minus, zeta in ((False, spec.model.identity), (True, -spec.model.identity)):
-        if np.linalg.norm(spec.zeta - zeta) < 1e-9:
-            return minus
-    return None
 
 
 def _assemble(spec: SolveSpec, G: np.ndarray) -> RepPoint:
@@ -220,11 +215,11 @@ def _assemble(spec: SolveSpec, G: np.ndarray) -> RepPoint:
 
 
 def _residual_matrix(spec: SolveSpec, pt: RepPoint) -> np.ndarray:
-    return pt.long_relator_value @ spec.zeta_inv - spec.model.identity
+    return pt.long_relator_value @ spec.zeta - spec.model.identity
 
 
 def _jacobian(spec: SolveSpec, pt: RepPoint) -> np.ndarray:
-    """Real Jacobian (2n^2 x N) of (Re R, Im R), R = r(phi) zeta^-1, w.r.t.
+    """Real Jacobian (2n^2 x N) of (Re R, Im R), R = r(phi) zeta, w.r.t.
     right-translated moves of the free generators and the class conjugators.
 
     A move with coordinates xi moves R by unvec(E' xi) R to first order, E' the
@@ -233,7 +228,7 @@ def _jacobian(spec: SolveSpec, pt: RepPoint) -> np.ndarray:
     so J = B(R) E' for the 2n^2 x d matrix B(R) whose column a is
     (Re, Im) of basis[a] R: one product, no algebra element per column."""
     model, f, d = spec.model, 2 * spec.pres.genus, spec.model.d
-    BR = model.basis @ (pt.long_relator_value @ spec.zeta_inv)
+    BR = model.basis @ (pt.long_relator_value @ spec.zeta)
     B = np.concatenate([BR.real, BR.imag], axis=1).reshape(d, -1).T
     E = pt.long_row.copy()
     blocks = E.reshape(d, -1, d).swapaxes(0, 1)  # block i is E's column block i
@@ -242,7 +237,7 @@ def _jacobian(spec: SolveSpec, pt: RepPoint) -> np.ndarray:
 
 
 def _tangent_residual(model: LieModel, E: np.ndarray) -> np.ndarray:
-    """The residual E = R - I, R = r(phi) zeta^-1, projected orthogonally
+    """The residual E = R - I, R = r(phi) zeta, projected orthogonally
     onto T_R G, which holds the range of the Jacobian.  The rest, normal to
     G at R, does not move the step in exact arithmetic (J^T annihilates it);
     in floating point J has singular values at rounding level along it,

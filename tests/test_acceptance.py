@@ -73,9 +73,9 @@ def _det_one_class(model, m):
     return finite_order_classes(model, m)[0]
 
 
-def _central_point(model, pres, seed, zeta=None):
+def _central_point(model, pres, seed, minus=False):
     classes = [_det_one_class(model, m) for m in pres.torsion]
-    spec = SolveSpec(pres, model, classes, zeta, seed=seed, tol=1e-12)
+    spec = SolveSpec(pres, model, classes, minus=minus, seed=seed, tol=1e-12)
     return solve_relator(spec).point
 
 
@@ -181,11 +181,7 @@ def test_criterion_05_pairing_properties():
     for seed in range(5):
         points.append(_central_point(U2, PlanarPresentation(1, (4,)), seed))
     # one twisted point with r(phi) = -e
-    points.append(
-        _central_point(
-            SU2, PlanarPresentation(2, ()), 0, zeta=-np.eye(2, dtype=complex)
-        )
-    )
+    points.append(_central_point(SU2, PlanarPresentation(2, ()), 0, minus=True))
     assert len(points) == 20
     worst_anti, worst_cob = 0.0, 0.0
     for phi in points:

@@ -1,5 +1,6 @@
 import argparse
 import json
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -7,7 +8,13 @@ import pytest
 import planarep.cli
 from planarep import cohomology, symplectic
 from planarep.cli import main
+from planarep.components import finite_order_classes
 from planarep.errors import PlanarepError
+from planarep.liegroup import get_model
+from planarep.presentations import PlanarPresentation
+from planarep.solver import SolveSpec, _feasibility_oracle
+
+from oracles import det_certificate
 
 
 def _run(capsys, *argv):
@@ -226,11 +233,32 @@ def test_sl2r_seeds_with_singular_trial_steps(capsys, seed):
                                              ("U3", "U3|m=3|[0,1/3,2/3]")])
 def test_default_class_passes_det_test(capsys, group, class_id):
     # without --classes, U(n) takes the first nontrivial class whose
-    # determinant is det(zeta) = 1, not a class the det test certifies empty
+    # determinant is det e = 1, not a class the det test certifies empty
     code, out = _run(capsys, "solve", "--group", group, "--genus", "1",
                      "--torsion", "3", "--no-timestamp")
     assert code == 0
     assert [c["id"] for c in json.loads(out)["spec"]["classes"]] == [class_id]
+
+
+@pytest.mark.parametrize("group", ["U1", "U2", "U3"])
+def test_default_tuple_passes_the_det_test_whenever_one_does(group):
+    # the CLI's default tuple and the solver's certificate read one target
+    # phase: against the float determinants, the default tuple passes the
+    # determinant test exactly when some tuple does, and at genus 1, where
+    # that test is the whole certificate, it is certified feasible
+    model = get_model(group)
+    for genus, target, k in product((0, 1), ("e", "-e"), (1, 2, 3)):
+        for torsion in combinations_with_replacement(range(2, 6), k):
+            pres = PlanarPresentation(genus, torsion)
+            picked = planarep.cli._pick_classes(model, pres, (), target)
+            spec = SolveSpec(pres, model, picked, minus=target == "-e")
+            dets = [{complex(np.round(np.linalg.det(c.representative), 9))
+                     for c in finite_order_classes(model, m)} for m in torsion]
+            passes = any(abs(np.prod(ds) - np.linalg.det(spec.zeta)) <= 1e-9
+                         for ds in product(*dets))
+            assert det_certificate(picked, spec.zeta) == passes, (genus, target, torsion)
+            if genus:
+                assert _feasibility_oracle(spec) == passes, (target, torsion)
 
 
 def test_default_classes_unchanged_for_su2(capsys):

@@ -93,6 +93,23 @@ def test_u1_closed_form():
             assert data.dims == (1, 2 * genus, 1)
 
 
+@pytest.mark.parametrize("name", ["U1", "SU2", "SL2R", "U2", "U3"])
+def test_point_stores_one_stack_in_the_model_dtype(name):
+    # a list of matrices is stored as one (#generators, n, n) stack in the
+    # model's dtype, and conjugation, one stacked product, equals the
+    # per-generator product bit for bit
+    model, pres = get_model(name), PlanarPresentation(1, (3,))
+    rng = np.random.default_rng(5)
+    gens = [model.random_element(rng) for _ in range(pres.num_generators)]
+    pt = RepPoint(pres, model, gens)
+    assert pt.gens.shape == (pres.num_generators, model.n, model.n)
+    assert pt.gens.dtype == model.identity.dtype
+    g = model.random_element(rng)
+    ginv = model.inverse(g)
+    assert all(np.array_equal(c, g @ h @ ginv) for c, h in zip(pt.conjugate(g).gens, gens))
+    assert RepPoint(PlanarPresentation(0, ()), model, []).gens.shape == (0, model.n, model.n)
+
+
 def test_su2_trivial_rep_genus2():
     model = get_model("SU2")
     pres = PlanarPresentation(2, ())
@@ -146,9 +163,7 @@ def test_twisted_su2_point():
     # genus 2, target -e: projective representation point
     model = get_model("SU2")
     pres = PlanarPresentation(2, ())
-    res = solve_relator(
-        SolveSpec(pres, model, [], zeta=-np.eye(2, dtype=complex), seed=3)
-    )
+    res = solve_relator(SolveSpec(pres, model, [], minus=True, seed=3))
     data = cohomology_data(res.point)
     assert data.h0 == data.h2
     expected = euler_characteristic_expected(res.point, data.f_j)

@@ -75,10 +75,9 @@ def test_solve_infeasible_certificate():
 
 def test_solve_twisted_target():
     pres = PlanarPresentation(0, (2, 2, 2))
-    zeta = -np.eye(2, dtype=complex)
-    res = solve_relator(SolveSpec(pres, SU2, _classes(SU2, (2, 2, 2)), zeta, seed=5))
+    res = solve_relator(SolveSpec(pres, SU2, _classes(SU2, (2, 2, 2)), minus=True, seed=5))
     assert res.residual < 1e-10
-    assert np.linalg.norm(res.point.long_relator_value - zeta) < 1e-9
+    assert np.linalg.norm(res.point.long_relator_value + np.eye(2)) < 1e-9
 
 
 def test_solve_higher_genus():
@@ -101,10 +100,6 @@ def test_u_det_obstruction():
 def test_spec_validation():
     with pytest.raises(InfeasibleSpec):
         SolveSpec(PlanarPresentation(0, (3, 3, 3)), SU2, _classes(SU2, (3, 3)))
-    with pytest.raises(InfeasibleSpec):
-        # non-central target
-        SolveSpec(PlanarPresentation(1, ()), SU2, [],
-                  zeta=SU2.exp(SU2.basis[0]))
     with pytest.raises(InfeasibleSpec):
         # class order mismatch
         SolveSpec(PlanarPresentation(0, (3, 3, 3)), SU2, _classes(SU2, (4, 4, 4)))
@@ -298,9 +293,8 @@ ORACLE_SPECS = [  # group, genus, torsion, class indices, target, seed
 def _oracle_spec(group, genus, torsion, idx, target, seed, **kw):
     model = get_model(group)
     classes = [finite_order_classes(model, m)[i] for m, i in zip(torsion, idx)]
-    zeta = -model.identity if target == "-e" else None
-    return SolveSpec(PlanarPresentation(genus, torsion), model, classes, zeta,
-                     seed=seed, **kw)
+    return SolveSpec(PlanarPresentation(genus, torsion), model, classes,
+                     minus=target == "-e", seed=seed, **kw)
 
 
 @pytest.mark.parametrize("case", ORACLE_SPECS, ids=lambda c: f"{c[0]}-g{c[1]}-{c[2]}-{c[4]}")
@@ -553,9 +547,16 @@ def test_exact_det_certificate_matches_the_float_product(name):
     for m, k in product(range(2, 6), range(1, 4)):
         pres = PlanarPresentation(1, (m,) * k)
         for classes in combinations_with_replacement(finite_order_classes(model, m), k):
-            for zeta in (model.identity, -model.identity):
-                spec = SolveSpec(pres, model, list(classes), zeta)
-                assert solver._feasibility_oracle(spec) == det_certificate(classes, zeta)
+            for minus in (False, True):
+                spec = SolveSpec(pres, model, list(classes), minus=minus)
+                assert solver._feasibility_oracle(spec) == det_certificate(classes, spec.zeta)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_target_phase_is_the_determinant_of_the_target(n):
+    for minus in (False, True):
+        det = np.linalg.det(-np.eye(n) if minus else np.eye(n))
+        assert abs(np.exp(2j * np.pi * float(solver.target_phase(n, minus))) - det) < 1e-12
 
 
 def test_solve_relator_reads_the_rank2_rule_once(monkeypatch):
@@ -615,7 +616,7 @@ def test_boundary_tuple_is_built_exactly(case):
     classes = [finite_order_classes(model, m)[k % len(finite_order_classes(model, m))]
                for m, k in tuples]
     spec = SolveSpec(PlanarPresentation(0, tuple(m for m, _ in tuples)), model, classes,
-                     -model.identity if target == "-e" else None)
+                     minus=target == "-e")
     feasible = solver._feasibility_oracle(spec)
     built = solver._torus_point(spec)
     assert (built is not None) == (feasible and solver._rank2_rule(spec)[0] == 0)
@@ -708,8 +709,8 @@ def test_tangent_residual_leaves_only_noise_out_of_the_step(case):
 ], ids=lambda c: f"{c[0]}-g{c[1]}-{c[2]}")
 def test_jacobian_matches_per_column_definition(case):
     # column (i, b) of J is (Re, Im) of unvec(E'[:, (i, b)]) R, for R =
-    # r(phi) zeta^-1 and E' the long row with each torsion block times
-    # (I - Ad_{z_j}).  B(R) E' sums the same terms in another order, so the
+    # r(phi) zeta^-1 = r(phi) zeta and E' the long row with each torsion
+    # block times (I - Ad_{z_j}).  B(R) E' sums the same terms in another order, so the
     # two agree to 1e-14 relative to the size |E'| |R| of the terms; at SL2R
     # points far from e the terms cancel to a J far smaller than that
     spec = _oracle_spec(*case, "e", 0)
@@ -718,7 +719,7 @@ def test_jacobian_matches_per_column_definition(case):
     for scale in (0.1, 1.0, 2.0):
         G = model.exp(model.unvec(scale * rng.standard_normal((spec.pres.num_generators, model.d))))
         pt = solver._assemble(spec, G)
-        R = pt.long_relator_value @ spec.zeta_inv
+        R = pt.long_relator_value @ spec.zeta
         E = np.array(pt.long_row)
         for i in range(f, spec.pres.num_generators):
             E[:, i * d : (i + 1) * d] = E[:, i * d : (i + 1) * d] @ (np.eye(d) - pt.ad_gens[i])

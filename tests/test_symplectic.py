@@ -48,11 +48,11 @@ MODEL = get_model("SU2")
 PRES = PlanarPresentation(1, (3,))
 
 
-def _point(seed, pres=PRES, model=MODEL, zeta=None, torsion_class_index=1):
+def _point(seed, pres=PRES, model=MODEL, minus=False, torsion_class_index=1):
     classes = [
         finite_order_classes(model, m)[torsion_class_index] for m in pres.torsion
     ]
-    spec = SolveSpec(pres, model, classes, zeta, seed=seed, tol=1e-12)
+    spec = SolveSpec(pres, model, classes, minus=minus, seed=seed, tol=1e-12)
     return solve_relator(spec).point
 
 
@@ -95,10 +95,10 @@ def test_pairing_rejects_non_cocycles():
 
 
 def test_gram_rank_on_harmonic_equals_h1():
-    cases = [(s, PRES, None) for s in range(3)]
-    cases += [(s, PlanarPresentation(2, ()), -np.eye(2, dtype=complex)) for s in (0, 1)]
-    for seed, pres, zeta in cases:
-        phi = _point(seed, pres=pres, zeta=zeta)
+    cases = [(s, PRES, False) for s in range(3)]
+    cases += [(s, PlanarPresentation(2, ()), True) for s in (0, 1)]
+    for seed, pres, minus in cases:
+        phi = _point(seed, pres=pres, minus=minus)
         data = cohomology_data(phi)
         G = gram_on_cocycles(data.cup, data.harmonic)
         s = np.linalg.svd(G, compute_uv=False)
