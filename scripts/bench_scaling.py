@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the long relator's Fox row and value, Ad, the solver Jacobian,
-cohomology_data and the cup matrix against the genus, and fit the log-log
-slope of each in the relator length 4l + n.
+cohomology_data, the cup matrix and the solver's retraction against the
+genus, and fit the log-log slope of each in the relator length 4l + n.
 
 Six rows are timed for each model (U1, SU2, SL2R, U2, U3) and genus l, on
 one random point per (model, l) with torsion (3, 5):
@@ -20,6 +20,14 @@ one random point per (model, l) with torsion (3, 5):
   read or fill the copy cached on the point (RepPoint.cup).  Its output is
   N x N, so its slope tends to 2 as the genus grows, and it is listed as
   superlinear.
+
+The retraction row times the solver's trial retraction on the stack of
+2l + n algebra elements that one LM step moves, for every model and genus:
+LieModel.cayley, which the solver takes, against LieModel.exp, and against
+one stacked np.linalg.solve of (I - X/2) C = I + X/2, the other closed form
+of the same map.  The stack is 0.3 times standard normal coordinates.  Each
+kernel records its slope in 4l + n and, at each genus, its slope in
+d = dim G over the five models.
 
 A seventh row, solve_genus0, times solve_relator end to end on SU(2)
 t(3^k), k = 3 ... 12 (relator length k), for two class tuples per k, built
@@ -59,7 +67,7 @@ quartiles per side and, per metric, how many pairs this checkout won,
 under "perfbench" / "<workload>/seed<seed>" in the same file.  A plain run
 keeps those entries; a paired run keeps the rows.
 
-Usage: python scripts/bench_scaling.py   (writes BENCH_25.json at the repo root)
+Usage: python scripts/bench_scaling.py   (writes BENCH_26.json at the repo root)
        python scripts/bench_scaling.py --paired ../parent --pairs 10 \
            --workload component-scan --seed 1
 """
@@ -106,7 +114,7 @@ SETUP_GROUPS = ("SU2", "U2")
 CLI_COMMANDS = ("symplectic", "momenttest")
 CLI_CASES = {"SU2": ((3, 5), (1, 2)), "U3": ((3,), (4,))}  # group -> (torsion, classes)
 CLI_MAX_GENUS = 64
-OUT = ROOT / "BENCH_25.json"
+OUT = ROOT / "BENCH_26.json"
 
 
 def _drop_row_and_value(pt: RepPoint) -> None:
@@ -200,6 +208,40 @@ def measure(genera: list[int], repeats: int, sweeps: int) -> dict:
                                "slope": _slope(lengths, median),
                                "sweep_slopes": slopes, "slope_spread": spread}
     return rows
+
+
+RETRACTIONS = {
+    "cayley": lambda model, X: model.cayley(X),
+    "exp": lambda model, X: model.exp(X),
+    "solve": lambda model, X: np.linalg.solve(model.identity - 0.5 * X, model.identity + 0.5 * X),
+}
+
+
+def measure_retraction(genera: list[int], repeats: int, sweeps: int) -> dict:
+    steps = []  # (model, stack of 2l + n algebra elements) by model, then genus
+    for name in MODELS:
+        model = get_model(name)
+        for genus in genera:
+            v = 0.3 * np.random.default_rng(genus).standard_normal((2 * genus + len(TORSION), model.d))
+            steps.append((model, model.unvec(v)))
+    times = {(name, kind): [[] for _ in range(sweeps)] for name in MODELS for kind in RETRACTIONS}
+    for sweep in range(sweeps):
+        for model, X in steps:
+            for kind, fn in RETRACTIONS.items():
+                times[model.name, kind][sweep].append(best_of(lambda X: fn(model, X), X, repeats))
+    lengths = [4 * g + len(TORSION) for g in genera]
+    medians = {key: np.median(per_sweep, axis=0) for key, per_sweep in times.items()}
+    ds = [get_model(name).d for name in MODELS]
+    out = {"stack": [2 * g + len(TORSION) for g in genera]}
+    for name in MODELS:
+        out[name] = {"d": get_model(name).d}
+        for kind in RETRACTIONS:
+            out[name][kind] = {"times_s": medians[name, kind].tolist(),
+                               "slope": _slope(lengths, medians[name, kind])}
+    out["slope_in_d"] = {kind: [_slope(ds, [medians[name, kind][i] for name in MODELS])
+                                for i in range(len(genera))]
+                         for kind in RETRACTIONS}
+    return out
 
 
 def genus0_specs(k: int) -> dict[str, SolveSpec]:
@@ -312,6 +354,7 @@ def record(genera: list[int], repeats: int, sweeps: int = SWEEPS) -> dict:
         "rows": rows,
         "superlinear": [f"{row}/{name}" for row, by in rows.items()
                         for name, r in by.items() if r["slope"] is not None and r["slope"] > 1],
+        "retraction": {"genera": list(genera), **measure_retraction(genera, repeats, sweeps)},
         "solve_genus0": {"group": "SU2", "torsion_order": 3, "ks": list(SOLVE_KS),
                          **measure_solve(list(SOLVE_KS), repeats, sweeps)},
         "spec_setup": {"torsion_order": 3, "ks": list(SETUP_KS),
@@ -373,6 +416,11 @@ def main(argv=None) -> int:
                 slope = "-" if r["slope"] is None else f"{r['slope']:.2f} +- {r['slope_spread']:.2f}"
                 print(f"{row:10s} {name:5s} slope {slope}  "
                       + " ".join(f"{t * 1e3:.3f}" for t in r["times_s"]) + " ms")
+        for name in MODELS:
+            for kind in RETRACTIONS:
+                r = rec["retraction"][name][kind]
+                print(f"retraction {name:5s} {kind:6s} slope {r['slope']:.2f}  "
+                      + " ".join(f"{t * 1e6:.1f}" for t in r["times_s"]) + " us")
         for kind in ("boundary", "interior"):
             r = rec["solve_genus0"][kind]
             print(f"solve_genus0 {kind:8s} slope {r['slope']:.2f}  "

@@ -42,7 +42,6 @@ from .symplectic import (
     degeneracy_report,
     extend_point,
     omega_extended,
-    pairing_H1,
     tangent_from_u,
 )
 from .solver import (

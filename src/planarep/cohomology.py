@@ -219,10 +219,8 @@ class RepPoint:
         )
 
     def relators_central(self, tol: float = DEFAULT_TOL.tau_grp) -> bool:
-        return all(
-            self.model.is_central(v, tol)
-            for v in (self.long_relator_value, *self.torsion_relator_values)
-        )
+        values = np.array([self.long_relator_value, *self.torsion_relator_values])
+        return bool(self.model.is_central(values, tol).all())
 
     def conjugate(self, g: np.ndarray) -> "RepPoint":
         return RepPoint(self.pres, self.model, g @ self.gens @ self.model.inverse(g))
@@ -400,18 +398,6 @@ class CochainData:
         """Columns: orthonormal basis of ker delta1_proj in projective coords."""
         rank1 = self.delta1_proj.shape[0] - self.h2
         return np.linalg.svd(self.delta1_proj)[2][rank1:].T
-
-    @cached_property
-    def harmonic(self) -> np.ndarray:
-        """Columns: orthonormal harmonic H^1 basis in projective coords, the
-        part of ker delta1_proj orthogonal to im delta0_proj."""
-        Z = self.cocycles
-        rank0 = self.delta0_proj.shape[1] - self.h0
-        if not (rank0 and Z.shape[1]):
-            return Z
-        B = np.linalg.svd(self.delta0_proj, full_matrices=False)[0][:, :rank0]
-        U = np.linalg.svd(Z - B @ (B.T @ Z), full_matrices=False)[0]
-        return U[:, : self.h1]
 
 
 def cohomology_data(pt: RepPoint, tol: Tolerances = DEFAULT_TOL) -> CochainData:

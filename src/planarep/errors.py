@@ -43,6 +43,13 @@ class SingularDexp(ToleranceExceeded):
     where the differential of exp may fail to be invertible."""
 
 
+class ActionFieldInconsistent(ToleranceExceeded):
+    """The two computations of an action field's V, [X, Lambda] and
+    D(Lambda)^-1 delta1 u, disagree beyond tolerance: the chain identity
+    between them is lost to rounding, as at strongly hyperbolic SL(2,R)
+    points of large genus."""
+
+
 class RelatorConstraintViolated(PlanarepError):
     """Operation requires torsion relators to be satisfied at the point."""
 

@@ -32,15 +32,17 @@ class LieModel:
     unitary models (positive definite) and tr(XY) for sl(2,R) (indefinite,
     signature (+,+,-) in the basis used here).
 
-    vec, unvec, exp, inverse, ad_matrix and Ad_matrix take stacks: leading
-    axes of the argument are carried through, and each slice of the result
-    is bitwise equal to the call on that slice alone, with the same memory
-    layout.  vec, unvec and Ad_matrix get this from one row-times-matrix
-    product per slice against a map built here.  The other methods take one
-    element.
+    vec, unvec, exp, cayley, inverse, ad_matrix and Ad_matrix take stacks:
+    leading axes of the argument are carried through, and each slice of the
+    result is bitwise equal to the call on that slice alone, with the same
+    memory layout.  vec, unvec and Ad_matrix get this from one
+    row-times-matrix product per slice against a map built here.  is_central
+    takes a stack too; the other methods take one element.
 
-    exp and log_principal are closed forms for these n <= 3 models;
-    dexp_matrix and symplectic.bform_matrix take phi_functions of ad (phi_ad).
+    exp, cayley and log_principal are closed forms for these n <= 3 models;
+    cayley is the solver's retraction, exp is kept where exp itself is meant
+    (start points, random elements, exp(Lambda) = r(phi)); dexp_matrix and
+    symplectic.bform_matrix take phi_functions of ad (phi_ad).
     """
 
     def __init__(self, kind: str, n: int, basis: np.ndarray, name: str):
@@ -150,6 +152,39 @@ class LieModel:
         out[:, 0], out[:, 1], out[:, 2], out[:, 3] = c + sh, s * x01, s * x10, c - sh
         return out.reshape(X.shape)
 
+    def cayley(self, X: np.ndarray) -> np.ndarray:
+        """The Cayley transform (I - X/2)^-1 (I + X/2) = 2 (I - X/2)^-1 - I,
+        slice by slice over a stack: a rational map with cay(0) = I and
+        dcay(0) = id, so a retraction onto G like exp (Absil-Mahony-
+        Sepulchre, Optimization Algorithms on Matrix Manifolds, 4.1), and
+        cay(X) cay(-X) = I.  It lands in G: unitary for skew-Hermitian X,
+        det 1 for traceless 2 x 2 X, where det(I + X/2) = det(I - X/2).
+
+        n = 2, 3: M^-1 = adj M / det M for M = I - X/2, the adjugate from
+        M's entries or its 3 x 3 cofactors, and det M from M's first row.
+        U(1): the quotient (1 + X/2) / (1 - X/2).  At a singular M (X in
+        sl(2,R) with eigenvalues +-2) the division gives inf or nan, not
+        an exception; the unitary models have no singular M.
+        """
+        X = np.asarray(X)
+        n = self.n
+        if n == 1:
+            return (1.0 + 0.5 * X) / (1.0 - 0.5 * X)
+        # one flat stack, as in exp: a lone matrix takes the array loops too
+        m = (self.identity - 0.5 * X).reshape(-1, n * n)
+        adj = np.empty_like(m)  # C-ordered, where the gathered factors are not
+        if n == 2:
+            np.multiply(m[:, _ADJ2], _ADJ2_SIGNS, out=adj)
+        else:
+            f = m[:, _COFACTORS].reshape(-1, 4, 9)
+            np.subtract(f[:, 0] * f[:, 1], f[:, 2] * f[:, 3], out=adj)
+        det = m[:, 0] * adj[:, 0]
+        for j in range(1, n):
+            det += m[:, j] * adj[:, j * n]
+        adj *= (2.0 / det)[:, None]
+        adj[:, :: n + 1] -= 1.0
+        return adj.reshape(X.shape)
+
     def log_principal(self, g: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         """Principal logarithm from the spectrum; refuses g whose eigenvalue
         arguments come within tol of pi (spectral margin of the logs below
@@ -229,10 +264,14 @@ class LieModel:
 
     # -- center ----------------------------------------------------------------
 
-    def is_central(self, g: np.ndarray, tol: float = 1e-8) -> bool:
-        """g commutes with every basis element, to tol relative to |g|."""
-        gap = np.linalg.norm(g @ self.basis - self.basis @ g, axis=(-2, -1)).max()
-        return bool(gap <= tol * max(1.0, np.linalg.norm(g)))
+    def is_central(self, g: np.ndarray, tol: float = 1e-8) -> bool | np.ndarray:
+        """g commutes with every basis element, to tol relative to
+        max(1, |g|); (..., n, n) -> (...) booleans, a bool for one element."""
+        g = np.asarray(g)
+        h = g[..., None, :, :]
+        gap = np.linalg.norm(h @ self.basis - self.basis @ h, axis=(-2, -1)).max(axis=-1)
+        out = gap <= tol * np.maximum(1.0, np.linalg.norm(g, axis=(-2, -1)))
+        return bool(out) if out.ndim == 0 else out
 
     # -- random sampling ---------------------------------------------------------
 
@@ -274,6 +313,18 @@ def phi_functions(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         phi1, phi2 = 0.5 * (phi1 @ Y), 0.25 * (phi1 + phi2 @ Y)
         X = 2.0 * X
     return phi1, phi2
+
+
+# adj M of a flattened 2 x 2 M: its entries, permuted and signed
+_ADJ2, _ADJ2_SIGNS = np.array([3, 1, 2, 0]), np.array([1.0, -1.0, -1.0, 1.0])
+
+# adj(M)_ij = M_{j+1,i+1} M_{j+2,i+2} - M_{j+1,i+2} M_{j+2,i+1}, indices mod 3:
+# the four factors of the nine entries (row-major in i, j), as indices into
+# the flattened M, one block of nine per factor
+_COFACTORS = np.array([
+    [3 * ((j + r) % 3) + (i + c) % 3 for i in range(3) for j in range(3)]
+    for r, c in ((1, 1), (2, 2), (1, 2), (2, 1))
+]).ravel()
 
 
 def _cosh_sinhc(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -4,9 +4,16 @@ prescribed torsion classes.
 Torsion generators are parameterized exactly as k_j c_j k_j^{-1} with c_j the
 exact class representative, so class constraints hold by construction; the
 free generators and the conjugators are the optimization variables.  Descent
-uses the Fox-derivative Jacobian through Ad with exp retraction: damped
-Gauss-Newton steps whose damping lam is the only globalization (Marquardt,
-SIAM J. Appl. Math. 11, 1963), seeded random restarts.
+uses the Fox-derivative Jacobian through Ad: damped Gauss-Newton steps whose
+damping lam is the only globalization (Marquardt, SIAM J. Appl. Math. 11,
+1963), seeded random restarts from exp of Gaussian algebra elements.
+
+A step xi moves each variable g to cay(xi) g, the Cayley retraction
+(LieModel.cayley; Wen-Yin, Math. Program. 142, 2013): like exp it has
+R(0) = I and dR(0) = xi, so the Jacobian and the local Gauss-Newton
+convergence are those of the exp retraction (Absil-Mahony-Sepulchre,
+Optimization Algorithms on Matrix Manifolds, 4.1 and 8.4), and it is one
+rational map per slice where U(3)'s exp takes an eigh.
 
 The residual r lives in one n x n matrix, 2n^2 real numbers, whatever the
 genus, while the unknowns number N = d (2l + n).  So the step
@@ -279,11 +286,12 @@ def _solve_once(spec: SolveSpec, rng: np.random.Generator) -> tuple[RepPoint, fl
             step = _lm_step(J, r, lam).reshape(shape)
         except np.linalg.LinAlgError:
             return pt, float("inf")  # a singular system ends the restart
-        # a trial iterate whose exp raises, or whose residual overflows to
-        # inf or nan, is a rejected step
-        with np.errstate(over="ignore", invalid="ignore"):
+        # a trial iterate whose retraction raises or divides by zero (a
+        # singular I - X/2 in sl(2,R)), or whose residual overflows to inf
+        # or nan, is a rejected step
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             try:
-                nG = model.exp(model.unvec(step)) @ G
+                nG = model.cayley(model.unvec(step)) @ G
                 npt = _assemble(spec, nG)
                 nE = _residual_matrix(spec, npt)
                 nfval = float(np.linalg.norm(nE) ** 2)

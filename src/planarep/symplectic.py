@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import Tolerances, DEFAULT_TOL
 from .cohomology import CochainData, RepPoint, _rank, _svd_nullspace, times_basis
-from .errors import LogBranchFailure, NotACocycle, SingularDexp
+from .errors import ActionFieldInconsistent, LogBranchFailure, SingularDexp
 from .liegroup import LieModel, phi_functions, spectral_margin
 
 
@@ -90,7 +90,9 @@ def tangent_from_u(pt: ExtendedPoint, u: np.ndarray) -> TangentVec:
 
 def action_field(pt: ExtendedPoint, X: np.ndarray) -> TangentVec:
     """Fundamental vector field of the conjugation action at pt:
-    u = Q^T delta0 X, (delta0 X)_s = X - Ad_{phi(s)} X, and V = [X, Lam]."""
+    u = Q^T delta0 X, (delta0 X)_s = X - Ad_{phi(s)} X, and V = [X, Lam].
+    Raises ActionFieldInconsistent when V and D(Lam)^-1 delta1 u, equal in
+    exact arithmetic, differ by more than 1e-6 relative to max(1, |V|)."""
     model = pt.model
     x = model.vec(X)
     d0x = (x - pt.phi.ad_gens @ x).reshape(1, -1)  # delta0 X as one row
@@ -99,7 +101,7 @@ def action_field(pt: ExtendedPoint, X: np.ndarray) -> TangentVec:
     t = tangent_from_u(pt, u)
     # consistency of the two V computations (exactness of the chain identity)
     if np.linalg.norm(t.V - V) > 1e-6 * max(1.0, np.linalg.norm(V)):
-        raise ValueError("action field V inconsistent with D^-1 delta1 u")
+        raise ActionFieldInconsistent("action field V inconsistent with D^-1 delta1 u")
     return TangentVec(u=u, V=V)
 
 
@@ -154,19 +156,6 @@ def cup_eval(phi: RepPoint, u: np.ndarray, v: np.ndarray) -> float:
     """Cup product u^T C v of two C^1 vectors (N coordinates, d per
     generator), C the closed-form cup matrix of the point."""
     return float(u @ phi.cup @ v)
-
-
-def pairing_H1(
-    phi: RepPoint, u: np.ndarray, v: np.ndarray, tol: Tolerances = DEFAULT_TOL
-) -> float:
-    """The alternating 2-form on H^1 evaluated on cocycle representatives,
-    given in the coordinates of projective_subspace(phi, tol)."""
-    data = CochainData(phi, tol)
-    for w in (u, v):
-        resid = np.linalg.norm(data.delta1_proj @ w)
-        if resid > 1e-6 * max(1.0, np.linalg.norm(w)):
-            raise NotACocycle(f"delta1 residual {resid:.2e}")
-    return float(u @ data.cup @ v)
 
 
 # --- the 2-form B on the principal sheet ----------------------------------

@@ -12,14 +12,17 @@ SVD of Ad - 1, ``det_certificate`` is the U(n) determinant test on floats,
 filling chain, the reference for the closed form of ``cup_matrix``, and
 ``block_basis`` builds the dense basis Q of the projective blocks, the
 reference for the blockwise forms in projective coordinates.
+``harmonic`` and ``pairing_H1`` read a ``CochainData``: an orthonormal
+harmonic H^1 basis, and the cup pairing of two cocycles.
 """
 
 from typing import Iterable
 
 import numpy as np
 
-from planarep.cohomology import RepPoint, _rank
+from planarep.cohomology import CochainData, RepPoint, _rank
 from planarep.config import DEFAULT_TOL, Tolerances
+from planarep.errors import NotACocycle
 from planarep.foxcalc import relator_filling_chain
 from planarep.liegroup import LieModel
 from planarep.solver import su2_product_rule
@@ -80,6 +83,29 @@ def block_basis(blocks: list[np.ndarray]) -> np.ndarray:
     for B, r, c in zip(blocks, rows, cols):
         Q[r : r + B.shape[0], c : c + B.shape[1]] = B
     return Q
+
+
+def harmonic(data: CochainData) -> np.ndarray:
+    """Columns: orthonormal harmonic H^1 basis in projective coords, the
+    part of ker delta1_proj orthogonal to im delta0_proj."""
+    Z = data.cocycles
+    rank0 = data.delta0_proj.shape[1] - data.h0
+    if not (rank0 and Z.shape[1]):
+        return Z
+    B = np.linalg.svd(data.delta0_proj, full_matrices=False)[0][:, :rank0]
+    U = np.linalg.svd(Z - B @ (B.T @ Z), full_matrices=False)[0]
+    return U[:, : data.h1]
+
+
+def pairing_H1(data: CochainData, u: np.ndarray, v: np.ndarray) -> float:
+    """The alternating 2-form on H^1 evaluated on cocycle representatives
+    u, v in data's projective coordinates; raises NotACocycle for a vector
+    off ker delta1_proj by more than 1e-6 relative to max(1, |w|)."""
+    for w in (u, v):
+        resid = np.linalg.norm(data.delta1_proj @ w)
+        if resid > 1e-6 * max(1.0, np.linalg.norm(w)):
+            raise NotACocycle(f"delta1 residual {resid:.2e}")
+    return float(u @ data.cup @ v)
 
 
 def cup_matrix_by_cells(phi: RepPoint) -> np.ndarray:

@@ -37,12 +37,12 @@ from planarep.symplectic import (
     extend_point,
     gram_on_cocycles,
     moment_pairing,
-    pairing_H1,
     tangent_from_u,
 )
 from planarep.words import commutator, gen, w_inv, w_mul
 
-from oracles import delta1_free, su2_brute_force_feasible, su2_triangle_oracle
+from oracles import (delta1_free, harmonic, pairing_H1, su2_brute_force_feasible,
+                     su2_triangle_oracle)
 
 SU2 = get_model("SU2")
 U1 = get_model("U1")
@@ -192,13 +192,13 @@ def test_criterion_05_pairing_properties():
             return data.cocycles @ c
 
         u, v = coc(), coc()
-        a = pairing_H1(phi, u, v)
-        worst_anti = max(worst_anti, abs(a + pairing_H1(phi, v, u)))
+        a = pairing_H1(data, u, v)
+        worst_anti = max(worst_anti, abs(a + pairing_H1(data, v, u)))
         X = rng.standard_normal(phi.model.d)
         cob = data.delta0_proj @ X
-        worst_cob = max(worst_cob, abs(pairing_H1(phi, u, cob)))
+        worst_cob = max(worst_cob, abs(pairing_H1(data, u, cob)))
         # nondegeneracy on harmonic representatives
-        G = gram_on_cocycles(data.cup, data.harmonic)
+        G = gram_on_cocycles(data.cup, harmonic(data))
         s = np.linalg.svd(G, compute_uv=False) if G.size else np.zeros(0)
         rank = int(np.sum(s > 1e-8 * max(1.0, s[0] if len(s) else 0.0)))
         assert rank == data.h1

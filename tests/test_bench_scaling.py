@@ -29,6 +29,16 @@ def test_bench_scaling_fits_slopes_for_every_model():
             assert isinstance(r["slope"], float)
             assert r["sweep_slopes"] == [r["slope"]] and r["slope_spread"] == 0.0
     assert all(name.split("/")[0] in record["rows"] for name in record["superlinear"])
+    # the retraction kernels on the 2l + n stack, every model
+    retraction = record["retraction"]
+    assert retraction["genera"] == [1, 2] and retraction["stack"] == [4, 6]
+    for name in module.MODELS:
+        for kind in ("cayley", "exp", "solve"):
+            r = retraction[name][kind]
+            assert len(r["times_s"]) == 2 and all(t > 0 for t in r["times_s"])
+            assert isinstance(r["slope"], float)
+    assert all(len(s) == 2 and all(isinstance(x, float) for x in s)
+               for s in retraction["slope_in_d"].values())
     # genus 0: the boundary tuple is built, the interior one searched
     solve = record["solve_genus0"]
     assert solve["ks"] == list(range(3, 13))

@@ -86,6 +86,20 @@ def test_momenttest_passes(capsys):
     assert report["max_relative_residual"] < 1e-8
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_sl2r_genus16_momenttest_refuses_without_an_internal_error(capsys, seed):
+    # at strongly hyperbolic SL(2,R) points the chain identity behind the
+    # action field is lost to rounding: seed 3 reaches that check, which
+    # refuses with exit 4; no seed ends in an internal error (exit 5)
+    code = main(["momenttest", "--group", "SL2R", "--genus", "16", "--torsion=",
+                 "--classes=", "--seed", str(seed), "--no-timestamp"])
+    err = capsys.readouterr().err
+    assert code in (0, 3, 4)
+    if seed == 3:
+        assert code == 4
+        assert err == "error: action field V inconsistent with D^-1 delta1 u\n"
+
+
 def test_symplectic_report(capsys):
     code, out = _run(capsys, "symplectic", "--group", "SU2", "--genus", "1",
                      "--torsion", "3", "--seed", "2", "--no-timestamp")
@@ -381,6 +395,7 @@ EXIT_CODES = {
     "ToleranceExceeded": 4,
     "LogBranchFailure": 4,
     "SingularDexp": 4,
+    "ActionFieldInconsistent": 4,
     "RelatorConstraintViolated": 5,
     "NotACocycle": 5,
     "ClassResolutionFailed": 5,

@@ -287,11 +287,12 @@ def test_margin_implies_the_domain_checks(name, seed, log_scale):
 
 # --- stacked kernels against per-element references -------------------------
 #
-# vec, unvec, exp, ad_matrix and Ad_matrix take stacks.  The references below
-# work one element and one basis vector at a time (exp: the call on one
-# matrix, which test_exp_matches_expm checks); every slice of a stacked
-# result must equal them bit for bit and share their memory layout, because
-# the products downstream round according to both.
+# vec, unvec, exp, cayley, ad_matrix and Ad_matrix take stacks.  The
+# references below work one element and one basis vector at a time (exp and
+# cayley: the call on one matrix, which test_exp_matches_expm and the cayley
+# tests check); every slice of a stacked result must equal them bit for bit
+# and share their memory layout, because the products downstream round
+# according to both.
 
 
 def _ref_vec(model, X):
@@ -367,6 +368,74 @@ def test_stacked_unvec_and_exp_bitwise(case):
     XA = model.unvec(A.T)
     for b in range(model.d):
         _assert_same(XA[b], _ref_unvec(model, A[:, b]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(stacks, st.sampled_from([1e-12, 1e-8, 1e-4]))
+def test_stacked_is_central_matches_one_element_at_a_time(case, tol):
+    # central elements (roots of unity times e), the same moved by about
+    # tol, and generic elements, stacked: each boolean is the one-element
+    # test's, gap <= tol max(1, |g|)
+    name, seed, k, scale = case
+    model = get_model(name)
+    rng = np.random.default_rng(seed)
+    G = model.exp(model.unvec(scale * rng.standard_normal((3 * k, model.d))))
+    G[:k] = model.identity * np.exp(2j * np.pi * rng.integers(0, 6, k) / 6)[:, None, None] \
+        if model.kind != "SL2R" else model.identity * rng.choice([-1.0, 1.0], k)[:, None, None]
+    G[k : 2 * k] = G[:k] + tol * model.unvec(rng.standard_normal((k, model.d)))
+    got = model.is_central(G, tol)
+    assert got.shape == (3 * k,) and got.dtype == bool
+    for g, b in zip(G, got):
+        gap = np.linalg.norm(g @ model.basis - model.basis @ g, axis=(-2, -1)).max()
+        assert b == (gap <= tol * max(1.0, np.linalg.norm(g)))
+        assert model.is_central(g, tol) is bool(b)
+    assert got[:k].all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(stacks)
+def test_cayley_is_a_retraction_into_the_group(case):
+    # cay(X) = (I - X/2)^-1 (I + X/2): in G (unitary, or det 1 for the
+    # traceless 2 x 2 models), inverse to cay(-X), and each slice of a stack
+    # bitwise the call on it alone, to 1e-14 relative to max(1, |g|^2)
+    name, seed, k, scale = case
+    model = get_model(name)
+    rng = np.random.default_rng(seed)
+    X = model.unvec(scale * rng.standard_normal((k, model.d)))
+    C, Cinv = model.cayley(X), model.cayley(-X)
+    assert C.dtype == (float if model.kind == "SL2R" else complex)
+    eye = model.identity
+    for i in range(k):
+        _assert_same(C[i], model.cayley(X[i]))
+        g = C[i]
+        size = max(1.0, np.linalg.norm(g) ** 2)
+        if model.kind != "SL2R":
+            assert np.abs(g.conj().T @ g - eye).max() <= 1e-14
+        if model.n == 2 and model.kind != "U":
+            assert abs(np.linalg.det(g) - 1.0) <= 1e-14 * size
+        assert np.abs(g @ Cinv[i] - eye).max() <= 1e-14 * size
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(MODELS), st.integers(0, 10**6), st.floats(-4, -1))
+def test_cayley_agrees_with_exp_to_third_order(name, seed, log_scale):
+    # cay(X) = I + sum_k X^k / 2^(k-1) and exp X = I + sum_k X^k / k! agree
+    # through X^2, so |cay X - exp X| <= sum_{k>=3} |X|^k / 2^(k-1)
+    # = (|X|^3 / 4) / (1 - |X|/2)
+    model = get_model(name)
+    X = model.unvec(10.0**log_scale * np.random.default_rng(seed).standard_normal(model.d))
+    t = np.linalg.norm(X)
+    assert np.abs(model.cayley(X) - model.exp(X)).max() <= 0.25 * t**3 / (1 - t / 2) + 1e-15
+
+
+def test_cayley_of_a_singular_sl2r_step_is_not_finite():
+    # eigenvalues +-2 make I - X/2 singular: the division gives inf or nan,
+    # which the solver rejects as a trial point, and raises nothing
+    model = get_model("SL2R")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        C = model.cayley(np.array([np.diag([2.0, -2.0]), np.zeros((2, 2))]))
+    assert not np.isfinite(C[0]).any()
+    assert np.array_equal(C[1], model.identity)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,4 +1,5 @@
 import importlib.util
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
@@ -255,11 +256,11 @@ def _oracle_solve_once(spec, rng):
             step = -(J.T @ np.linalg.solve(J @ J.T + lam * np.eye(len(r)), r))
         except np.linalg.LinAlgError:
             return pt, float("inf")
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             try:
-                nf = [model.exp(_oracle_unvec(model, step[i * d : (i + 1) * d])) @ g
+                nf = [model.cayley(_oracle_unvec(model, step[i * d : (i + 1) * d])) @ g
                       for i, g in enumerate(free)]
-                nc = [model.exp(_oracle_unvec(model, step[(2 * p.genus + j) * d : (2 * p.genus + j + 1) * d])) @ k
+                nc = [model.cayley(_oracle_unvec(model, step[(2 * p.genus + j) * d : (2 * p.genus + j + 1) * d])) @ k
                       for j, k in enumerate(conj)]
                 npt = _oracle_assemble(spec, nf, nc)
                 nE = _oracle_residual(spec, npt)
@@ -328,25 +329,70 @@ def test_stacked_solver_not_found_message_matches_oracle(monkeypatch):
     assert str(got.value) == str(want.value)
 
 
-def test_trial_step_whose_exp_raises_is_rejected(monkeypatch):
-    # every trial exponential after the starting point raises, as eigh does
-    # on a non-finite U3 step: the steps are rejected and the search ends in
-    # NotFound (exit 3), not in the LinAlgError (exit 5)
+def test_trial_step_whose_retraction_raises_is_rejected(monkeypatch):
+    # every trial retraction raises, as a linear solve does on a singular
+    # I - X/2: the steps are rejected and the search ends in NotFound
+    # (exit 3), not in the LinAlgError (exit 5)
     spec = _oracle_spec("SL2R", 1, (), (), "e", 0, max_restarts=1, max_iters=5)
     model, calls = spec.model, []
     # drop the certificate, which would raise the budget to 60 restarts
     monkeypatch.setattr(solver, "_feasibility_oracle", lambda spec: None)
 
-    def exp(X):
+    def cayley(X):
         calls.append(X)
-        if len(calls) > 1:
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return type(model).exp(model, X)
+        raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(model, "exp", exp)
+    monkeypatch.setattr(model, "cayley", cayley)
     with pytest.raises(NotFound):
         solve_relator(spec)
     assert len(calls) > 1
+
+
+def _singular_sl2r_step(model):
+    # algebra coordinates whose unvec has eigenvalues exactly +-2, so that
+    # I - X/2 is singular in floating point: c S with S = [[0, s], [s, 0]]
+    # the second basis element, c nudged until c s rounds to 2
+    c = 2.0 / model.basis[1][0, 1]
+    while (c * model.basis[1][0, 1]) != 2.0:
+        c = np.nextafter(c, np.inf if c * model.basis[1][0, 1] < 2.0 else 0.0)
+    v = np.zeros(model.d)
+    v[1] = c
+    return v
+
+
+def test_singular_sl2r_trial_is_rejected(monkeypatch):
+    # the first trial step puts one generator's step at a singular I - X/2,
+    # where cay divides by zero: that trial is rejected like any non-finite
+    # residual, with no warning and no exception, and the search goes on to
+    # solve the spec
+    spec = _oracle_spec("SL2R", 2, (), (), "e", 0)
+    model = spec.model
+    v = _singular_sl2r_step(model)
+    X = model.unvec(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert not np.isfinite(model.cayley(X)).all()
+    lm_step, residual_matrix, steps, trials = solver._lm_step, solver._residual_matrix, [], []
+
+    def step(J, r, lam):
+        out = lm_step(J, r, lam)
+        if not steps:
+            out.reshape(-1, model.d)[0] = v
+        steps.append(out)
+        return out
+
+    def residual(spec, pt):
+        E = residual_matrix(spec, pt)
+        if len(steps) == 1 and not trials:  # the trial point of the first step
+            trials.append(float(np.linalg.norm(E)))
+        return E
+
+    monkeypatch.setattr(solver, "_lm_step", step)
+    monkeypatch.setattr(solver, "_residual_matrix", residual)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve_relator(spec)
+    assert len(trials) == 1 and not np.isfinite(trials[0])
+    assert res.residual < spec.tol
 
 
 def test_one_trial_per_iteration_and_one_jacobian_per_iterate(monkeypatch):
