@@ -50,7 +50,11 @@ The cli rows time whole CLI requests, in process, for the subcommands
 symplectic and momenttest on SU(2) t(3,5) classes (1, 2) and U(3) t(3)
 class 4, at the genera of the run up to CLI_MAX_GENUS, with each report
 discarded.  They call nothing but planarep.cli.main, so this script, copied
-into an older checkout, times that checkout's commands the same way.
+into an older checkout, times that checkout's commands the same way.  The
+analyze row times the analyze request on t(3,5) at genus 4 ... 1024
+(ANALYZE_GENERA), past the other rows, since the exact chains are cheap
+enough to go that far; its slope in 4l + n says whether the abelianized
+boundary and the fundamental cycle stay linear in the relator length.
 
 Each time is the median over SWEEPS interleaved sweeps (each sweep times
 every row, model and genus once more) of the best of REPEATS calls, with the
@@ -67,7 +71,7 @@ quartiles per side and, per metric, how many pairs this checkout won,
 under "perfbench" / "<workload>/seed<seed>" in the same file.  A plain run
 keeps those entries; a paired run keeps the rows.
 
-Usage: python scripts/bench_scaling.py   (writes BENCH_26.json at the repo root)
+Usage: python scripts/bench_scaling.py   (writes BENCH_27.json at the repo root)
        python scripts/bench_scaling.py --paired ../parent --pairs 10 \
            --workload component-scan --seed 1
 """
@@ -114,7 +118,8 @@ SETUP_GROUPS = ("SU2", "U2")
 CLI_COMMANDS = ("symplectic", "momenttest")
 CLI_CASES = {"SU2": ((3, 5), (1, 2)), "U3": ((3,), (4,))}  # group -> (torsion, classes)
 CLI_MAX_GENUS = 64
-OUT = ROOT / "BENCH_26.json"
+ANALYZE_GENERA = (4, 16, 64, 256, 1024)
+OUT = ROOT / "BENCH_27.json"
 
 
 def _drop_row_and_value(pt: RepPoint) -> None:
@@ -334,7 +339,19 @@ def measure_cli(genera: list[int], repeats: int, sweeps: int) -> dict:
     return out
 
 
-def record(genera: list[int], repeats: int, sweeps: int = SWEEPS) -> dict:
+def measure_analyze(genera: list[int], repeats: int, sweeps: int) -> dict:
+    argvs = [["analyze", "--genus", str(g), f"--torsion={','.join(map(str, TORSION))}",
+              "--no-timestamp"] for g in genera]
+    codes = [run_cli(argv) for argv in argvs]  # untimed: builds the presentations
+    per_sweep = [[best_of(run_cli, argv, repeats) for argv in argvs] for _ in range(sweeps)]
+    median = np.median(per_sweep, axis=0)
+    return {"genera": list(genera), "torsion": list(TORSION), "exit_codes": codes,
+            "times_s": median.tolist(), "spread_s": np.ptp(per_sweep, axis=0).tolist(),
+            "slope": _slope([4 * g + len(TORSION) for g in genera], median)}
+
+
+def record(genera: list[int], repeats: int, sweeps: int = SWEEPS,
+           analyze_genera: tuple[int, ...] = ANALYZE_GENERA) -> dict:
     rows = measure(genera, repeats, sweeps)
     cli_genera = [g for g in genera if g <= CLI_MAX_GENUS]
     return {
@@ -359,7 +376,8 @@ def record(genera: list[int], repeats: int, sweeps: int = SWEEPS) -> dict:
                          **measure_solve(list(SOLVE_KS), repeats, sweeps)},
         "spec_setup": {"torsion_order": 3, "ks": list(SETUP_KS),
                        **measure_setup(list(SETUP_KS), repeats, sweeps)},
-        "cli": {"genera": cli_genera, **measure_cli(cli_genera, repeats, sweeps)},
+        "cli": {"genera": cli_genera, **measure_cli(cli_genera, repeats, sweeps),
+                "analyze": measure_analyze(list(analyze_genera), repeats, sweeps)},
     }
 
 
@@ -434,6 +452,9 @@ def main(argv=None) -> int:
                 print(f"cli {command:10s} {group:4s} slope {r['slope']:.2f}  "
                       + " ".join(f"{t * 1e3:.2f} +- {s * 1e3:.2f}"
                                  for t, s in zip(r["times_s"], r["spread_s"])) + " ms")
+        r = rec["cli"]["analyze"]
+        print(f"cli analyze    slope {r['slope']:.2f}  "
+              + " ".join(f"{t * 1e3:.2f}" for t in r["times_s"]) + " ms")
     OUT.write_text(json.dumps(rec, indent=2) + "\n")
     return 0
 

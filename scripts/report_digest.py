@@ -2,17 +2,18 @@
 """Digest the CLI reports of benchmark rounds, one line per request.
 
 Runs the requests of the chosen rounds of a perfbench workload in this
-process, as perfbench/run.py does, and prints for each request its
-workload, round, slot, exit code and the sha256 of its stdout.  Run it in two
-checkouts and diff the outputs: equal lines mean byte-identical reports and
-exit codes (the requests pass --no-timestamp).  It uses the src/ and
+process, as perfbench/run.py does, at each seed of --seed (a list or range,
+e.g. 1,2), and prints for each request its seed, workload, round, slot, exit
+code and the sha256 of its stdout.  Run it in two checkouts and diff the
+outputs: equal lines mean byte-identical reports and exit codes (the
+requests pass --no-timestamp).  It uses the src/ and
 perfbench/ next to this script, so each checkout digests its own code.
 
 A change that alters float bits is checked with --dump and --compare instead.
 --dump FILE writes each request's exit code and report as JSON lines.
 --compare FILE, run in the other checkout on the same workload, seed and
 rounds, compares its own requests against that file and prints every
-difference:
+difference (both modes take one seed):
 
 - exit codes, integers, booleans, strings (class ids among them), dims and
   ranks must be equal;
@@ -32,7 +33,7 @@ its argv, then per workload the count of requests, failures and exit codes,
 and the worst max_relative_residual per momenttest slot, and exits 1 on any
 failure.
 
-Usage: python scripts/report_digest.py --workload all --seed 1 --rounds 0,1
+Usage: python scripts/report_digest.py --workload all --seed 1,2 --rounds 0,1
        python scripts/report_digest.py ... --dump parent.jsonl
        python scripts/report_digest.py ... --compare parent.jsonl
        python scripts/report_digest.py --workload moment-batch --rounds all --check 1-100
@@ -132,11 +133,11 @@ def requests(names: list[str], rounds: list[int] | None, seeds: list[int]):
                     yield seed, name, index, req
 
 
-def records(names: list[str], rounds: list[int] | None, seed: int):
-    """One dump record per request of the chosen workloads and rounds."""
-    for _, name, index, req in requests(names, rounds, [seed]):
+def records(names: list[str], rounds: list[int] | None, seeds: list[int]):
+    """One dump record per request of the chosen workloads, rounds and seeds."""
+    for seed, name, index, req in requests(names, rounds, seeds):
         code, stdout = run(list(req.argv))
-        yield {"workload": name, "round": index, "slot": req.slot,
+        yield {"seed": seed, "workload": name, "round": index, "slot": req.slot,
                "argv": list(req.argv), "code": code, "stdout": stdout}
 
 
@@ -222,11 +223,12 @@ def compare_all(recs, path: Path) -> int:
     return 1 if failed else 0
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True, choices=["all", *sorted(WORKLOADS)],
                     help="one workload, or all of them in turn")
-    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--seed", default="1",
+                    help="workload seeds, a list or ranges (1,2 or 1-3)")
     ap.add_argument("--rounds", default="0,1",
                     help="round indices and ranges (0,1 or 0-3), or all")
     mode = ap.add_mutually_exclusive_group()
@@ -235,18 +237,20 @@ def main() -> int:
     mode.add_argument("--check", metavar="SEEDS",
                       help="judge every request at these seeds (1-100 or 1,5) with "
                            "perfbench/check.py; --seed is then unused")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     try:
         rounds = None if args.rounds == "all" else _ints(args.rounds)
-        seeds = None if args.check is None else _ints(args.check)
+        seeds = _ints(args.seed if args.check is None else args.check)
     except ValueError:
-        ap.error(f"bad round or seed list: {args.rounds!r}, {args.check!r}")
+        ap.error(f"bad round or seed list: {args.rounds!r}, {args.seed!r}, {args.check!r}")
     if rounds == [] or seeds == []:
         ap.error("empty round or seed range")  # a check of nothing would pass
     names = list(WORKLOADS) if args.workload == "all" else [args.workload]
-    if seeds:
+    if args.check is not None:
         return check_all(requests(names, rounds, seeds), load_checker().check)
-    recs = records(names, rounds, args.seed)
+    if (args.dump or args.compare) and len(seeds) > 1:
+        ap.error("--dump and --compare take one seed")  # records are keyed without it
+    recs = records(names, rounds, seeds)
     if args.compare:
         return compare_all(recs, args.compare)
     if args.dump:
@@ -256,7 +260,8 @@ def main() -> int:
         return 0
     for rec in recs:
         sha = hashlib.sha256(rec["stdout"].encode()).hexdigest()
-        print(f"{rec['workload']} {rec['round']} {rec['slot']} {rec['code']} {sha}", flush=True)
+        print(f"{rec['seed']} {rec['workload']} {rec['round']} {rec['slot']} {rec['code']} {sha}",
+              flush=True)
     return 0
 
 

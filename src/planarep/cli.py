@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
-from fractions import Fraction
 from functools import cache
 
 import numpy as np
@@ -107,23 +107,29 @@ def _default_classes(model, per_gen, target: str):
     first, that the solver's determinant test lets through.
 
     Only U(n) has that test: a tuple passes when its classes' phases add up
-    to the target's, target_phase.  When no tuple passes, the first one is
-    returned and the solver certifies it empty."""
+    to the target's, target_phase, over L = 2 lcm(orders).  When no tuple
+    passes, the first one is returned and the solver certifies it empty."""
     prefs = [classes[1:] + classes[:1] for classes in per_gen]
     if model.kind != "U":
         return [p[0] for p in prefs]
-    need = target_phase(model.n, target == "-e")
-    # reach[j]: the phases the classes of generators j, j+1, ... can add up to
-    reach = [{Fraction(0)}]
-    for classes in reversed(per_gen):
-        reach.insert(0, {(r + c.phase) % 1 for r in reach[0] for c in classes})
-    if need not in reach[0]:
+    L = 2 * math.lcm(*(classes[0].order for classes in per_gen))
+    phases = [[c.phase * (L // c.order) for c in p] for p in prefs]
+    need, full = target_phase(model.n, target == "-e", L), (1 << L) - 1
+    # reach[j]: bit r is set when the classes of generators j, j+1, ... can
+    # add up to the phase r over L; each class rotates the next set by its own
+    reach = [1]
+    for ps in reversed(phases):
+        rest, acc = reach[0], 0
+        for q in ps:
+            acc |= (rest << q | rest >> (L - q)) & full
+        reach.insert(0, acc)
+    if not reach[0] >> need & 1:
         return [p[0] for p in prefs]
     out = []
-    for p, rest in zip(prefs, reach[1:]):
-        c = next(c for c in p if (need - c.phase) % 1 in rest)
-        out.append(c)
-        need = (need - c.phase) % 1
+    for p, ps, rest in zip(prefs, phases, reach[1:]):
+        i = next(i for i, q in enumerate(ps) if rest >> (need - q) % L & 1)
+        out.append(p[i])
+        need = (need - ps[i]) % L
     return out
 
 
@@ -167,16 +173,15 @@ def _emit(args, command: str, payload: dict, tol: Tolerances) -> None:
 
 def cmd_analyze(args, tol: Tolerances) -> None:
     pres = _presentation(args.genus, args.torsion)
-    b, kappa = fundamental_cycle(pres)
+    bd = abelianized_boundary(pres)
+    b, kappa = fundamental_cycle(pres, bd)
     payload = {
         "presentation": pres.to_json(),
         "rendering": pres.render(),
         "measure": str(pres.measure),
         "measure_float": float(pres.measure),
         "lcm": pres.lcm,
-        "abelianized_boundary": [
-            [str(q) for q in row] for row in abelianized_boundary(pres)
-        ],
+        "abelianized_boundary": [[str(q) for q in row] for row in bd],
         "fundamental_cycle": [str(q) for q in b],
         "fundamental_class": [str(q) for q in kappa],
     }
@@ -224,9 +229,7 @@ def cmd_components(args, tol: Tolerances) -> None:
         per_gen.append({
             "order": m,
             "count": len(classes),
-            "classes": [
-                {**c.to_json(), "weights": weight_dictionary(c)} for c in classes
-            ],
+            "classes": [{**c.to_json(), "weights": weight_dictionary(c)} for c in classes],
         })
     payload = {
         "group": model.name,

@@ -2,7 +2,7 @@
 
 Connected components of the torsion data correspond to conjugacy classes of
 the torsion-generator images; for the unitary models a class is a multiset of
-m-th roots of unity, recorded as rational angle fractions k/m.
+m-th roots of unity e^{2 pi i k/m}, recorded by its integer numerators k.
 """
 
 from __future__ import annotations
@@ -10,71 +10,80 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import combinations_with_replacement
+from math import gcd
 
 import numpy as np
 
 from .cohomology import RepPoint, cohomology_data
 from .config import Tolerances
-from .errors import ClassResolutionFailed, UnsupportedModel
+from .errors import ClassResolutionFailed, InfeasibleSpec, UnsupportedModel
 from .liegroup import LieModel
 
 
 @dataclass(frozen=True)
 class TorsionClass:
-    """Conjugacy class of an element g with g^m = e.
-
-    fractions are the eigenvalue arguments divided by 2 pi, each in [0, 1),
-    sorted; for SU(n) they sum to an integer.
-    """
+    """Conjugacy class of an element g with g^m = e, m = order: ks are the
+    eigenvalue arguments in units of 2 pi/m, sorted integers in [0, m), so
+    c^m = e by construction; for SU(n) they sum to a multiple of m.
+    ``fractions`` (k/m), ``class_id`` and the JSON payload are built once."""
 
     model_name: str
     order: int
-    fractions: tuple[Fraction, ...]
+    ks: tuple[int, ...]
 
-    @property
+    def __post_init__(self):
+        m = self.order
+        if any(k % 1 for k in self.ks):  # (e^{2 pi i k/m})^m = 1 only for integer k
+            raise InfeasibleSpec(f"class representative violates g^{m} = e")
+        if list(self.ks) != sorted(self.ks) or any(type(k) is not int or not 0 <= k < m
+                                                   for k in self.ks):
+            raise ValueError(f"class numerators {self.ks} are not sorted integers in [0, {m})")
+
+    @cached_property
+    def fractions(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(k, self.order) for k in self.ks)
+
+    @cached_property
     def class_id(self) -> str:
         inner = ",".join(str(f) for f in self.fractions)
         return f"{self.model_name}|m={self.order}|[{inner}]"
 
     @cached_property
     def representative(self) -> np.ndarray:
-        """diag(exp(2 pi i f)) over the fractions, built once; read-only,
+        """diag(exp(2 pi i k/m)) over the numerators, built once; read-only,
         since every spec of the class shares it."""
-        angles = [2.0 * np.pi * float(f) for f in self.fractions]
+        angles = [2.0 * np.pi * (k / self.order) for k in self.ks]
         rep = np.diag(np.exp(1j * np.array(angles)))
         rep.flags.writeable = False
         return rep
 
     @cached_property
-    def phase(self) -> Fraction:
-        """The sum of the fractions mod 1, exactly: det(c) = exp(2 pi i phase)."""
-        return sum(self.fractions) % 1
+    def phase(self) -> int:
+        """The residue sum(ks) mod m: det(c) = exp(2 pi i phase/m)."""
+        return sum(self.ks) % self.order
 
-    def weights(self) -> list[tuple[Fraction, int]]:
-        """Rational weights k/m with multiplicities (parabolic-weight reading)."""
-        out: dict[Fraction, int] = {}
-        for f in self.fractions:
-            out[f] = out.get(f, 0) + 1
-        return sorted(out.items())
+    @cached_property
+    def _json(self) -> dict:
+        fractions = [{"num": f.numerator, "den": f.denominator} for f in self.fractions]
+        return {"model": self.model_name, "order": self.order, "fractions": fractions,
+                "id": self.class_id}
 
     def to_json(self) -> dict:
-        return {
-            "model": self.model_name,
-            "order": self.order,
-            "fractions": [{"num": f.numerator, "den": f.denominator} for f in self.fractions] ,
-            "id": self.class_id,
-        }
+        return self._json  # shared: copy it to add keys
 
 
-def _su2_fractions(k: int, m: int) -> tuple[Fraction, ...]:
-    """Eigenvalues e^{+-2 pi i k/m} as sorted fractions in [0,1)."""
-    a = Fraction(k, m)
-    b = Fraction(m - k, m) if k else Fraction(0)
-    return tuple(sorted((a, b)))
+class ClassTable(tuple):
+    """The classes of one (model, m); by_ks maps numerators to their class."""
+
+    def __new__(cls, classes):
+        table = super().__new__(cls, classes)
+        table.by_ks = {c.ks: c for c in table}
+        return table
 
 
 @cache
-def finite_order_classes(model: LieModel, m: int) -> tuple[TorsionClass, ...]:
+def finite_order_classes(model: LieModel, m: int) -> ClassTable:
     """All conjugacy classes of elements g with g^m = e, canonically ordered,
     built at the first call per (model, m) and shared after it.  A call that
     raises caches nothing."""
@@ -86,56 +95,51 @@ def finite_order_classes(model: LieModel, m: int) -> tuple[TorsionClass, ...]:
             "finite enumeration is not available"
         )
     if model.kind == "SU" and model.n == 2:
-        return tuple(
-            TorsionClass(model.name, m, _su2_fractions(k, m))
-            for k in range(m // 2 + 1)
-        )
-    if model.kind == "U":
-        from itertools import combinations_with_replacement
-
-        return tuple(
-            TorsionClass(model.name, m, tuple(sorted(Fraction(k, m) for k in ks)))
-            for ks in combinations_with_replacement(range(m), model.n)
-        )
-    raise UnsupportedModel(f"no class enumeration for {model.name}")
+        # eigenvalues e^{+-2 pi i k/m}
+        ks = (tuple(sorted((k, (m - k) % m))) for k in range(m // 2 + 1))
+    elif model.kind == "U":
+        ks = combinations_with_replacement(range(m), model.n)
+    else:
+        raise UnsupportedModel(f"no class enumeration for {model.name}")
+    return ClassTable(TorsionClass(model.name, m, k) for k in ks)
 
 
-def resolve_class(
-    model: LieModel, g: np.ndarray, m: int, tol: float = 1e-6
-) -> TorsionClass:
+def resolve_class(model: LieModel, g: np.ndarray, m: int, tol: float = 1e-6) -> TorsionClass:
     """Round the spectrum of g to its exact root-of-unity class."""
-    return _round_spectrum(model, np.linalg.eigvals(g), m, tol)
+    return _round_spectra(model, np.linalg.eigvals(g)[None], [m], tol)[0]
 
 
-def _round_spectrum(model: LieModel, evals: np.ndarray, m: int, tol: float) -> TorsionClass:
-    fractions = []
-    for lam in evals:
-        frac = np.angle(lam) / (2.0 * np.pi) % 1.0
-        k = round(frac * m)
-        if abs(frac - k / m) > tol or abs(abs(lam) - 1.0) > tol:
-            raise ClassResolutionFailed(
-                f"eigenvalue {lam} is not within {tol} of an order-{m} root of unity"
-            )
-        fractions.append(Fraction(k % m, m))
-    return TorsionClass(model.name, m, tuple(sorted(fractions)))
+def _round_spectra(model: LieModel, evals: np.ndarray, orders, tol: float) -> list[TorsionClass]:
+    """The class of each row of evals, of order orders[i]: the numerators k
+    nearest the eigenvalues' arguments in units of 2 pi/m, rounded for all
+    rows at once, and the finite_order_classes instance when it is listed."""
+    m = np.array(orders)[:, None]
+    frac = np.angle(evals) / (2.0 * np.pi) % 1.0
+    k = np.rint(frac * m)
+    ok = (np.abs(frac - k / m) <= tol) & (np.abs(np.abs(evals) - 1.0) <= tol)
+    if not ok.all():
+        i, j = np.argwhere(~ok)[0]
+        raise ClassResolutionFailed(f"eigenvalue {evals[i, j]} is not within {tol} "
+                                    f"of an order-{orders[i]} root of unity")
+    out = []
+    for ks, mi in zip(map(tuple, np.sort(k.astype(int) % m, axis=1).tolist()), orders):
+        listed = {} if model.kind == "SL2R" else finite_order_classes(model, mi).by_ks
+        out.append(listed.get(ks) or TorsionClass(model.name, mi, ks))
+    return out
 
 
 def component_label(pt, tol: float = 1e-6) -> list[str]:
     """Class id of each torsion-generator image (conjugation invariant),
     from one stacked eigvals over the torsion generators."""
     evals = np.linalg.eigvals(pt.gens[2 * pt.pres.genus :])
-    return [
-        _round_spectrum(pt.model, ev, m, tol).class_id
-        for ev, m in zip(evals, pt.pres.torsion)
-    ]
+    return [c.class_id for c in _round_spectra(pt.model, evals, pt.pres.torsion, tol)]
 
 
 def weight_dictionary(cls: TorsionClass) -> list[dict]:
-    """Parabolic weights k/m with multiplicities for a unitary class."""
-    return [
-        {"num": f.numerator, "den": f.denominator, "multiplicity": mult}
-        for f, mult in cls.weights()
-    ]
+    """Parabolic weights k/m, in lowest terms, with multiplicities."""
+    m = cls.order
+    return [{"num": k // gcd(k, m), "den": m // gcd(k, m), "multiplicity": cls.ks.count(k)}
+            for k in sorted(set(cls.ks))]
 
 
 def stratum_report(pt: RepPoint, tol: Tolerances) -> dict:

@@ -114,31 +114,33 @@ def fox_derivative(w: Word, gen_index: int) -> GroupRingElt:
     return GroupRingElt(out)
 
 
-def abelianized_boundary(p: PlanarPresentation):
-    """Matrix of the abelianized degree-2 boundary over the rationals.
+def abelianized_boundary(p: PlanarPresentation) -> list[list[int]]:
+    """Matrix of the abelianized degree-2 boundary, integer entries.
 
     Rows indexed by (r, r_1..r_n), columns by generators; entries are the
-    signed letter counts of each generator in each relator.
+    signed letter counts of each generator in each relator, counted in one
+    pass over each relator's letters.
     """
-    from .words import signed_count
-
     rows = []
-    rels = [p.long_relator, *p.torsion_relators]
-    for rel in rels:
-        rows.append([Fraction(signed_count(rel, i)) for i in range(p.num_generators)])
+    for rel in (p.long_relator, *p.torsion_relators):
+        row = [0] * p.num_generators
+        for s in rel:
+            row[abs(s) - 1] += 1 if s > 0 else -1
+        rows.append(row)
     return rows
 
 
-def fundamental_cycle(p: PlanarPresentation):
+def fundamental_cycle(p: PlanarPresentation, bd: list[list[int]] | None = None):
     """Coefficients of the 2-cycle b = m r - sum (m/m_j) r_j, and kappa = b/m.
 
-    Returns (b_coeffs, kappa_coeffs) as lists over (r, r_1..r_n); asserts the
-    abelianized boundary of b vanishes exactly.
+    Returns (b_coeffs, kappa_coeffs) as lists over (r, r_1..r_n), b integer
+    and kappa rational; asserts the abelianized boundary of b, read from bd
+    (abelianized_boundary(p) when not given), vanishes exactly.
     """
     m = p.lcm
-    b = [Fraction(m)] + [Fraction(-m, mj) for mj in p.torsion]
-    kappa = [q / m for q in b]
-    bd = abelianized_boundary(p)
+    b = [m] + [-(m // mj) for mj in p.torsion]
+    kappa = [Fraction(q, m) for q in b]
+    bd = abelianized_boundary(p) if bd is None else bd
     for col in range(p.num_generators):
         total = sum(b[row] * bd[row][col] for row in range(len(b)))
         if total != 0:

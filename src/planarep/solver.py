@@ -28,7 +28,6 @@ zeta the target, its own inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -59,21 +58,18 @@ class SolveSpec:
                 raise InfeasibleSpec(
                     f"class {cls.class_id} has order {cls.order}, presentation wants {m}"
                 )
-            # c^m = e exactly when m k/q is an integer for every fraction k/q
-            if any(m % f.denominator for f in cls.fractions):
-                raise InfeasibleSpec(f"class representative violates g^{m} = e")
+        # the class fractions k/m, their sums and the target's determinant
+        # phase are integers over den = 2 lcm(orders): the exact rules add those
+        self.den = 2 * self.pres.lcm
+        self.numerators = [[k * (self.den // c.order) for k in c.ks] for c in self.classes]
+        # decided once, for the certificate and the built torus point
+        self.rank2_rule = _rank2_rule(self)
 
     @cached_property
     def reps(self) -> np.ndarray:
         """The exact class representatives c_j, stacked (n_torsion, n, n)."""
         n = self.model.n
         return np.array([c.representative for c in self.classes]).reshape(-1, n, n)
-
-    @cached_property
-    def rank2_rule(self) -> tuple | None:
-        """_rank2_rule of the spec, decided once for the certificate and
-        the built torus point."""
-        return _rank2_rule(self)
 
     @cached_property
     def zeta(self) -> np.ndarray:
@@ -97,19 +93,19 @@ def _mat_json(m: np.ndarray) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
 
 
-def target_phase(n: int, minus: bool) -> Fraction:
-    """The determinant phase of the target in U(n), exactly:
-    det(-e) = exp(2 pi i n/2), det e = 1."""
-    return Fraction(n, 2) % 1 if minus else Fraction(0)
+def target_phase(n: int, minus: bool, den: int) -> int:
+    """The determinant phase of the target in U(n), as a residue over the
+    even den: det(-e) = exp(2 pi i n/2), det e = 1."""
+    return n * den // 2 % den if minus else 0
 
 
 # --- SU(2) feasibility rule ---------------------------------------------------
 
 
-def su2_product_rule(ts, minus: bool = False) -> tuple:
+def su2_product_rule(ts, minus: bool = False, den: int = 1) -> tuple:
     """The rank-2 product rule for SU(2) classes with rotation angles ts
-    (units of pi, each in [0, 1]) and product e, or -e when ``minus``:
-    (margin, signs), feasible iff margin >= 0.
+    (units of pi/den, each in [0, den]) and product e, or -e when ``minus``:
+    (margin, signs), margin in units of pi/den, feasible iff margin >= 0.
 
     For target e the rule is: every odd-size subset S satisfies
     sum_S t - sum_{not S} t <= |S| - 1 (the rank-2 parabolic-weight
@@ -117,16 +113,16 @@ def su2_product_rule(ts, minus: bool = False) -> tuple:
     Lett. 1998).  For -e, the last class moves to its antipode, t -> 1 - t.
     The rule reads max over odd S of sum_S (2t - 1) <= sum t - 1, and the
     maximizing S is {t > 1/2}, its parity fixed by the t nearest 1/2: O(n),
-    exact on Fractions.  margin is sum t - 1 minus that max; signs are +1 on
-    S, -1 off it, the last flipped for -e, so that at margin 0 the diagonal
-    classes with angles signs_j t_j multiply to the target.
+    exact on integer ts.  margin is sum t - 1 minus that max; signs are +1
+    on S, -1 off it, the last flipped for -e, so that at margin 0 the
+    diagonal classes with angles signs_j t_j multiply to the target.
     """
     ts = list(ts)
     if not ts:
-        return (-1 if minus else 0), []  # the empty product is e
+        return (-den if minus else 0), []  # the empty product is e
     if minus:
-        ts[-1] = 1 - ts[-1]
-    gains = [2 * t - 1 for t in ts]
+        ts[-1] = den - ts[-1]
+    gains = [2 * t - den for t in ts]
     S = [g > 0 for g in gains]
     if sum(S) % 2 == 0:
         i = min(range(len(gains)), key=lambda i: abs(gains[i]))
@@ -134,7 +130,7 @@ def su2_product_rule(ts, minus: bool = False) -> tuple:
     signs = [1 if s else -1 for s in S]
     if minus:
         signs[-1] = -signs[-1]
-    return sum(ts) - 1 - sum(g for g, s in zip(gains, S) if s), signs
+    return sum(ts) - den - sum(g for g, s in zip(gains, S) if s), signs
 
 
 # --- the solver ---------------------------------------------------------------
@@ -167,9 +163,9 @@ def _feasibility_oracle(spec: SolveSpec) -> bool | None:
         # number |eu| <= 2l - 2 occurs (Milnor-Wood, Goldman): -e iff l >= 2
         return not spec.minus or p.genus >= 2
     if model.kind == "U":
-        # det c_j = exp(2 pi i phase_j): the product's determinant phase,
-        # summed exactly, against the target's
-        if sum(c.phase for c in spec.classes) % 1 != target_phase(model.n, spec.minus):
+        # det c_j = exp(2 pi i sum_k k/m_j): the product's determinant
+        # phase over den, summed exactly, against the target's
+        if sum(map(sum, spec.numerators)) % spec.den != target_phase(model.n, spec.minus, spec.den):
             return False
     if p.genus >= 1 or model.n == 1:
         # every element of SU(n) is a commutator, and U(1) is abelian: the
@@ -184,13 +180,13 @@ def _rank2_rule(spec: SolveSpec) -> tuple | None:
     model = spec.model
     if spec.pres.genus or model.kind == "SL2R" or model.n != 2:
         return None
+    ks, D = spec.numerators, spec.den
     if model.kind == "SU":
-        return su2_product_rule([2 * min(c.fractions) for c in spec.classes], spec.minus)
+        return su2_product_rule([2 * k[0] for k in ks], spec.minus, D)  # t = 2 k_0/m
     # U(2): fractions (a, b) are e^{pi i (a+b)} times the SU(2) class t = b - a,
     # and the scalar parts multiply to (-1)^{sum (a+b)}
-    odd = sum(sum(c.fractions) for c in spec.classes) % 2 == 1
-    ts = [c.fractions[1] - c.fractions[0] for c in spec.classes]
-    return su2_product_rule(ts, spec.minus != odd)
+    odd = sum(a + b for a, b in ks) % (2 * D) == D
+    return su2_product_rule([b - a for a, b in ks], spec.minus != odd, D)
 
 
 def _torus_point(spec: SolveSpec) -> SolveResult | None:
@@ -203,9 +199,9 @@ def _torus_point(spec: SolveSpec) -> SolveResult | None:
         return None
     # an SU(2) representative has the angle +t first, a U(2) one -t
     swap = [(s > 0) == (spec.model.kind == "U") for s in rule[1]]
-    half = Fraction(int(spec.minus), 2)
-    phases = [sum(c.fractions[i ^ k] for c, k in zip(spec.classes, swap)) for i in (0, 1)]
-    if any((p - half) % 1 for p in phases):  # the product's entries, on Fractions
+    half = spec.den // 2 * spec.minus
+    phases = [sum(ks[i ^ k] for ks, k in zip(spec.numerators, swap)) for i in (0, 1)]
+    if any((p - half) % spec.den for p in phases):  # the product's entries, over den
         return None
     pt = _assemble(spec, np.where(np.array(swap)[:, None, None], [[0, 1], [-1, 0]], np.eye(2)))
     resid = float(np.linalg.norm(_residual_matrix(spec, pt)))
@@ -335,6 +331,4 @@ def solve_relator(spec: SolveSpec) -> SolveResult:
             f"certified feasible but not solved within {budget} restarts "
             f"(solver defect); best residual {best[1]:.3e}"
         )
-    raise NotFound(
-        f"no solution within budget; best residual {best[1]:.3e}"
-    )
+    raise NotFound(f"no solution within budget; best residual {best[1]:.3e}")

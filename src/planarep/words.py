@@ -57,7 +57,3 @@ def w_pow(w: Word, k: int) -> Word:
 def commutator(a: Word, b: Word) -> Word:
     return w_mul(a, b, w_inv(a), w_inv(b))
 
-
-def signed_count(w: Word, i: int) -> int:
-    """Total exponent of generator i in w."""
-    return sum(1 if s == i + 1 else -1 if s == -(i + 1) else 0 for s in w)

@@ -14,8 +14,17 @@ filling chain, the reference for the closed form of ``cup_matrix``, and
 reference for the blockwise forms in projective coordinates.
 ``harmonic`` and ``pairing_H1`` read a ``CochainData``: an orthonormal
 harmonic H^1 basis, and the cup pairing of two cocycles.
+``signed_count`` counts one generator's letters in a word, the
+per-generator reference for ``abelianized_boundary``.
+
+The ``*_fractions`` functions are the exact class arithmetic on
+``Fraction``s, the references for the integer forms in planarep: the class
+id, the determinant test and its target phase, the rank-2 rule with its
+margin and signs, the torus point's phase check and the CLI's default
+class tuple.
 """
 
+from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
@@ -187,4 +196,94 @@ def su2_brute_force_feasible(
         # Frobenius residual of the aligned product for angle gap
         resid = 2.0 * np.sqrt(np.maximum(0.0, 1.0 - np.cos(gap)))
         out[start : start + chunk] = resid < residual_threshold
+    return out
+
+
+def signed_count(w, i: int) -> int:
+    """Total exponent of generator i in w."""
+    return sum(1 if s == i + 1 else -1 if s == -(i + 1) else 0 for s in w)
+
+
+# --- exact class arithmetic on Fractions --------------------------------------
+
+
+def class_id_fractions(cls) -> str:
+    """The class id with each fraction k/m rendered by str(Fraction)."""
+    inner = ",".join(str(Fraction(k, cls.order)) for k in cls.ks)
+    return f"{cls.model_name}|m={cls.order}|[{inner}]"
+
+
+def target_phase_fractions(n: int, minus: bool) -> Fraction:
+    """The determinant phase of the target in U(n), in [0, 1)."""
+    return Fraction(n, 2) % 1 if minus else Fraction(0)
+
+
+def det_test_fractions(classes, n: int, minus: bool) -> bool:
+    """The U(n) determinant test: the classes' fractions add up to the
+    target's phase mod 1."""
+    total = sum(sum(c.fractions) for c in classes)
+    return total % 1 == target_phase_fractions(n, minus)
+
+
+def su2_product_rule_fractions(ts, minus: bool = False) -> tuple:
+    """The rank-2 product rule on rotation angles ts in units of pi, each in
+    [0, 1]: (margin, signs) as ``solver.su2_product_rule`` defines them."""
+    ts = list(ts)
+    if not ts:
+        return (-1 if minus else 0), []
+    if minus:
+        ts[-1] = 1 - ts[-1]
+    gains = [2 * t - 1 for t in ts]
+    S = [g > 0 for g in gains]
+    if sum(S) % 2 == 0:
+        i = min(range(len(gains)), key=lambda i: abs(gains[i]))
+        S[i] = not S[i]
+    signs = [1 if s else -1 for s in S]
+    if minus:
+        signs[-1] = -signs[-1]
+    return sum(ts) - 1 - sum(g for g, s in zip(gains, S) if s), signs
+
+
+def rank2_rule_fractions(spec) -> tuple | None:
+    """The rank-2 rule of a genus-0 SU(2)/U(2) spec on its classes'
+    fractions, else None."""
+    model = spec.model
+    if spec.pres.genus or model.kind == "SL2R" or model.n != 2:
+        return None
+    if model.kind == "SU":
+        return su2_product_rule_fractions([2 * min(c.fractions) for c in spec.classes], spec.minus)
+    odd = sum(sum(c.fractions) for c in spec.classes) % 2 == 1
+    ts = [c.fractions[1] - c.fractions[0] for c in spec.classes]
+    return su2_product_rule_fractions(ts, spec.minus != odd)
+
+
+def torus_phases_fractions(spec, signs) -> bool:
+    """Whether the diagonal product that the rule's signs pick (each class
+    swapped or not, as solver._torus_point swaps it) has both diagonal
+    entries' phases equal to the target's."""
+    swap = [(s > 0) == (spec.model.kind == "U") for s in signs]
+    half = Fraction(int(spec.minus), 2)
+    phases = [sum(c.fractions[i ^ k] for c, k in zip(spec.classes, swap)) for i in (0, 1)]
+    return not any((p - half) % 1 for p in phases)
+
+
+def default_classes_fractions(model, per_gen, target: str) -> list:
+    """The CLI's default class tuple, its reachable phases held as sets of
+    Fractions in [0, 1)."""
+    prefs = [classes[1:] + classes[:1] for classes in per_gen]
+    if model.kind != "U":
+        return [p[0] for p in prefs]
+    phase = {c: sum(c.fractions) % 1 for classes in per_gen for c in classes}
+    need = target_phase_fractions(model.n, target == "-e")
+    reach = [{Fraction(0)}]
+    for classes in reversed(per_gen):
+        steps = {phase[c] for c in classes}
+        reach.insert(0, {(r + q) % 1 for r in reach[0] for q in steps})
+    if need not in reach[0]:
+        return [p[0] for p in prefs]
+    out = []
+    for p, rest in zip(prefs, reach[1:]):
+        c = next(c for c in p if (need - phase[c]) % 1 in rest)
+        out.append(c)
+        need = (need - phase[c]) % 1
     return out

@@ -17,7 +17,7 @@ def test_bench_scaling_fits_slopes_for_every_model():
         spec = importlib.util.spec_from_file_location("bench_scaling", SCRIPT)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-    record = module.record([1, 2], 1, 1)
+    record = module.record([1, 2], 1, 1, analyze_genera=(1, 4, 16))
     json.dumps(record)  # what main writes must serialise
     assert record["relator_lengths"] == [6, 10]
     assert set(record["rows"]) == {"per_handle", "walk", "Ad_matrix", "jacobian",
@@ -60,10 +60,17 @@ def test_bench_scaling_fits_slopes_for_every_model():
     # end to end through the CLI: every request of the rows succeeds
     cli = record["cli"]
     assert cli["genera"] == [1, 2]
-    assert set(cli) - {"genera"} == set(module.CLI_COMMANDS)
+    assert set(cli) - {"genera", "analyze"} == set(module.CLI_COMMANDS)
     for command in module.CLI_COMMANDS:
         assert set(cli[command]) == set(module.CLI_CASES)
         for r in cli[command].values():
             assert r["exit_codes"] == [0, 0]
             assert len(r["times_s"]) == 2 and all(t > 0 for t in r["times_s"])
             assert r["spread_s"] == [0.0, 0.0] and isinstance(r["slope"], float)
+    # analyze on t(3,5) at its own genera, with a slope in 4l + n
+    analyze = cli["analyze"]
+    assert analyze["genera"] == [1, 4, 16] and analyze["torsion"] == [3, 5]
+    assert module.ANALYZE_GENERA == (4, 16, 64, 256, 1024)
+    assert analyze["exit_codes"] == [0, 0, 0]
+    assert len(analyze["times_s"]) == 3 and all(t > 0 for t in analyze["times_s"])
+    assert analyze["spread_s"] == [0.0, 0.0, 0.0] and isinstance(analyze["slope"], float)

@@ -88,8 +88,12 @@ def test_component_label_conjugation_invariant():
 
 
 def test_weight_dictionary():
-    cls = TorsionClass("U2", 4, (Fraction(1, 4), Fraction(1, 4)))
+    cls = TorsionClass("U2", 4, (1, 1))
     assert weight_dictionary(cls) == [{"num": 1, "den": 4, "multiplicity": 2}]
+    # the weights k/m come in lowest terms, 0 as 0/1
+    cls = TorsionClass("U3", 6, (0, 2, 2))
+    assert weight_dictionary(cls) == [{"num": 0, "den": 1, "multiplicity": 1},
+                                      {"num": 1, "den": 3, "multiplicity": 2}]
 
 
 @pytest.mark.parametrize("name", ["SU2", "U1", "U2", "U3"])
@@ -104,18 +108,30 @@ def test_class_tables_are_built_once_per_model_and_order(name):
             assert cls.representative is rep
             with pytest.raises(ValueError):
                 rep[0, 0] = 1.0
-            # det c = exp(2 pi i phase), the phase exact in [0, 1)
-            assert 0 <= cls.phase < 1 and cls.phase == sum(cls.fractions) % 1
-            assert abs(np.linalg.det(rep) - np.exp(2j * np.pi * float(cls.phase))) < 1e-12
+            # det c = exp(2 pi i phase/m), the phase a residue over the order
+            assert 0 <= cls.phase < m and cls.phase == sum(cls.ks) % m
+            assert cls.fractions == tuple(Fraction(k, m) for k in cls.ks)
+            assert abs(np.linalg.det(rep) - np.exp(2j * np.pi * cls.phase / m)) < 1e-12
 
 
 @pytest.mark.parametrize("cls", [
-    TorsionClass("SU2", 3, (Fraction(1, 4), Fraction(3, 4))),
-    TorsionClass("U2", 3, (Fraction(0), Fraction(1, 2))),
-    TorsionClass("U1", 4, (Fraction(1, 3),)),
+    ("SU2", 3, (Fraction(1, 4), Fraction(3, 4))),
+    ("U2", 3, (Fraction(0), Fraction(1, 2))),
+    ("U1", 4, (Fraction(1, 3),)),
 ])
 def test_solve_spec_refuses_fractions_of_another_order(cls):
-    # the class claims the presentation's order, but c^m != e
-    model, m = get_model(cls.model_name), cls.order
+    # a class of order m with these fractions would have numerators f m that
+    # are not integers, so c^m != e: the class itself refuses to be built
+    name, m, fractions = cls
+    model = get_model(name)
     with pytest.raises(InfeasibleSpec, match=rf"violates g\^{m} = e"):
-        SolveSpec(PlanarPresentation(1, (m,)), model, [cls])
+        SolveSpec(PlanarPresentation(1, (m,)), model,
+                  [TorsionClass(name, m, tuple(f * m for f in fractions))])
+
+
+@pytest.mark.parametrize("ks", [(3,), (-1,), (2, 1), (0, 3), (Fraction(1),), (1.0, 2)])
+def test_torsion_class_refuses_numerators_off_canonical_form(ks):
+    # whole numbers, but outside [0, m), unsorted or not of type int: not the
+    # canonical numerators
+    with pytest.raises(ValueError, match="not sorted"):
+        TorsionClass("U2" if len(ks) == 2 else "U1", 3, ks)

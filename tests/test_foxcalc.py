@@ -17,6 +17,8 @@ from planarep.foxcalc import (
 from planarep.presentations import PlanarPresentation
 from planarep.words import commutator, gen, w_inv, w_mul, word
 
+from oracles import signed_count
+
 letters = st.integers(min_value=-5, max_value=5).filter(lambda s: s != 0)
 words = st.lists(letters, max_size=10).map(word)
 
@@ -77,6 +79,19 @@ def test_abelianized_boundary_rows():
     assert rows[0] == [0, 0, 0, 0, 1, 1]
     assert rows[1] == [0, 0, 0, 0, 3, 0]
     assert rows[2] == [0, 0, 0, 0, 0, 5]
+
+
+def test_abelianized_boundary_matches_per_generator_counts():
+    # one pass over each relator's letters against one signed_count per
+    # generator per relator; the entries are plain integers
+    rng = np.random.default_rng(11)
+    for p in _random_presentations(40, rng) + [PlanarPresentation(64, (2, 3))]:
+        rows = abelianized_boundary(p)
+        rels = [p.long_relator, *p.torsion_relators]
+        assert rows == [[signed_count(r, i) for i in range(p.num_generators)] for r in rels]
+        assert all(type(q) is int for row in rows for q in row)
+        # a precomputed matrix gives the same cycle as a fresh one
+        assert fundamental_cycle(p, rows) == fundamental_cycle(p)
 
 
 def test_fundamental_cycle_237():

@@ -94,3 +94,25 @@ def test_check_prints_each_failure_with_its_argv(digest, capsys):
     assert out[:2] == ["FAIL moment-batch seed 1 round 0 analyze: wrong report: stub",
                        "  argv: " + " ".join(analyze.argv)]
     assert f"# moment-batch: {len(reqs)} requests, 1 failed (0 probes)" in out[2]
+
+
+def test_digest_takes_seed_lists(digest, capsys):
+    # one line per request, led by its seed: a list of seeds digests each
+    # seed in turn, as separate runs would
+    def lines(seeds):
+        argv = ["--workload", "component-scan", "--rounds", "0", "--seed", seeds]
+        assert digest.main(argv) == 0
+        return capsys.readouterr().out.splitlines()
+
+    one, two = lines("1"), lines("2")
+    assert lines("1,2") == lines("1-2") == one + two
+    assert {line.split()[0] for line in one} == {"1"} and {line.split()[0] for line in two} == {"2"}
+    reqs = list(digest.requests(["component-scan"], [0], [1]))
+    assert [line.split()[1:4] for line in one] == [["component-scan", "0", r.slot] for _, _, _, r in reqs]
+
+
+def test_dump_and_compare_take_one_seed(digest, tmp_path):
+    with pytest.raises(SystemExit):
+        digest.main(["--workload", "component-scan", "--seed", "1,2",
+                     "--dump", str(tmp_path / "out.jsonl")])
+    assert not (tmp_path / "out.jsonl").exists()

@@ -600,9 +600,12 @@ def test_exact_det_certificate_matches_the_float_product(name):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_target_phase_is_the_determinant_of_the_target(n):
-    for minus in (False, True):
+    # a residue over any even denominator, as the spec's 2 lcm(orders)
+    for minus, den in product((False, True), (2, 6, 24)):
         det = np.linalg.det(-np.eye(n) if minus else np.eye(n))
-        assert abs(np.exp(2j * np.pi * float(solver.target_phase(n, minus))) - det) < 1e-12
+        phase = solver.target_phase(n, minus, den)
+        assert 0 <= phase < den
+        assert abs(np.exp(2j * np.pi * phase / den) - det) < 1e-12
 
 
 def test_solve_relator_reads_the_rank2_rule_once(monkeypatch):

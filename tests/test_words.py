@@ -4,14 +4,13 @@ from hypothesis import given
 from planarep.words import (
     commutator,
     gen,
-    signed_count,
     w_inv,
     w_mul,
     w_pow,
     word,
 )
 
-from oracles import is_reduced
+from oracles import is_reduced, signed_count
 
 letters = st.integers(min_value=-6, max_value=6).filter(lambda s: s != 0)
 words = st.lists(letters, max_size=12).map(word)
