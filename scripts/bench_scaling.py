@@ -350,8 +350,7 @@ def measure_analyze(genera: list[int], repeats: int, sweeps: int) -> dict:
             "slope": _slope([4 * g + len(TORSION) for g in genera], median)}
 
 
-def record(genera: list[int], repeats: int, sweeps: int = SWEEPS,
-           analyze_genera: tuple[int, ...] = ANALYZE_GENERA) -> dict:
+def record(genera: list[int], repeats: int, sweeps: int = SWEEPS) -> dict:
     rows = measure(genera, repeats, sweeps)
     cli_genera = [g for g in genera if g <= CLI_MAX_GENUS]
     return {
@@ -377,7 +376,7 @@ def record(genera: list[int], repeats: int, sweeps: int = SWEEPS,
         "spec_setup": {"torsion_order": 3, "ks": list(SETUP_KS),
                        **measure_setup(list(SETUP_KS), repeats, sweeps)},
         "cli": {"genera": cli_genera, **measure_cli(cli_genera, repeats, sweeps),
-                "analyze": measure_analyze(list(analyze_genera), repeats, sweeps)},
+                "analyze": measure_analyze(list(ANALYZE_GENERA), repeats, sweeps)},
     }
 
 

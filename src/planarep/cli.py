@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from datetime import datetime, timezone
 from functools import cache
@@ -25,10 +24,10 @@ from .cohomology import cohomology_data, euler_characteristic_expected
 from .components import finite_order_classes, stratum_report, weight_dictionary
 from .config import Tolerances
 from .errors import MalformedInput, PlanarepError, ToleranceExceeded
-from .foxcalc import abelianized_boundary, fundamental_cycle
+from .foxcalc import fundamental_cycle
 from .liegroup import get_model
 from .presentations import PlanarPresentation
-from .solver import SolveSpec, solve_relator, target_phase
+from .solver import SolveSpec, common_den, numerators_over, solve_relator, target_phase
 from .symplectic import (
     check_moment_identity,
     degeneracy_report,
@@ -112,8 +111,8 @@ def _default_classes(model, per_gen, target: str):
     prefs = [classes[1:] + classes[:1] for classes in per_gen]
     if model.kind != "U":
         return [p[0] for p in prefs]
-    L = 2 * math.lcm(*(classes[0].order for classes in per_gen))
-    phases = [[c.phase * (L // c.order) for c in p] for p in prefs]
+    L = common_den(classes[0].order for classes in per_gen)
+    phases = [[sum(ks) % L for ks in numerators_over(p, L)] for p in prefs]
     need, full = target_phase(model.n, target == "-e", L), (1 << L) - 1
     # reach[j]: bit r is set when the classes of generators j, j+1, ... can
     # add up to the phase r over L; each class rotates the next set by its own
@@ -173,8 +172,7 @@ def _emit(args, command: str, payload: dict, tol: Tolerances) -> None:
 
 def cmd_analyze(args, tol: Tolerances) -> None:
     pres = _presentation(args.genus, args.torsion)
-    bd = abelianized_boundary(pres)
-    b, kappa = fundamental_cycle(pres, bd)
+    b, kappa, bd = fundamental_cycle(pres)
     payload = {
         "presentation": pres.to_json(),
         "rendering": pres.render(),
@@ -229,7 +227,9 @@ def cmd_components(args, tol: Tolerances) -> None:
         per_gen.append({
             "order": m,
             "count": len(classes),
-            "classes": [{**c.to_json(), "weights": weight_dictionary(c)} for c in classes],
+            "classes": [
+                {**c.to_json(), "weights": weight_dictionary(c)} for c in classes
+            ],
         })
     payload = {
         "group": model.name,

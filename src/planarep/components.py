@@ -26,19 +26,18 @@ class TorsionClass:
     """Conjugacy class of an element g with g^m = e, m = order: ks are the
     eigenvalue arguments in units of 2 pi/m, sorted integers in [0, m), so
     c^m = e by construction; for SU(n) they sum to a multiple of m.
-    ``fractions`` (k/m), ``class_id`` and the JSON payload are built once."""
+    ``fractions`` (k/m) and ``class_id`` are built once."""
 
     model_name: str
     order: int
     ks: tuple[int, ...]
 
     def __post_init__(self):
-        m = self.order
-        if any(k % 1 for k in self.ks):  # (e^{2 pi i k/m})^m = 1 only for integer k
+        m, ks = self.order, self.ks
+        if any(k % 1 for k in ks):  # (e^{2 pi i k/m})^m = 1 only for integer k
             raise InfeasibleSpec(f"class representative violates g^{m} = e")
-        if list(self.ks) != sorted(self.ks) or any(type(k) is not int or not 0 <= k < m
-                                                   for k in self.ks):
-            raise ValueError(f"class numerators {self.ks} are not sorted integers in [0, {m})")
+        if list(ks) != sorted(ks) or not all(type(k) is int and 0 <= k < m for k in ks):
+            raise ValueError(f"class numerators {ks} are not sorted integers in [0, {m})")
 
     @cached_property
     def fractions(self) -> tuple[Fraction, ...]:
@@ -58,19 +57,10 @@ class TorsionClass:
         rep.flags.writeable = False
         return rep
 
-    @cached_property
-    def phase(self) -> int:
-        """The residue sum(ks) mod m: det(c) = exp(2 pi i phase/m)."""
-        return sum(self.ks) % self.order
-
-    @cached_property
-    def _json(self) -> dict:
+    def to_json(self) -> dict:
         fractions = [{"num": f.numerator, "den": f.denominator} for f in self.fractions]
         return {"model": self.model_name, "order": self.order, "fractions": fractions,
                 "id": self.class_id}
-
-    def to_json(self) -> dict:
-        return self._json  # shared: copy it to add keys
 
 
 class ClassTable(tuple):
@@ -104,7 +94,9 @@ def finite_order_classes(model: LieModel, m: int) -> ClassTable:
     return ClassTable(TorsionClass(model.name, m, k) for k in ks)
 
 
-def resolve_class(model: LieModel, g: np.ndarray, m: int, tol: float = 1e-6) -> TorsionClass:
+def resolve_class(
+    model: LieModel, g: np.ndarray, m: int, tol: float = 1e-6
+) -> TorsionClass:
     """Round the spectrum of g to its exact root-of-unity class."""
     return _round_spectra(model, np.linalg.eigvals(g)[None], [m], tol)[0]
 

@@ -118,34 +118,30 @@ def abelianized_boundary(p: PlanarPresentation) -> list[list[int]]:
     """Matrix of the abelianized degree-2 boundary, integer entries.
 
     Rows indexed by (r, r_1..r_n), columns by generators; entries are the
-    signed letter counts of each generator in each relator, counted in one
-    pass over each relator's letters.
+    signed letter counts of each generator in each relator, in one pass.
     """
-    rows = []
-    for rel in (p.long_relator, *p.torsion_relators):
-        row = [0] * p.num_generators
+    rows = [[0] * p.num_generators for _ in range(1 + p.n_torsion)]
+    for row, rel in zip(rows, (p.long_relator, *p.torsion_relators)):
         for s in rel:
             row[abs(s) - 1] += 1 if s > 0 else -1
-        rows.append(row)
     return rows
 
 
-def fundamental_cycle(p: PlanarPresentation, bd: list[list[int]] | None = None):
+def fundamental_cycle(p: PlanarPresentation):
     """Coefficients of the 2-cycle b = m r - sum (m/m_j) r_j, and kappa = b/m.
 
-    Returns (b_coeffs, kappa_coeffs) as lists over (r, r_1..r_n), b integer
-    and kappa rational; asserts the abelianized boundary of b, read from bd
-    (abelianized_boundary(p) when not given), vanishes exactly.
+    Returns (b, kappa, bd): b integer and kappa rational over (r, r_1..r_n),
+    bd = abelianized_boundary(p); asserts the boundary of b vanishes exactly.
     """
     m = p.lcm
     b = [m] + [-(m // mj) for mj in p.torsion]
     kappa = [Fraction(q, m) for q in b]
-    bd = abelianized_boundary(p) if bd is None else bd
+    bd = abelianized_boundary(p)
     for col in range(p.num_generators):
         total = sum(b[row] * bd[row][col] for row in range(len(b)))
         if total != 0:
             raise FillVerificationFailed("fundamental cycle has nonzero boundary")
-    return b, kappa
+    return b, kappa, bd
 
 
 # --- bar resolution chains --------------------------------------------------

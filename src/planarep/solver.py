@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 
 import numpy as np
 
@@ -58,18 +59,19 @@ class SolveSpec:
                 raise InfeasibleSpec(
                     f"class {cls.class_id} has order {cls.order}, presentation wants {m}"
                 )
-        # the class fractions k/m, their sums and the target's determinant
-        # phase are integers over den = 2 lcm(orders): the exact rules add those
-        self.den = 2 * self.pres.lcm
-        self.numerators = [[k * (self.den // c.order) for k in c.ks] for c in self.classes]
-        # decided once, for the certificate and the built torus point
-        self.rank2_rule = _rank2_rule(self)
+        self.den = common_den(self.pres.torsion)
+        self.numerators = numerators_over(self.classes, self.den)
 
     @cached_property
     def reps(self) -> np.ndarray:
         """The exact class representatives c_j, stacked (n_torsion, n, n)."""
         n = self.model.n
         return np.array([c.representative for c in self.classes]).reshape(-1, n, n)
+
+    @cached_property
+    def rank2_rule(self) -> tuple | None:
+        """_rank2_rule, decided once for the certificate and the torus point."""
+        return _rank2_rule(self)
 
     @cached_property
     def zeta(self) -> np.ndarray:
@@ -93,9 +95,18 @@ def _mat_json(m: np.ndarray) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
 
 
+def common_den(orders) -> int:
+    """2 lcm(orders): the genus-0 rules add class fractions k/m over it."""
+    return 2 * lcm(*orders)
+
+
+def numerators_over(classes, den: int) -> list[list[int]]:
+    """Each class's numerators k/m written over den, a multiple of m."""
+    return [[k * (den // c.order) for k in c.ks] for c in classes]
+
+
 def target_phase(n: int, minus: bool, den: int) -> int:
-    """The determinant phase of the target in U(n), as a residue over the
-    even den: det(-e) = exp(2 pi i n/2), det e = 1."""
+    """The target's determinant phase in U(n) over the even den: det(-e) = (-1)^n."""
     return n * den // 2 % den if minus else 0
 
 
@@ -331,4 +342,6 @@ def solve_relator(spec: SolveSpec) -> SolveResult:
             f"certified feasible but not solved within {budget} restarts "
             f"(solver defect); best residual {best[1]:.3e}"
         )
-    raise NotFound(f"no solution within budget; best residual {best[1]:.3e}")
+    raise NotFound(
+        f"no solution within budget; best residual {best[1]:.3e}"
+    )

@@ -17,7 +17,7 @@ def test_bench_scaling_fits_slopes_for_every_model():
         spec = importlib.util.spec_from_file_location("bench_scaling", SCRIPT)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-    record = module.record([1, 2], 1, 1, analyze_genera=(1, 4, 16))
+    record = module.record([1, 2], 1, 1)
     json.dumps(record)  # what main writes must serialise
     assert record["relator_lengths"] == [6, 10]
     assert set(record["rows"]) == {"per_handle", "walk", "Ad_matrix", "jacobian",
@@ -69,8 +69,8 @@ def test_bench_scaling_fits_slopes_for_every_model():
             assert r["spread_s"] == [0.0, 0.0] and isinstance(r["slope"], float)
     # analyze on t(3,5) at its own genera, with a slope in 4l + n
     analyze = cli["analyze"]
-    assert analyze["genera"] == [1, 4, 16] and analyze["torsion"] == [3, 5]
-    assert module.ANALYZE_GENERA == (4, 16, 64, 256, 1024)
-    assert analyze["exit_codes"] == [0, 0, 0]
-    assert len(analyze["times_s"]) == 3 and all(t > 0 for t in analyze["times_s"])
-    assert analyze["spread_s"] == [0.0, 0.0, 0.0] and isinstance(analyze["slope"], float)
+    n = len(module.ANALYZE_GENERA)
+    assert analyze["genera"] == list(module.ANALYZE_GENERA) and analyze["torsion"] == [3, 5]
+    assert analyze["exit_codes"] == [0] * n
+    assert len(analyze["times_s"]) == n and all(t > 0 for t in analyze["times_s"])
+    assert analyze["spread_s"] == [0.0] * n and isinstance(analyze["slope"], float)

@@ -104,7 +104,6 @@ def test_class_ids_and_json_match_the_fraction_rendering(group):
     for m in range(2, 13):
         for cls in finite_order_classes(model, m):
             assert cls.class_id == class_id_fractions(cls)
-            assert cls.to_json() is cls.to_json()
             assert cls.to_json() == {
                 "model": group, "order": m, "id": cls.class_id,
                 "fractions": [{"num": Fraction(k, m).numerator, "den": Fraction(k, m).denominator}
@@ -130,3 +129,15 @@ def test_labels_are_the_listed_instances(group):
         pt = RepPoint(PlanarPresentation(0, (m,) * len(table)), model, gens)
         labels = component_label(pt)
         assert all(label is cls.class_id for label, cls in zip(labels, table))
+
+
+def test_to_json_returns_a_payload_the_caller_owns():
+    # a caller that edits the payload, as cmd_components adds weights, leaves
+    # the shared class's next payload as it was
+    cls = finite_order_classes(get_model("U2"), 4)[3]
+    before = cls.to_json()
+    payload = cls.to_json()
+    payload["weights"] = []
+    payload["fractions"][0]["num"] = 99
+    payload["fractions"].append({"num": 1, "den": 2})
+    assert cls.to_json() == before
