@@ -56,6 +56,12 @@ analyze row times the analyze request on t(3,5) at genus 4 ... 1024
 enough to go that far; its slope in 4l + n says whether the abelianized
 boundary and the fundamental cycle stay linear in the relator length.
 
+The degeneracy_report row times symplectic.degeneracy_report alone on the
+cases of the cli rows (SU(2) t(3,5) classes (1, 2), U(3) t(3) class 4), at
+the same genera, on the extended point of a solution from seed 0 whose
+complex (dims, delta0_proj, E_r Q and Q^T C Q) is already built: the
+extended Gram, its values-only SVD and the momentum identity's residual.
+
 Each time is the median over SWEEPS interleaved sweeps (each sweep times
 every row, model and genus once more) of the best of REPEATS calls, with the
 point's Ad matrices and inverses already built.  Each row also records the
@@ -71,7 +77,7 @@ quartiles per side and, per metric, how many pairs this checkout won,
 under "perfbench" / "<workload>/seed<seed>" in the same file.  A plain run
 keeps those entries; a paired run keeps the rows.
 
-Usage: python scripts/bench_scaling.py   (writes BENCH_27.json at the repo root)
+Usage: python scripts/bench_scaling.py   (writes BENCH_28.json at the repo root)
        python scripts/bench_scaling.py --paired ../parent --pairs 10 \
            --workload component-scan --seed 1
 """
@@ -105,7 +111,7 @@ from planarep.components import finite_order_classes  # noqa: E402
 from planarep.liegroup import get_model  # noqa: E402
 from planarep.presentations import PlanarPresentation  # noqa: E402
 from planarep.solver import SolveSpec, _feasibility_oracle, _jacobian, solve_relator  # noqa: E402
-from planarep.symplectic import cup_matrix  # noqa: E402
+from planarep.symplectic import cup_matrix, degeneracy_report, extend_point  # noqa: E402
 
 MODELS = ("U1", "SU2", "SL2R", "U2", "U3")
 TORSION = (3, 5)
@@ -119,7 +125,7 @@ CLI_COMMANDS = ("symplectic", "momenttest")
 CLI_CASES = {"SU2": ((3, 5), (1, 2)), "U3": ((3,), (4,))}  # group -> (torsion, classes)
 CLI_MAX_GENUS = 64
 ANALYZE_GENERA = (4, 16, 64, 256, 1024)
-OUT = ROOT / "BENCH_27.json"
+OUT = ROOT / "BENCH_28.json"
 
 
 def _drop_row_and_value(pt: RepPoint) -> None:
@@ -350,6 +356,33 @@ def measure_analyze(genera: list[int], repeats: int, sweeps: int) -> dict:
             "slope": _slope([4 * g + len(TORSION) for g in genera], median)}
 
 
+def degeneracy_point(group: str, genus: int):
+    """The extended point of the cli rows' case at this genus, solved from
+    seed 0, with its complex built as a symplectic request builds it."""
+    model, (torsion, classes) = get_model(group), CLI_CASES[group]
+    pres = PlanarPresentation(genus, torsion)
+    spec = SolveSpec(pres, model, _pick_classes(model, pres, classes, "e"), seed=0)
+    pt = extend_point(solve_relator(spec).point)
+    pt.data.dims, pt.data.cup  # built here, not in the timed reports
+    return pt
+
+
+def measure_degeneracy(genera: list[int], repeats: int, sweeps: int) -> dict:
+    points = {group: [degeneracy_point(group, g) for g in genera] for group in CLI_CASES}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        per_sweep = {group: [[best_of(degeneracy_report, pt, repeats) for pt in pts]
+                             for _ in range(sweeps)] for group, pts in points.items()}
+    out = {}
+    for group, times in per_sweep.items():
+        torsion, classes = CLI_CASES[group]
+        median = np.median(times, axis=0)
+        out[group] = {"torsion": list(torsion), "classes": list(classes),
+                      "times_s": median.tolist(), "spread_s": np.ptp(times, axis=0).tolist(),
+                      "slope": _slope([4 * g + len(torsion) for g in genera], median)}
+    return out
+
+
 def record(genera: list[int], repeats: int, sweeps: int = SWEEPS) -> dict:
     rows = measure(genera, repeats, sweeps)
     cli_genera = [g for g in genera if g <= CLI_MAX_GENUS]
@@ -377,6 +410,8 @@ def record(genera: list[int], repeats: int, sweeps: int = SWEEPS) -> dict:
                        **measure_setup(list(SETUP_KS), repeats, sweeps)},
         "cli": {"genera": cli_genera, **measure_cli(cli_genera, repeats, sweeps),
                 "analyze": measure_analyze(list(ANALYZE_GENERA), repeats, sweeps)},
+        "degeneracy_report": {"genera": cli_genera,
+                              **measure_degeneracy(cli_genera, repeats, sweeps)},
     }
 
 
@@ -454,6 +489,11 @@ def main(argv=None) -> int:
         r = rec["cli"]["analyze"]
         print(f"cli analyze    slope {r['slope']:.2f}  "
               + " ".join(f"{t * 1e3:.2f}" for t in r["times_s"]) + " ms")
+        for group in CLI_CASES:
+            r = rec["degeneracy_report"][group]
+            print(f"degeneracy_report {group:4s} slope {r['slope']:.2f}  "
+                  + " ".join(f"{t * 1e3:.2f} +- {s * 1e3:.2f}"
+                             for t, s in zip(r["times_s"], r["spread_s"])) + " ms")
     OUT.write_text(json.dumps(rec, indent=2) + "\n")
     return 0
 

@@ -21,7 +21,10 @@ difference (both modes take one seed):
 - the solver's path fields (EXEMPT) may differ, because the solver may reach
   another point of the same fiber; perfbench/check.py verifies those points;
 - the schema tag is reported but not judged, since a compare is run to check
-  a schema bump.
+  a schema bump;
+- across a schema bump, a key path that only one side has is printed as a
+  KEYS line (added or removed) and every shared leaf is still judged; within
+  one schema, any change in the key set is a DIFF.
 
 It exits 1 if any judged field differs, and ends with the largest float
 difference per field.
@@ -93,9 +96,9 @@ def leaves(value, path=""):
 def compare(old: dict, new: dict, tol: float, where: str,
             worst: dict, schemas: Counter) -> list[str]:
     """Difference lines between two dump records of one request: DIFF for a
-    judged field, EXEMPT for a path field that is not a float.  ``worst``
-    keeps the largest float difference per path, ``schemas`` counts changes
-    of the schema tag."""
+    judged field, EXEMPT for a path field that is not a float, KEYS for a
+    key path on one side only of a schema bump.  ``worst`` keeps the largest
+    float difference per path, ``schemas`` counts changes of the schema tag."""
     if old["code"] != new["code"]:
         return [f"DIFF {where} exit {old['code']} -> {new['code']}"]
     try:
@@ -104,9 +107,14 @@ def compare(old: dict, new: dict, tol: float, where: str,
         same = old["stdout"] == new["stdout"]
         return [] if same else [f"DIFF {where} stdout is not JSON and differs"]
     la, lb = list(leaves(a)), list(leaves(b))
-    if [p for p, _ in la] != [p for p, _ in lb]:
-        return [f"DIFF {where} report keys differ"]
+    pa, pb = {p for p, _ in la}, {p for p, _ in lb}
     lines = []
+    if pa != pb and a.get("schema") != b.get("schema"):
+        lines += [f"KEYS {where} removed {p}" for p in sorted(pa - pb)]
+        lines += [f"KEYS {where} added {p}" for p in sorted(pb - pa)]
+        la, lb = [(p, x) for p, x in la if p in pb], [(p, y) for p, y in lb if p in pa]
+    if [p for p, _ in la] != [p for p, _ in lb]:
+        return lines + [f"DIFF {where} report keys differ"]
     for (path, x), (_, y) in zip(la, lb):
         if path == "schema":
             if x != y:

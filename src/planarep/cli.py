@@ -35,7 +35,7 @@ from .symplectic import (
     tangent_from_u,
 )
 
-SCHEMA = "planarep/4"
+SCHEMA = "planarep/5"
 
 
 def _nonnegative_int(text: str) -> int:

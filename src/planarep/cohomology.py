@@ -393,12 +393,6 @@ class CochainData:
     h1 = property(lambda self: self.dims[1])
     h2 = property(lambda self: self.dims[2])
 
-    @cached_property
-    def cocycles(self) -> np.ndarray:
-        """Columns: orthonormal basis of ker delta1_proj in projective coords."""
-        rank1 = self.delta1_proj.shape[0] - self.h2
-        return np.linalg.svd(self.delta1_proj)[2][rank1:].T
-
 
 def cohomology_data(pt: RepPoint, tol: Tolerances = DEFAULT_TOL) -> CochainData:
     """CochainData(pt, tol) with the dims of H^0, H^1, H^2 decided, linear

@@ -293,17 +293,14 @@ def _solve_once(spec: SolveSpec, rng: np.random.Generator) -> tuple[RepPoint, fl
             step = _lm_step(J, r, lam).reshape(shape)
         except np.linalg.LinAlgError:
             return pt, float("inf")  # a singular system ends the restart
-        # a trial iterate whose retraction raises or divides by zero (a
-        # singular I - X/2 in sl(2,R)), or whose residual overflows to inf
-        # or nan, is a rejected step
+        # a trial iterate whose retraction divides by zero (a singular
+        # I - X/2 in sl(2,R)), or whose residual overflows to inf or nan, is
+        # a rejected step
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            try:
-                nG = model.cayley(model.unvec(step)) @ G
-                npt = _assemble(spec, nG)
-                nE = _residual_matrix(spec, npt)
-                nfval = float(np.linalg.norm(nE) ** 2)
-            except np.linalg.LinAlgError:
-                nfval = np.inf
+            nG = model.cayley(model.unvec(step)) @ G
+            npt = _assemble(spec, nG)
+            nE = _residual_matrix(spec, npt)
+            nfval = float(np.linalg.norm(nE) ** 2)
         if nfval < f:
             G, pt, E, f, J = nG, npt, nE, nfval, None
             lam = max(lam * 0.3, 1e-12)

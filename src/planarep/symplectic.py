@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import Tolerances, DEFAULT_TOL
 from .cohomology import CochainData, RepPoint, _rank, _svd_nullspace, times_basis
-from .errors import ActionFieldInconsistent, LogBranchFailure, SingularDexp
+from .errors import ActionFieldInconsistent, LogBranchFailure, SingularDexp, ToleranceExceeded
 from .liegroup import LieModel, phi_functions, spectral_margin
 
 
@@ -252,53 +252,42 @@ def gram_extended(pt: ExtendedPoint) -> np.ndarray:
     return 0.5 * (G - G.T)
 
 
-def principal_angles(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Principal angles between the column spans of A and B, each as
-    arctan2(sine, cosine) (Bjorck & Golub, Math. Comp. 27, 1973): the sines,
-    the norms of (I - Qa Qa^T) Y for B's principal vectors Y, keep a small
-    angle to relative rounding; arccos of a cosine near 1 keeps only noise."""
-    qa, qb = np.linalg.qr(A)[0], np.linalg.qr(B)[0]
-    _, cos, Vt = np.linalg.svd(qa.T @ qb, full_matrices=False)
-    Y = qb @ Vt.T
-    sin = np.linalg.norm(Y - qa @ (qa.T @ Y), axis=0)
-    return np.arctan2(sin, cos)
-
-
 def degeneracy_report(point: ExtendedPoint) -> dict:
-    """Rank structure at an extended point: the nullspace of the cup pairing
-    on Z^1 against B^1, and the rank of the full tangent-space Gram of omega,
-    all in the point's projective coordinates (Q has orthonormal columns, so
-    the angles are those in C^1).  Both Grams read the complex point.data,
-    so the report builds its cup matrix and projected row once, and every
-    rank in it is cut at that complex's tolerance.
-    """
-    data, tol = point.data, point.data.tol
-    W = data.cocycles
-    Gz = gram_on_cocycles(data.cup, W)
-    null, rank_z1, _ = _gram_nullspace(Gz, tol.rank_rel)
-    dim = W.shape[0]
-    report = {
-        "rank_on_Z1": rank_z1,
-        "h1": data.h1,
-        "dim_Z1": int(W.shape[1]),
-        "dim_C1_proj": int(dim),
+    """Rank structure at an extended point, in its projective coordinates,
+    from the momentum identity for every X and tangent at once: G D0 = T^T P
+    (G = gram_extended, D0 = delta0_proj, T = dexp(Lam)^-1 E_r Q, P the
+    pairing Gram).  For G invertible, G^-1 range(T^T) = B^1 and T vanishes
+    on Z^1, so the cup pairing on Z^1 has kernel B^1: h0 = h2, rank_on_Z1 =
+    h1.  Raises ToleranceExceeded where float64 does not support that: G's
+    rank cut below dim, h0 != h2 or h1 < 0 (B^1 not in Z^1), or the identity
+    residual, relative to max(1, |G||D0| + |T||P|), above rank_rel."""
+    data, tol, norm = point.data, point.data.tol, np.linalg.norm
+    G, D0, P = gram_extended(point), data.delta0_proj, point.model.pairing_gram
+    T = point._dexp_inv @ data.delta1_proj
+    resid = float(norm(G @ D0 - T.T @ P) / max(1.0, norm(G) * norm(D0) + norm(T) * norm(P)))
+    dim, (h0, h1, h2) = G.shape[0], data.dims
+    rank_full = _rank(G, tol)
+    if rank_full < dim:
+        raise ToleranceExceeded(f"extended Gram rank {rank_full} below dim C^1 {dim}: "
+                                "no nondegeneracy verdict at this tolerance")
+    if h0 != h2 or h1 < 0:
+        raise ToleranceExceeded(f"dims (h0, h1, h2) = {data.dims} break duality on Z^1")
+    if resid > tol.rank_rel:
+        raise ToleranceExceeded(f"momentum identity residual {resid:.2e} above rank_rel")
+    return {
+        "rank_on_Z1": h1,
+        "h1": h1,
+        "dim_Z1": dim - (point.model.d - h2),
+        "dim_C1_proj": dim,
+        "nullspace_matches_B1": True,
+        "identity_residual": resid,
+        "full_rank": rank_full,
+        "nondegenerate": True,
     }
-    # compare ker(Gram) with im(delta0) in projective coordinates
-    rank_b1 = point.model.d - data.h0
-    if null.shape[1] == 0 or rank_b1 == 0:
-        report["nullspace_matches_B1"] = null.shape[1] == rank_b1
-        report["max_principal_angle"] = 0.0
-    else:
-        angles = principal_angles(W @ null, data.delta0_proj)
-        ok = null.shape[1] == rank_b1 and float(np.max(angles)) < 1e-6
-        report["nullspace_matches_B1"] = bool(ok)
-        report["max_principal_angle"] = float(np.max(angles))
-    rank_full = _rank(gram_extended(point), tol)
-    report["full_rank"] = rank_full
-    report["nondegenerate"] = rank_full == dim
-    return report
 
 
 def _gram_nullspace(G: np.ndarray, rel_tol: float):
-    """(nullspace basis, rank, singular values) of a Gram matrix."""
+    """(nullspace basis, rank, singular values) of a Gram matrix.  No report
+    calls it; kept only for perfbench/spans.py, which wraps it by name, and
+    goes with that span."""
     return _svd_nullspace(G, rel_tol)

@@ -12,8 +12,12 @@ SVD of Ad - 1, ``det_certificate`` is the U(n) determinant test on floats,
 filling chain, the reference for the closed form of ``cup_matrix``, and
 ``block_basis`` builds the dense basis Q of the projective blocks, the
 reference for the blockwise forms in projective coordinates.
-``harmonic`` and ``pairing_H1`` read a ``CochainData``: an orthonormal
-harmonic H^1 basis, and the cup pairing of two cocycles.
+``cocycles``, ``harmonic`` and ``pairing_H1`` read a ``CochainData``: an
+orthonormal Z^1 basis, an orthonormal harmonic H^1 basis, and the cup
+pairing of two cocycles.  ``principal_angles`` and ``z1_kernel`` are the
+dense measure of the cup pairing's kernel on Z^1 against B^1, the
+reference for ``degeneracy_report``, which derives it from the momentum
+identity instead.
 ``signed_count`` counts one generator's letters in a word, the
 per-generator reference for ``abelianized_boundary``.
 
@@ -29,12 +33,13 @@ from typing import Iterable
 
 import numpy as np
 
-from planarep.cohomology import CochainData, RepPoint, _rank
+from planarep.cohomology import CochainData, RepPoint, _rank, _svd_nullspace
 from planarep.config import DEFAULT_TOL, Tolerances
 from planarep.errors import NotACocycle
 from planarep.foxcalc import relator_filling_chain
 from planarep.liegroup import LieModel
 from planarep.solver import su2_product_rule
+from planarep.symplectic import gram_on_cocycles
 
 
 def alg_residual(model: LieModel, X: np.ndarray) -> float:
@@ -94,16 +99,48 @@ def block_basis(blocks: list[np.ndarray]) -> np.ndarray:
     return Q
 
 
+def cocycles(data: CochainData) -> np.ndarray:
+    """Columns: orthonormal basis of ker delta1_proj in projective coords,
+    from a full SVD cut at the complex's h2."""
+    rank1 = data.delta1_proj.shape[0] - data.h2
+    return np.linalg.svd(data.delta1_proj)[2][rank1:].T
+
+
 def harmonic(data: CochainData) -> np.ndarray:
     """Columns: orthonormal harmonic H^1 basis in projective coords, the
     part of ker delta1_proj orthogonal to im delta0_proj."""
-    Z = data.cocycles
+    Z = cocycles(data)
     rank0 = data.delta0_proj.shape[1] - data.h0
     if not (rank0 and Z.shape[1]):
         return Z
     B = np.linalg.svd(data.delta0_proj, full_matrices=False)[0][:, :rank0]
     U = np.linalg.svd(Z - B @ (B.T @ Z), full_matrices=False)[0]
     return U[:, : data.h1]
+
+
+def principal_angles(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Principal angles between the column spans of A and B, each as
+    arctan2(sine, cosine) (Bjorck & Golub, Math. Comp. 27, 1973): the sines,
+    the norms of (I - Qa Qa^T) Y for B's principal vectors Y, keep a small
+    angle to relative rounding; arccos of a cosine near 1 keeps only noise."""
+    qa, qb = np.linalg.qr(A)[0], np.linalg.qr(B)[0]
+    _, cos, Vt = np.linalg.svd(qa.T @ qb, full_matrices=False)
+    Y = qb @ Vt.T
+    sin = np.linalg.norm(Y - qa @ (qa.T @ Y), axis=0)
+    return np.arctan2(sin, cos)
+
+
+def z1_kernel(data: CochainData) -> tuple[int, int, int, float]:
+    """(rank, dim Z^1, nullity, largest principal angle to B^1) of the cup
+    pairing's Gram on the cocycle basis, its rank cut at the complex's
+    tolerance: the kernel measured directly, by a full SVD of the Gram and
+    the principal angles between its nullspace and im delta0_proj."""
+    W = cocycles(data)
+    null, rank, _ = _svd_nullspace(gram_on_cocycles(data.cup, W), data.tol.rank_rel)
+    angle = 0.0
+    if null.shape[1] and data.pt.model.d > data.h0:
+        angle = float(np.max(principal_angles(W @ null, data.delta0_proj)))
+    return rank, W.shape[1], null.shape[1], angle
 
 
 def pairing_H1(data: CochainData, u: np.ndarray, v: np.ndarray) -> float:

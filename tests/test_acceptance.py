@@ -41,8 +41,8 @@ from planarep.symplectic import (
 )
 from planarep.words import commutator, gen, w_inv, w_mul
 
-from oracles import (delta1_free, harmonic, pairing_H1, su2_brute_force_feasible,
-                     su2_triangle_oracle)
+from oracles import (cocycles, delta1_free, harmonic, pairing_H1, su2_brute_force_feasible,
+                     su2_triangle_oracle, z1_kernel)
 
 SU2 = get_model("SU2")
 U1 = get_model("U1")
@@ -186,10 +186,11 @@ def test_criterion_05_pairing_properties():
     worst_anti, worst_cob = 0.0, 0.0
     for phi in points:
         data = cohomology_data(phi)  # the pairings take its projective coordinates
+        Z = cocycles(data)
 
         def coc(c=None):
-            c = rng.standard_normal(data.cocycles.shape[1]) if c is None else c
-            return data.cocycles @ c
+            c = rng.standard_normal(Z.shape[1]) if c is None else c
+            return Z @ c
 
         u, v = coc(), coc()
         a = pairing_H1(data, u, v)
@@ -241,7 +242,10 @@ def test_criterion_07_degeneracy_structure():
         rep = degeneracy_report(pt)
         assert rep["nullspace_matches_B1"]
         assert rep["full_rank"] == rep["dim_C1_proj"]
-        worst_angle = max(worst_angle, rep["max_principal_angle"])
+        # the kernel measured directly, by the dense oracle
+        rank, dim_z1, nullity, angle = z1_kernel(pt.data)
+        assert (rank, dim_z1, nullity) == (rep["rank_on_Z1"], rep["dim_Z1"], SU2.d - pt.data.h0)
+        worst_angle = max(worst_angle, angle)
     assert worst_angle < 1e-6
     _report(f"criterion 7: omega nullspace on Z1 = im delta0 (max principal "
             f"angle {worst_angle:.2e} < 1e-6) and full Gram rank = dim C1 at "

@@ -74,3 +74,12 @@ def test_bench_scaling_fits_slopes_for_every_model():
     assert analyze["exit_codes"] == [0] * n
     assert len(analyze["times_s"]) == n and all(t > 0 for t in analyze["times_s"])
     assert analyze["spread_s"] == [0.0] * n and isinstance(analyze["slope"], float)
+    # degeneracy_report alone, on the cli rows' cases and genera
+    degeneracy = record["degeneracy_report"]
+    assert degeneracy["genera"] == [1, 2]
+    assert set(degeneracy) - {"genera"} == set(module.CLI_CASES)
+    for group, r in degeneracy.items():
+        if group != "genera":
+            assert (tuple(r["torsion"]), tuple(r["classes"])) == module.CLI_CASES[group]
+            assert len(r["times_s"]) == 2 and all(t > 0 for t in r["times_s"])
+            assert r["spread_s"] == [0.0, 0.0] and isinstance(r["slope"], float)

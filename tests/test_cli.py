@@ -28,7 +28,7 @@ def test_analyze_schema(capsys):
                      "--no-timestamp")
     assert code == 0
     report = json.loads(out)
-    assert report["schema"] == "planarep/4"
+    assert report["schema"] == "planarep/5"
     assert report["measure"] == "1/42"
     assert report["lcm"] == 42
     assert report["fundamental_cycle"] == ["42", "-21", "-14", "-6"]
@@ -100,12 +100,42 @@ def test_sl2r_genus16_momenttest_refuses_without_an_internal_error(capsys, seed)
         assert err == "error: action field V inconsistent with D^-1 delta1 u\n"
 
 
+@pytest.mark.parametrize("genus", [8, 16])
+@pytest.mark.parametrize("seed", range(10))
+def test_sl2r_symplectic_refuses_instead_of_a_false_verdict(capsys, genus, seed):
+    # at strongly hyperbolic SL(2,R) points the extended Gram's rank cut
+    # lands among singular values that float64 does not resolve: the report
+    # refuses (exit 4) rather than print a false verdict, and no seed ends in
+    # an internal error (exit 5); g16 seed 0 cuts rank 86 of 96
+    code, out = _run(capsys, "symplectic", "--group", "SL2R", "--genus", str(genus),
+                     "--torsion=", "--classes=", "--seed", str(seed), "--no-timestamp")
+    assert code in (0, 3, 4)
+    if code == 0:
+        deg = json.loads(out)["degeneracy"]
+        assert deg["nondegenerate"] and deg["nullspace_matches_B1"]
+    if (genus, seed) == (16, 0):
+        assert code == 4
+
+
+def test_symplectic_refuses_ranks_that_break_the_complex(capsys):
+    # U3 g0 t(3,3,3) at the default classes: the solver stops about 1e-10 from
+    # a reducible point, and the cut counts delta0 and delta1 singular values
+    # near 1e-5 as rank, so h1 reads -2; the report refuses instead of deriving
+    # rank_on_Z1 = -2 from those dims
+    code, out = _run(capsys, "symplectic", "--group", "U3", "--genus", "0",
+                     "--torsion=3,3,3", "--seed", "0", "--no-timestamp")
+    assert code == 4
+    assert out == ""
+
+
 def test_symplectic_report(capsys):
     code, out = _run(capsys, "symplectic", "--group", "SU2", "--genus", "1",
                      "--torsion", "3", "--seed", "2", "--no-timestamp")
     assert code == 0
     report = json.loads(out)
     assert report["degeneracy"]["nondegenerate"]
+    assert "max_principal_angle" not in report["degeneracy"]
+    assert report["degeneracy"]["identity_residual"] <= report["tolerances"]["rank_rel"]
 
 
 @pytest.mark.parametrize("command", ["symplectic", "momenttest"])

@@ -67,6 +67,24 @@ def test_path_fields_are_exempt_and_schema_is_counted(digest):
     assert schemas == Counter({"planarep/4 -> planarep/5": 1})
 
 
+def test_keys_may_change_across_a_schema_bump(digest):
+    # a bump prints the key paths it adds and removes, and still judges
+    # every shared leaf; within one schema a key change stays a difference
+    old = _record(degeneracy={"angle": 0.5, "max_principal_angle": 1e-9})
+    new = _record(schema="planarep/5", degeneracy={"angle": 0.6, "identity_residual": 1e-15})
+    lines, worst, schemas = _compare(digest, old, new)
+    assert lines == ["KEYS w 0 slot removed degeneracy.max_principal_angle",
+                     "KEYS w 0 slot added degeneracy.identity_residual",
+                     "DIFF w 0 slot degeneracy.angle: 0.5 -> 0.6 (relative 1.0e-01)"]
+    assert set(worst) == {"degeneracy.angle"}  # the shared float was judged
+    assert schemas == Counter({"planarep/4 -> planarep/5": 1})
+    same = _record(degeneracy={"angle": 0.5, "identity_residual": 1e-15})
+    assert _compare(digest, old, same)[0] == ["DIFF w 0 slot report keys differ"]
+    # a bump that only adds a key differs by its KEYS line alone
+    assert _compare(digest, _record(), _record(schema="planarep/5", x=1))[0] == \
+        ["KEYS w 0 slot added x"]
+
+
 def test_seed_and_round_lists(digest):
     assert digest._ints("1-3,7") == [1, 2, 3, 7]
     assert digest._ints("0") == [0]

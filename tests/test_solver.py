@@ -329,25 +329,6 @@ def test_stacked_solver_not_found_message_matches_oracle(monkeypatch):
     assert str(got.value) == str(want.value)
 
 
-def test_trial_step_whose_retraction_raises_is_rejected(monkeypatch):
-    # every trial retraction raises, as a linear solve does on a singular
-    # I - X/2: the steps are rejected and the search ends in NotFound
-    # (exit 3), not in the LinAlgError (exit 5)
-    spec = _oracle_spec("SL2R", 1, (), (), "e", 0, max_restarts=1, max_iters=5)
-    model, calls = spec.model, []
-    # drop the certificate, which would raise the budget to 60 restarts
-    monkeypatch.setattr(solver, "_feasibility_oracle", lambda spec: None)
-
-    def cayley(X):
-        calls.append(X)
-        raise np.linalg.LinAlgError("Singular matrix")
-
-    monkeypatch.setattr(model, "cayley", cayley)
-    with pytest.raises(NotFound):
-        solve_relator(spec)
-    assert len(calls) > 1
-
-
 def _singular_sl2r_step(model):
     # algebra coordinates whose unvec has eigenvalues exactly +-2, so that
     # I - X/2 is singular in floating point: c S with S = [[0, s], [s, 0]]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 from planarep import cohomology, liegroup, symplectic
+from planarep.cli import _pick_classes
 from planarep.cohomology import (
     CochainData,
     RepPoint,
@@ -16,10 +17,13 @@ from planarep.cohomology import (
 from planarep.components import finite_order_classes
 from planarep.config import DEFAULT_TOL, Tolerances
 from planarep.errors import (
+    InfeasibleSpec,
     LogBranchFailure,
     NotACocycle,
+    NotFound,
     RelatorConstraintViolated,
     SingularDexp,
+    ToleranceExceeded,
 )
 from planarep.foxcalc import fox_derivative, relator_filling_chain
 from planarep.liegroup import get_model, spectral_margin
@@ -37,11 +41,11 @@ from planarep.symplectic import (
     gram_on_cocycles,
     moment_pairing,
     omega_extended,
-    principal_angles,
     tangent_from_u,
 )
 
-from oracles import block_basis, cup_matrix_by_cells, harmonic, pairing_H1
+from oracles import (block_basis, cocycles, cup_matrix_by_cells, harmonic, pairing_H1,
+                     principal_angles, z1_kernel)
 
 MODEL = get_model("SU2")
 PRES = PlanarPresentation(1, (3,))
@@ -75,11 +79,11 @@ def test_pairing_coboundary_insensitivity():
     phi = _point(1)
     data = cohomology_data(phi)
     rng = np.random.default_rng(1)
+    Z = cocycles(data)
     for _ in range(5):
         X = rng.standard_normal(phi.model.d)
         cob = data.delta0_proj @ X
-        coords = rng.standard_normal(data.cocycles.shape[1])
-        u = data.cocycles @ coords
+        u = Z @ rng.standard_normal(Z.shape[1])
         val = pairing_H1(data, cob, u)
         assert abs(val) < 1e-10
         assert abs(pairing_H1(data, u, cob)) < 1e-10
@@ -161,7 +165,7 @@ def test_degeneracy_structure_central_fiber():
         pt = extend_point(_point(seed + 20))
         report = degeneracy_report(pt)
         assert report["nullspace_matches_B1"]
-        assert report["max_principal_angle"] < 1e-6
+        assert z1_kernel(pt.data)[3] < 1e-6  # the angle, by the dense oracle
         assert report["nondegenerate"]
         assert report["full_rank"] == report["dim_C1_proj"]
         assert report["rank_on_Z1"] == report["h1"]
@@ -405,6 +409,68 @@ def test_complex_off_the_central_fibre(group, gt, seed):
         with pytest.raises(RelatorConstraintViolated):
             cohomology_data(RepPoint(pres, model, gens))
     assert cuts == []
+
+
+# genus 0-4; genus 0 with three cone points, where the default classes solve
+SOLVED = [(g, t) for g in range(5) for t in ((), (3,), (3, 3, 3)) if g or t == (3, 3, 3)]
+
+
+def _solved_point(group, gt, seed):
+    """The extended point of a solution of the CLI's default class tuple
+    with target e, or None where the spec is empty or the search fails."""
+    model, pres = get_model(group), PlanarPresentation(*gt)
+    try:
+        spec = SolveSpec(pres, model, _pick_classes(model, pres, (), "e"), seed=seed)
+        return extend_point(solve_relator(spec).point)
+    except (InfeasibleSpec, NotFound):
+        return None
+
+
+def _identity_residual(pt):
+    """|G_ext D0 - T^T P|, relative to max(1, |G_ext||D0| + |T||P|): the
+    momentum identity omega(X_M, t) = -<V_t, X> for every X and t at once."""
+    G, D0, P = gram_extended(pt), pt.data.delta0_proj, pt.model.pairing_gram
+    T = pt._dexp_inv @ pt.data.delta1_proj
+    n = np.linalg.norm
+    return n(G @ D0 - T.T @ P) / max(1.0, n(G) * n(D0) + n(T) * n(P))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(["U1", *GROUPS]), st.sampled_from(SOLVED), st.integers(0, 10**6),
+       st.booleans())
+def test_moment_identity_as_one_matrix(group, gt, seed, solved):
+    # the identity holds at every extended point, Lam exact: at solved
+    # points (Lam near 0, where the report reads it) and at the generic-Lam
+    # points of _extended_point, off the central fibre
+    if solved:
+        assume(group != "SL2R" or not gt[1])  # no SL(2,R) torsion classes
+        pt = _solved_point(group, gt, seed)
+        assume(pt is not None)
+    else:
+        pt = _extended_point(get_model(group), PlanarPresentation(*gt), seed)
+    assert _identity_residual(pt) <= DEFAULT_TOL.rank_rel
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(["U1", "SU2", "U2", "U3"]), st.sampled_from(SOLVED),
+       st.integers(0, 10**6))
+def test_degeneracy_report_agrees_with_the_dense_oracle(group, gt, seed):
+    # the report derives the cup pairing's kernel on Z^1 from the identity;
+    # the oracle measures it by a cocycle basis, the Z^1 Gram's SVD and the
+    # principal angles to B^1.  The report confirms B^1 where the oracle
+    # does, with the oracle's ranks, and refuses only where it does not
+    pt = _solved_point(group, gt, seed)
+    assume(pt is not None)
+    rank, dim_z1, nullity, angle = z1_kernel(pt.data)
+    confirmed = nullity == pt.model.d - pt.data.h0 and angle < 1e-6
+    try:
+        report = degeneracy_report(pt)
+    except ToleranceExceeded:
+        assert not confirmed
+        return
+    assert confirmed
+    assert (report["rank_on_Z1"], report["dim_Z1"]) == (rank, dim_z1)
+    assert report["identity_residual"] == _identity_residual(pt)
 
 
 @pytest.mark.parametrize("angle", [1e-12, 1e-10, 1e-8, 1e-6, 0.3, 1.2])
