@@ -54,7 +54,11 @@ into an older checkout, times that checkout's commands the same way.  The
 analyze row times the analyze request on t(3,5) at genus 4 ... 1024
 (ANALYZE_GENERA), past the other rows, since the exact chains are cheap
 enough to go that far; its slope in 4l + n says whether the abelianized
-boundary and the fundamental cycle stay linear in the relator length.
+boundary and the fundamental cycle stay linear in the relator length.  The
+solve row times whole solve requests on component-scan's genus-0 shapes
+(CLI_SOLVE_CASES): SU(2) t(3,3,3,3) with a boundary tuple (0, 1, 1, 1),
+built, and an interior tuple (1, 1, 1, 1), searched, and U(2) t(3,3) with
+classes (4, 4), each from CLI seed 0; report formatting is part of each time.
 
 The degeneracy_report row times symplectic.degeneracy_report alone on the
 cases of the cli rows (SU(2) t(3,5) classes (1, 2), U(3) t(3) class 4), at
@@ -77,7 +81,7 @@ quartiles per side and, per metric, how many pairs this checkout won,
 under "perfbench" / "<workload>/seed<seed>" in the same file.  A plain run
 keeps those entries; a paired run keeps the rows.
 
-Usage: python scripts/bench_scaling.py   (writes BENCH_28.json at the repo root)
+Usage: python scripts/bench_scaling.py   (writes BENCH_29.json at the repo root)
        python scripts/bench_scaling.py --paired ../parent --pairs 10 \
            --workload component-scan --seed 1
 """
@@ -125,7 +129,12 @@ CLI_COMMANDS = ("symplectic", "momenttest")
 CLI_CASES = {"SU2": ((3, 5), (1, 2)), "U3": ((3,), (4,))}  # group -> (torsion, classes)
 CLI_MAX_GENUS = 64
 ANALYZE_GENERA = (4, 16, 64, 256, 1024)
-OUT = ROOT / "BENCH_28.json"
+CLI_SOLVE_CASES = {  # case -> (group, torsion, classes), all at genus 0
+    "SU2/boundary": ("SU2", (3, 3, 3, 3), (0, 1, 1, 1)),
+    "SU2/interior": ("SU2", (3, 3, 3, 3), (1, 1, 1, 1)),
+    "U2": ("U2", (3, 3), (4, 4)),
+}
+OUT = ROOT / "BENCH_29.json"
 
 
 def _drop_row_and_value(pt: RepPoint) -> None:
@@ -356,6 +365,21 @@ def measure_analyze(genera: list[int], repeats: int, sweeps: int) -> dict:
             "slope": _slope([4 * g + len(TORSION) for g in genera], median)}
 
 
+def measure_cli_solve(repeats: int, sweeps: int) -> dict:
+    argvs = {case: ["solve", "--group", group, "--genus", "0",
+                    f"--torsion={','.join(map(str, torsion))}",
+                    f"--classes={','.join(map(str, classes))}", "--no-timestamp"]
+             for case, (group, torsion, classes) in CLI_SOLVE_CASES.items()}
+    codes = {case: run_cli(argv) for case, argv in argvs.items()}  # untimed: builds the caches
+    per_sweep = [[best_of(run_cli, argv, repeats) for argv in argvs.values()]
+                 for _ in range(sweeps)]
+    median, spread = np.median(per_sweep, axis=0), np.ptp(per_sweep, axis=0)
+    return {case: {"group": group, "torsion": list(torsion), "classes": list(classes),
+                   "exit_code": codes[case], "time_s": float(t), "spread_s": float(dt)}
+            for (case, (group, torsion, classes)), t, dt
+            in zip(CLI_SOLVE_CASES.items(), median, spread)}
+
+
 def degeneracy_point(group: str, genus: int):
     """The extended point of the cli rows' case at this genus, solved from
     seed 0, with its complex built as a symplectic request builds it."""
@@ -409,7 +433,8 @@ def record(genera: list[int], repeats: int, sweeps: int = SWEEPS) -> dict:
         "spec_setup": {"torsion_order": 3, "ks": list(SETUP_KS),
                        **measure_setup(list(SETUP_KS), repeats, sweeps)},
         "cli": {"genera": cli_genera, **measure_cli(cli_genera, repeats, sweeps),
-                "analyze": measure_analyze(list(ANALYZE_GENERA), repeats, sweeps)},
+                "analyze": measure_analyze(list(ANALYZE_GENERA), repeats, sweeps),
+                "solve": measure_cli_solve(repeats, sweeps)},
         "degeneracy_report": {"genera": cli_genera,
                               **measure_degeneracy(cli_genera, repeats, sweeps)},
     }
@@ -489,6 +514,9 @@ def main(argv=None) -> int:
         r = rec["cli"]["analyze"]
         print(f"cli analyze    slope {r['slope']:.2f}  "
               + " ".join(f"{t * 1e3:.2f}" for t in r["times_s"]) + " ms")
+        for case, r in rec["cli"]["solve"].items():
+            print(f"cli solve      {case:12s} exit {r['exit_code']}  "
+                  f"{r['time_s'] * 1e3:.3f} +- {r['spread_s'] * 1e3:.3f} ms")
         for group in CLI_CASES:
             r = rec["degeneracy_report"][group]
             print(f"degeneracy_report {group:4s} slope {r['slope']:.2f}  "

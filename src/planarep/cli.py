@@ -1,13 +1,13 @@
 """Command line interface.
 
-Every subcommand emits a single JSON report with a stable schema tag, so runs
-can be diffed and archived.  argparse checks the torsion and class lists and
-the target, so malformed values exit 2 before any work.  Each error type in
-``errors`` carries its exit code: 0 success, 2 malformed input, 3 certified
-infeasible / not found, 4 tolerance failure or a point on a singular locus
-(a relator value whose logarithm has spectral margin below --tol-grp, which
-also guards the regular domain of exp), 5 internal error, which is also the
-code of any other exception.
+Every subcommand prints one JSON report on one line (the C encoder) with a
+stable schema tag, so runs can be diffed and archived.  argparse checks the
+torsion and class lists and the target, so malformed values exit 2 before any
+work.  Each error type in ``errors`` carries its exit code: 0 success, 2
+malformed input, 3 certified infeasible / not found, 4 tolerance failure or a
+point on a singular locus (a relator value whose logarithm has spectral
+margin below --tol-grp, which also guards the regular domain of exp), 5
+internal error, which is also the code of any other exception.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .symplectic import (
     tangent_from_u,
 )
 
-SCHEMA = "planarep/5"
+SCHEMA = "planarep/6"
 
 
 def _nonnegative_int(text: str) -> int:
@@ -157,7 +157,7 @@ def _emit(args, command: str, payload: dict, tol: Tolerances) -> None:
         report["timestamp"] = datetime.now(timezone.utc).isoformat()
     report["tolerances"] = tol.to_json()
     report.update(payload)
-    text = json.dumps(report, indent=2)
+    text = json.dumps(report)
     if args.json_out:
         try:
             with open(args.json_out, "w") as fh:

@@ -24,7 +24,7 @@ from itertools import accumulate
 import numpy as np
 
 from .config import Tolerances, DEFAULT_TOL
-from .errors import RelatorConstraintViolated, ToleranceAmbiguity
+from .errors import RelatorConstraintViolated, ToleranceAmbiguity, ToleranceExceeded
 from .foxcalc import GroupRingElt
 from .liegroup import LieModel
 from .presentations import PlanarPresentation
@@ -382,11 +382,14 @@ class CochainData:
     @cached_property
     def dims(self) -> tuple[int, int, int]:
         """(h0, h1, h2) from the ranks of delta0_proj and delta1_proj, decided
-        on first read; the relator values must be central."""
+        on first read; the relator values must be central, and ranks whose
+        sum exceeds dim C^1 (so that B^1 does not fit in Z^1) are refused."""
         if not self.pt.relators_central(self.tol.tau_grp):
             raise RelatorConstraintViolated("relator values must be central")
         D0p, D1p, d = self.delta0_proj, self.delta1_proj, self.pt.model.d
         rank1, rank0 = _rank(D1p, self.tol), _rank(D0p, self.tol)
+        if rank0 + rank1 > D0p.shape[0]:
+            raise ToleranceExceeded(f"ranks {rank0} + {rank1} exceed dim C^1 {D0p.shape[0]}")
         return d - rank0, D0p.shape[0] - rank1 - rank0, d - rank1
 
     h0 = property(lambda self: self.dims[0])

@@ -92,7 +92,7 @@ class SolveSpec:
 
 
 def _mat_json(m: np.ndarray) -> list:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
+    return np.stack([np.real(m), np.imag(m)], axis=-1, dtype=float).tolist()
 
 
 def common_den(orders) -> int:

@@ -259,8 +259,8 @@ def degeneracy_report(point: ExtendedPoint) -> dict:
     pairing Gram).  For G invertible, G^-1 range(T^T) = B^1 and T vanishes
     on Z^1, so the cup pairing on Z^1 has kernel B^1: h0 = h2, rank_on_Z1 =
     h1.  Raises ToleranceExceeded where float64 does not support that: G's
-    rank cut below dim, h0 != h2 or h1 < 0 (B^1 not in Z^1), or the identity
-    residual, relative to max(1, |G||D0| + |T||P|), above rank_rel."""
+    rank cut below dim, h0 != h2, or the identity residual, relative to
+    max(1, |G||D0| + |T||P|), above rank_rel; data.dims refuses h1 < 0."""
     data, tol, norm = point.data, point.data.tol, np.linalg.norm
     G, D0, P = gram_extended(point), data.delta0_proj, point.model.pairing_gram
     T = point._dexp_inv @ data.delta1_proj
@@ -270,7 +270,7 @@ def degeneracy_report(point: ExtendedPoint) -> dict:
     if rank_full < dim:
         raise ToleranceExceeded(f"extended Gram rank {rank_full} below dim C^1 {dim}: "
                                 "no nondegeneracy verdict at this tolerance")
-    if h0 != h2 or h1 < 0:
+    if h0 != h2:
         raise ToleranceExceeded(f"dims (h0, h1, h2) = {data.dims} break duality on Z^1")
     if resid > tol.rank_rel:
         raise ToleranceExceeded(f"momentum identity residual {resid:.2e} above rank_rel")

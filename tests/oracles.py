@@ -19,7 +19,9 @@ dense measure of the cup pairing's kernel on Z^1 against B^1, the
 reference for ``degeneracy_report``, which derives it from the momentum
 identity instead.
 ``signed_count`` counts one generator's letters in a word, the
-per-generator reference for ``abelianized_boundary``.
+per-generator reference for ``abelianized_boundary``, and
+``mat_json_per_entry`` writes a matrix as [re, im] pairs entry by entry,
+the reference for the stacked ``solver._mat_json``.
 
 The ``*_fractions`` functions are the exact class arithmetic on
 ``Fraction``s, the references for the integer forms in planarep: the class
@@ -101,8 +103,9 @@ def block_basis(blocks: list[np.ndarray]) -> np.ndarray:
 
 def cocycles(data: CochainData) -> np.ndarray:
     """Columns: orthonormal basis of ker delta1_proj in projective coords,
-    from a full SVD cut at the complex's h2."""
-    rank1 = data.delta1_proj.shape[0] - data.h2
+    from a full SVD cut at delta1_proj's rank; it reads no dims, so it also
+    measures a point whose dims refuse."""
+    rank1 = _rank(data.delta1_proj, data.tol)
     return np.linalg.svd(data.delta1_proj)[2][rank1:].T
 
 
@@ -138,7 +141,7 @@ def z1_kernel(data: CochainData) -> tuple[int, int, int, float]:
     W = cocycles(data)
     null, rank, _ = _svd_nullspace(gram_on_cocycles(data.cup, W), data.tol.rank_rel)
     angle = 0.0
-    if null.shape[1] and data.pt.model.d > data.h0:
+    if null.shape[1] and _rank(data.delta0_proj, data.tol):
         angle = float(np.max(principal_angles(W @ null, data.delta0_proj)))
     return rank, W.shape[1], null.shape[1], angle
 
@@ -239,6 +242,10 @@ def su2_brute_force_feasible(
 def signed_count(w, i: int) -> int:
     """Total exponent of generator i in w."""
     return sum(1 if s == i + 1 else -1 if s == -(i + 1) else 0 for s in w)
+
+
+def mat_json_per_entry(m: np.ndarray) -> list:
+    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
 
 
 # --- exact class arithmetic on Fractions --------------------------------------

@@ -60,7 +60,7 @@ def test_bench_scaling_fits_slopes_for_every_model():
     # end to end through the CLI: every request of the rows succeeds
     cli = record["cli"]
     assert cli["genera"] == [1, 2]
-    assert set(cli) - {"genera", "analyze"} == set(module.CLI_COMMANDS)
+    assert set(cli) - {"genera", "analyze", "solve"} == set(module.CLI_COMMANDS)
     for command in module.CLI_COMMANDS:
         assert set(cli[command]) == set(module.CLI_CASES)
         for r in cli[command].values():
@@ -74,6 +74,13 @@ def test_bench_scaling_fits_slopes_for_every_model():
     assert analyze["exit_codes"] == [0] * n
     assert len(analyze["times_s"]) == n and all(t > 0 for t in analyze["times_s"])
     assert analyze["spread_s"] == [0.0] * n and isinstance(analyze["slope"], float)
+    # whole genus-0 solve requests on component-scan's shapes, each solved
+    solve = cli["solve"]
+    assert set(solve) == set(module.CLI_SOLVE_CASES)
+    for case, r in solve.items():
+        assert (r["group"], tuple(r["torsion"]), tuple(r["classes"])) == \
+            module.CLI_SOLVE_CASES[case]
+        assert r["exit_code"] == 0 and r["time_s"] > 0 and r["spread_s"] == 0.0
     # degeneracy_report alone, on the cli rows' cases and genera
     degeneracy = record["degeneracy_report"]
     assert degeneracy["genera"] == [1, 2]

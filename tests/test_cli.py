@@ -28,7 +28,7 @@ def test_analyze_schema(capsys):
                      "--no-timestamp")
     assert code == 0
     report = json.loads(out)
-    assert report["schema"] == "planarep/5"
+    assert report["schema"] == "planarep/6"
     assert report["measure"] == "1/42"
     assert report["lcm"] == 42
     assert report["fundamental_cycle"] == ["42", "-21", "-14", "-6"]
@@ -41,6 +41,25 @@ def test_reproducibility_identical_json(capsys):
     code2, out2 = _run(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--genus", "0", "--torsion", "2,3,7"),
+    ("cohomology", "--group", "SU2", "--genus", "1", "--torsion", "3", "--seed", "4"),
+    ("symplectic", "--group", "SU2", "--genus", "1", "--torsion", "3", "--seed", "2"),
+    ("components", "--group", "U2", "--genus", "0", "--torsion", "3,3", "--with-point"),
+    ("solve", "--group", "SL2R", "--genus", "1", "--torsion=", "--classes=", "--seed", "0"),
+    ("momenttest", "--group", "SU2", "--genus", "1", "--torsion", "3", "--trials", "2"),
+])
+def test_report_is_one_line_from_the_c_encoder(capsys, argv):
+    # one line L per report, exactly what json.dumps prints with its default
+    # separators, and the same bytes on a rerun
+    code, out = _run(capsys, *argv, "--no-timestamp")
+    assert code == 0
+    line, end = out[:-1], out[-1]
+    assert end == "\n" and "\n" not in line
+    assert line == json.dumps(json.loads(line))
+    assert _run(capsys, *argv, "--no-timestamp") == (0, out)
 
 
 def test_timestamp_present_by_default(capsys):
@@ -120,9 +139,20 @@ def test_sl2r_symplectic_refuses_instead_of_a_false_verdict(capsys, genus, seed)
 def test_symplectic_refuses_ranks_that_break_the_complex(capsys):
     # U3 g0 t(3,3,3) at the default classes: the solver stops about 1e-10 from
     # a reducible point, and the cut counts delta0 and delta1 singular values
-    # near 1e-5 as rank, so h1 reads -2; the report refuses instead of deriving
-    # rank_on_Z1 = -2 from those dims
+    # near 1e-5 as rank, so h1 would read -2; the dims refuse, so no report
+    # derives rank_on_Z1 = -2 from them
     code, out = _run(capsys, "symplectic", "--group", "U3", "--genus", "0",
+                     "--torsion=3,3,3", "--seed", "0", "--no-timestamp")
+    assert code == 4
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", [("cohomology",), ("solve",),
+                                     ("components", "--with-point"), ("momenttest",)])
+def test_ranks_that_break_the_complex_exit_4(capsys, command):
+    # the same U3 point as above: rank delta0 + rank delta1 = 14 > dim C^1 = 12
+    # would read h1 = -2, so the dims refuse for every command that reads them
+    code, out = _run(capsys, *command, "--group", "U3", "--genus", "0",
                      "--torsion=3,3,3", "--seed", "0", "--no-timestamp")
     assert code == 4
     assert out == ""
@@ -172,7 +202,7 @@ def test_json_out_writes_file(tmp_path, capsys):
     code, out = _run(capsys, "analyze", "--genus", "1", "--no-timestamp",
                      "--json-out", str(path))
     assert code == 0
-    assert json.loads(path.read_text()) == json.loads(out)
+    assert path.read_text() == out
 
 
 @pytest.mark.parametrize("where", ["missing-parent", "directory"])

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -19,7 +20,8 @@ from planarep.liegroup import get_model
 from planarep.presentations import PlanarPresentation
 from planarep.solver import SolveSpec, solve_relator, su2_product_rule
 
-from oracles import det_certificate, su2_brute_force_feasible, su2_triangle_oracle
+from oracles import (det_certificate, mat_json_per_entry, su2_brute_force_feasible,
+                     su2_triangle_oracle)
 
 SU2 = get_model("SU2")
 U2 = get_model("U2")
@@ -786,3 +788,17 @@ def test_solver_never_forms_the_normal_equations(monkeypatch):
     spec = _oracle_spec("SU2", 64, (3, 5), (1, 1), "e", 1)
     solve_relator(spec)
     assert shapes and set(shapes) == {(8, 8)}
+
+
+@pytest.mark.parametrize("name", ["U1", "SU2", "SL2R", "U2", "U3"])
+def test_mat_json_matches_the_per_entry_form(name):
+    # the stacked tolist() gives the same Python floats as float() per entry,
+    # signed zeros included (-e has -0.0 imaginary parts on the unitary
+    # models), on real SL(2,R) matrices as on complex ones
+    model = get_model(name)
+    rng = np.random.default_rng(0)
+    mats = [model.identity, -model.identity, *(model.random_element(rng) for _ in range(5))]
+    for m in mats:
+        got, want = solver._mat_json(m), mat_json_per_entry(m)
+        assert got == want
+        assert json.dumps(got) == json.dumps(want)  # same types and signs of zero

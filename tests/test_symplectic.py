@@ -10,6 +10,7 @@ from planarep.cli import _pick_classes
 from planarep.cohomology import (
     CochainData,
     RepPoint,
+    _rank,
     cohomology_data,
     delta0,
     projective_subspace,
@@ -458,11 +459,12 @@ def test_degeneracy_report_agrees_with_the_dense_oracle(group, gt, seed):
     # the report derives the cup pairing's kernel on Z^1 from the identity;
     # the oracle measures it by a cocycle basis, the Z^1 Gram's SVD and the
     # principal angles to B^1.  The report confirms B^1 where the oracle
-    # does, with the oracle's ranks, and refuses only where it does not
+    # does, with the oracle's ranks, and refuses only where it does not;
+    # the oracle reads no dims, since they refuse ranks that break the complex
     pt = _solved_point(group, gt, seed)
     assume(pt is not None)
     rank, dim_z1, nullity, angle = z1_kernel(pt.data)
-    confirmed = nullity == pt.model.d - pt.data.h0 and angle < 1e-6
+    confirmed = nullity == _rank(pt.data.delta0_proj, pt.data.tol) and angle < 1e-6
     try:
         report = degeneracy_report(pt)
     except ToleranceExceeded:
