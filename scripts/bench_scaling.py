@@ -59,6 +59,12 @@ solve row times whole solve requests on component-scan's genus-0 shapes
 (CLI_SOLVE_CASES): SU(2) t(3,3,3,3) with a boundary tuple (0, 1, 1, 1),
 built, and an interior tuple (1, 1, 1, 1), searched, and U(2) t(3,3) with
 classes (4, 4), each from CLI seed 0; report formatting is part of each time.
+The cohomology and components rows time whole requests the same way, on
+the shapes of the benchmark's long-relator slots (CLI_COHOMOLOGY_CASES:
+SU(2) at genus 16, 32 and 64, U(3) at genus 16 and 32) and of its
+moment-batch components slots (CLI_COMPONENTS_CASES: the U(3) class tables
+of t(3), t(5) and t(3,4), and SU(2) t(5) with --with-point).  Argument
+parsing is part of every cli time.
 
 The degeneracy_report row times symplectic.degeneracy_report alone on the
 cases of the cli rows (SU(2) t(3,5) classes (1, 2), U(3) t(3) class 4), at
@@ -81,7 +87,7 @@ quartiles per side and, per metric, how many pairs this checkout won,
 under "perfbench" / "<workload>/seed<seed>" in the same file.  A plain run
 keeps those entries; a paired run keeps the rows.
 
-Usage: python scripts/bench_scaling.py   (writes BENCH_29.json at the repo root)
+Usage: python scripts/bench_scaling.py   (writes BENCH_30.json at the repo root)
        python scripts/bench_scaling.py --paired ../parent --pairs 10 \
            --workload component-scan --seed 1
 """
@@ -129,12 +135,26 @@ CLI_COMMANDS = ("symplectic", "momenttest")
 CLI_CASES = {"SU2": ((3, 5), (1, 2)), "U3": ((3,), (4,))}  # group -> (torsion, classes)
 CLI_MAX_GENUS = 64
 ANALYZE_GENERA = (4, 16, 64, 256, 1024)
-CLI_SOLVE_CASES = {  # case -> (group, torsion, classes), all at genus 0
-    "SU2/boundary": ("SU2", (3, 3, 3, 3), (0, 1, 1, 1)),
-    "SU2/interior": ("SU2", (3, 3, 3, 3), (1, 1, 1, 1)),
-    "U2": ("U2", (3, 3), (4, 4)),
+# case -> (group, genus, torsion, classes, extra argv) of the whole-request rows
+CLI_SOLVE_CASES = {
+    "SU2/boundary": ("SU2", 0, (3, 3, 3, 3), (0, 1, 1, 1), ()),
+    "SU2/interior": ("SU2", 0, (3, 3, 3, 3), (1, 1, 1, 1), ()),
+    "U2": ("U2", 0, (3, 3), (4, 4), ()),
 }
-OUT = ROOT / "BENCH_29.json"
+CLI_COHOMOLOGY_CASES = {
+    "SU2/g16": ("SU2", 16, (3, 5), (1, 1), ()),
+    "SU2/g32": ("SU2", 32, (2, 3, 7), (1, 1, 1), ()),
+    "SU2/g64": ("SU2", 64, (3, 5), (1, 2), ()),
+    "U3/g16": ("U3", 16, (3,), (4,), ()),
+    "U3/g32": ("U3", 32, (3,), (4,), ()),
+}
+CLI_COMPONENTS_CASES = {
+    "U3/t3": ("U3", 1, (3,), (0,), ()),
+    "U3/t5": ("U3", 1, (5,), (0,), ()),
+    "U3/t3,4": ("U3", 1, (3, 4), (0, 0), ()),
+    "SU2/with-point": ("SU2", 1, (5,), (1,), ("--with-point",)),
+}
+OUT = ROOT / "BENCH_30.json"
 
 
 def _drop_row_and_value(pt: RepPoint) -> None:
@@ -365,19 +385,21 @@ def measure_analyze(genera: list[int], repeats: int, sweeps: int) -> dict:
             "slope": _slope([4 * g + len(TORSION) for g in genera], median)}
 
 
-def measure_cli_solve(repeats: int, sweeps: int) -> dict:
-    argvs = {case: ["solve", "--group", group, "--genus", "0",
-                    f"--torsion={','.join(map(str, torsion))}",
-                    f"--classes={','.join(map(str, classes))}", "--no-timestamp"]
-             for case, (group, torsion, classes) in CLI_SOLVE_CASES.items()}
-    codes = {case: run_cli(argv) for case, argv in argvs.items()}  # untimed: builds the caches
-    per_sweep = [[best_of(run_cli, argv, repeats) for argv in argvs.values()]
-                 for _ in range(sweeps)]
+def measure_cli_cases(command: str, cases: dict, repeats: int, sweeps: int) -> dict:
+    """Whole in-process requests of one command, one per case (group, genus,
+    torsion, classes, extra argv), each from CLI seed 0."""
+    argvs = [[command, "--group", group, "--genus", str(genus),
+              f"--torsion={','.join(map(str, torsion))}",
+              f"--classes={','.join(map(str, classes))}", "--no-timestamp", *extra]
+             for group, genus, torsion, classes, extra in cases.values()]
+    codes = [run_cli(argv) for argv in argvs]  # untimed: builds the caches
+    per_sweep = [[best_of(run_cli, argv, repeats) for argv in argvs] for _ in range(sweeps)]
     median, spread = np.median(per_sweep, axis=0), np.ptp(per_sweep, axis=0)
-    return {case: {"group": group, "torsion": list(torsion), "classes": list(classes),
-                   "exit_code": codes[case], "time_s": float(t), "spread_s": float(dt)}
-            for (case, (group, torsion, classes)), t, dt
-            in zip(CLI_SOLVE_CASES.items(), median, spread)}
+    return {case: {"group": group, "genus": genus, "torsion": list(torsion),
+                   "classes": list(classes), "extra": list(extra), "exit_code": code,
+                   "time_s": float(t), "spread_s": float(dt)}
+            for (case, (group, genus, torsion, classes, extra)), code, t, dt
+            in zip(cases.items(), codes, median, spread)}
 
 
 def degeneracy_point(group: str, genus: int):
@@ -434,7 +456,11 @@ def record(genera: list[int], repeats: int, sweeps: int = SWEEPS) -> dict:
                        **measure_setup(list(SETUP_KS), repeats, sweeps)},
         "cli": {"genera": cli_genera, **measure_cli(cli_genera, repeats, sweeps),
                 "analyze": measure_analyze(list(ANALYZE_GENERA), repeats, sweeps),
-                "solve": measure_cli_solve(repeats, sweeps)},
+                "solve": measure_cli_cases("solve", CLI_SOLVE_CASES, repeats, sweeps),
+                "cohomology": measure_cli_cases("cohomology", CLI_COHOMOLOGY_CASES,
+                                                repeats, sweeps),
+                "components": measure_cli_cases("components", CLI_COMPONENTS_CASES,
+                                                repeats, sweeps)},
         "degeneracy_report": {"genera": cli_genera,
                               **measure_degeneracy(cli_genera, repeats, sweeps)},
     }
@@ -514,9 +540,10 @@ def main(argv=None) -> int:
         r = rec["cli"]["analyze"]
         print(f"cli analyze    slope {r['slope']:.2f}  "
               + " ".join(f"{t * 1e3:.2f}" for t in r["times_s"]) + " ms")
-        for case, r in rec["cli"]["solve"].items():
-            print(f"cli solve      {case:12s} exit {r['exit_code']}  "
-                  f"{r['time_s'] * 1e3:.3f} +- {r['spread_s'] * 1e3:.3f} ms")
+        for command in ("solve", "cohomology", "components"):
+            for case, r in rec["cli"][command].items():
+                print(f"cli {command:10s} {case:14s} exit {r['exit_code']}  "
+                      f"{r['time_s'] * 1e3:.3f} +- {r['spread_s'] * 1e3:.3f} ms")
         for group in CLI_CASES:
             r = rec["degeneracy_report"][group]
             print(f"degeneracy_report {group:4s} slope {r['slope']:.2f}  "

@@ -1,22 +1,22 @@
 """Command line interface.
 
 Every subcommand prints one JSON report on one line (the C encoder) with a
-stable schema tag, so runs can be diffed and archived.  argparse checks the
-torsion and class lists and the target, so malformed values exit 2 before any
-work.  Each error type in ``errors`` carries its exit code: 0 success, 2
-malformed input, 3 certified infeasible / not found, 4 tolerance failure or a
-point on a singular locus (a relator value whose logarithm has spectral
-margin below --tol-grp, which also guards the regular domain of exp), 5
-internal error, which is also the code of any other exception.
+stable schema tag, so runs can be diffed and archived.  ``main`` parses argv
+in one pass over the option table ``COMMANDS``; a malformed list, number or
+target exits 2 before any work.  Each error type in ``errors`` carries its
+exit code: 0 success, 2 malformed input, 3 certified infeasible / not found, 4
+tolerance failure or a point on a singular locus (a relator value whose
+logarithm has spectral margin below --tol-grp, which also guards the regular
+domain of exp), 5 internal error, also the code of any other exception.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from datetime import datetime, timezone
 from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -28,52 +28,34 @@ from .foxcalc import fundamental_cycle
 from .liegroup import get_model
 from .presentations import PlanarPresentation
 from .solver import SolveSpec, common_den, numerators_over, solve_relator, target_phase
-from .symplectic import (
-    check_moment_identity,
-    degeneracy_report,
-    extend_point,
-    tangent_from_u,
-)
+from .symplectic import check_moment_identity, degeneracy_report, extend_point, tangent_from_u
 
 SCHEMA = "planarep/6"
 
 
+def _int(text: str) -> int:
+    value = int(text)  # past sys.maxsize, numpy would refuse it later with exit 5
+    if abs(value) > sys.maxsize:
+        raise ValueError(f"out of range: {text!r}")
+    return value
+
+
 def _nonnegative_int(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+        raise ValueError(f"must be a non-negative integer, got {value}")
     return value
 
 
 def _int_list(text: str) -> tuple[int, ...]:
     """Comma-separated integers; a blank string is the empty list."""
-    try:
-        return tuple(int(t) for t in text.split(",")) if text.strip() else ()
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}") from None
+    return tuple(map(_int, text.split(","))) if text.strip() else ()
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--group", default="SU2",
-                     help="matrix group model: SU2, U1, U2, U3, SL2R")
-    sub.add_argument("--genus", type=int, default=1)
-    sub.add_argument("--torsion", type=_int_list, default="",
-                     help="comma-separated torsion orders, e.g. 2,3,7")
-    sub.add_argument("--seed", type=_nonnegative_int, default=0)
-    sub.add_argument("--tol-rank", type=float, default=1e-8)
-    sub.add_argument("--tol-grp", type=float, default=1e-8)
-    sub.add_argument("--json-out", default=None, help="also write report to this file")
-    sub.add_argument("--no-timestamp", action="store_true",
-                     help="omit timestamp for byte-reproducible reports")
-
-
-def _add_solve(sub: argparse.ArgumentParser) -> None:
-    """Options of the commands backed by a solved point."""
-    _add_common(sub)
-    sub.add_argument("--classes", type=_int_list, default="",
-                     help="class indices, e.g. 1,1,2")
-    sub.add_argument("--target", choices=("e", "-e"), default="e",
-                     help="central target: e or -e (write --target=-e)")
+def _target(text: str) -> str:
+    if text in ("e", "-e"):
+        return text
+    raise ValueError(f"must be e or -e, got {text!r}")
 
 
 def _tolerances(args) -> Tolerances:
@@ -171,6 +153,7 @@ def _emit(args, command: str, payload: dict, tol: Tolerances) -> None:
 
 
 def cmd_analyze(args, tol: Tolerances) -> None:
+    """Presentation invariants and exact chains."""
     pres = _presentation(args.genus, args.torsion)
     b, kappa, bd = fundamental_cycle(pres)
     payload = {
@@ -187,6 +170,7 @@ def cmd_analyze(args, tol: Tolerances) -> None:
 
 
 def cmd_cohomology(args, tol: Tolerances) -> None:
+    """Twisted cohomology at a solved point."""
     res, spec = _solved_point(args, tol)
     data = cohomology_data(res.point, tol)
     expected = euler_characteristic_expected(res.point, data.f_j)
@@ -205,6 +189,7 @@ def cmd_cohomology(args, tol: Tolerances) -> None:
 
 
 def cmd_symplectic(args, tol: Tolerances) -> None:
+    """Pairing rank / degeneracy report."""
     res, spec = _solved_point(args, tol)
     pt = extend_point(res.point, tol)
     report = degeneracy_report(pt)
@@ -219,23 +204,15 @@ def cmd_symplectic(args, tol: Tolerances) -> None:
 
 
 def cmd_components(args, tol: Tolerances) -> None:
+    """Torsion class enumeration and weights; --with-point adds a point's stratum."""
     model = get_model(args.group)
     pres = _presentation(args.genus, args.torsion)
     per_gen = []
     for m in pres.torsion:
         classes = finite_order_classes(model, m)
-        per_gen.append({
-            "order": m,
-            "count": len(classes),
-            "classes": [
-                {**c.to_json(), "weights": weight_dictionary(c)} for c in classes
-            ],
-        })
-    payload = {
-        "group": model.name,
-        "presentation": pres.to_json(),
-        "torsion_classes": per_gen,
-    }
+        per_gen.append({"order": m, "count": len(classes), "classes": [
+            {**c.to_json(), "weights": weight_dictionary(c)} for c in classes]})
+    payload = {"group": model.name, "presentation": pres.to_json(), "torsion_classes": per_gen}
     if args.with_point:
         res, _ = _solved_point(args, tol)
         payload["point_stratum"] = stratum_report(res.point, tol)
@@ -243,6 +220,7 @@ def cmd_components(args, tol: Tolerances) -> None:
 
 
 def cmd_solve(args, tol: Tolerances) -> None:
+    """Find a representation in prescribed classes."""
     res, spec = _solved_point(args, tol)
     payload = {
         "group": spec.model.name,
@@ -255,6 +233,7 @@ def cmd_solve(args, tol: Tolerances) -> None:
 
 
 def cmd_momenttest(args, tol: Tolerances) -> None:
+    """Verify the momentum identity numerically."""
     if args.trials < 1:
         raise MalformedInput(f"--trials must be at least 1, got {args.trials}")
     if not 0 < args.threshold < float("inf"):
@@ -288,55 +267,76 @@ def cmd_momenttest(args, tol: Tolerances) -> None:
         )
 
 
-@cache
-def build_parser() -> argparse.ArgumentParser:
-    """The planarep parser, built at the first call and cached, so the
-    command functions are bound then; they read ``_emit``, ``solve_relator``
-    and the other helpers as module globals when they run."""
-    parser = argparse.ArgumentParser(
-        prog="planarep",
-        description="representation varieties of cocompact planar groups",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
+# --- argv: option -> (converter, default); a flag has no converter ----------------
+_COMMON = {
+    "--group": (str, "SU2"),  # SU2, U1, U2, U3 or SL2R
+    "--genus": (_int, 1),
+    "--torsion": (_int_list, ()),  # comma-separated orders, e.g. 2,3,7
+    "--seed": (_nonnegative_int, 0),
+    "--tol-rank": (float, 1e-8),
+    "--tol-grp": (float, 1e-8),
+    "--json-out": (str, None),  # also write the report to this file
+    "--no-timestamp": (None, False),  # byte-reproducible reports
+}
+_SOLVE = {**_COMMON, "--classes": (_int_list, ()), "--target": (_target, "e")}
+# command -> (command function, options)
+COMMANDS = {
+    "analyze": (cmd_analyze, _COMMON),
+    "cohomology": (cmd_cohomology, _SOLVE),
+    "symplectic": (cmd_symplectic, _SOLVE),
+    "components": (cmd_components, {**_SOLVE, "--with-point": (None, False)}),
+    "solve": (cmd_solve, _SOLVE),
+    "momenttest": (cmd_momenttest,
+                   {**_SOLVE, "--trials": (_int, 5), "--threshold": (float, 1e-8)}),
+}
 
-    p = subs.add_parser("analyze", help="presentation invariants and exact chains")
-    _add_common(p)
-    p.set_defaults(func=cmd_analyze)
 
-    p = subs.add_parser("cohomology", help="twisted cohomology at a solved point")
-    _add_solve(p)
-    p.set_defaults(func=cmd_cohomology)
+def _usage() -> str:
+    lines = ["usage: planarep COMMAND [--option VALUE | --option=VALUE | --flag] ...",
+             "Options are spelled in full; a repeated option keeps its last value."]
+    for command, (func, options) in COMMANDS.items():
+        shown = (opt if convert is None else f"{opt}={'' if d in (None, ()) else d}"
+                 for opt, (convert, d) in options.items())
+        lines += [f"{command}: {func.__doc__}", "    " + " ".join(shown)]
+    return "\n".join(lines)
 
-    p = subs.add_parser("symplectic", help="pairing rank / degeneracy report")
-    _add_solve(p)
-    p.set_defaults(func=cmd_symplectic)
 
-    p = subs.add_parser("components", help="torsion class enumeration and weights")
-    _add_solve(p)
-    p.add_argument("--with-point", action="store_true",
-                   help="also solve for a point and report its stratum")
-    p.set_defaults(func=cmd_components)
-
-    p = subs.add_parser("solve", help="find a representation in prescribed classes")
-    _add_solve(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = subs.add_parser("momenttest", help="verify the momentum identity numerically")
-    _add_solve(p)
-    p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--threshold", type=float, default=1e-8)
-    p.set_defaults(func=cmd_momenttest)
-
-    return parser
+def _parse(argv: list[str]):
+    """The command function of argv and its option values, as attributes
+    named after the options; (None, None) for -h or --help."""
+    command, *rest = argv or [""]
+    if command in ("-h", "--help"):
+        return None, None
+    if command not in COMMANDS:
+        raise MalformedInput(f"unknown command {command!r}; commands: {', '.join(COMMANDS)}")
+    func, options = COMMANDS[command]
+    values = {opt: default for opt, (_, default) in options.items()}
+    tokens = iter(rest)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None, None
+        opt, eq, text = token.partition("=")
+        if opt not in options:
+            raise MalformedInput(f"{command}: unknown option or stray token {token!r}")
+        convert = options[opt][0]
+        if convert is None and eq:
+            raise MalformedInput(f"{opt} is a flag and takes no value")
+        if convert is not None and not eq and (text := next(tokens, None)) is None:
+            raise MalformedInput(f"{opt} needs a value")
+        try:
+            values[opt] = True if convert is None else convert(text)
+        except ValueError as e:
+            raise MalformedInput(f"{opt}: {e}") from None
+    return func, SimpleNamespace(**{opt[2:].replace("-", "_"): v for opt, v in values.items()})
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as e:
-        return MalformedInput.exit_code if e.code not in (0, None) else 0
-    try:
-        args.func(args, _tolerances(args))
+        func, args = _parse(sys.argv[1:] if argv is None else argv)
+        if func is None:
+            print(_usage())
+        else:
+            func(args, _tolerances(args))
         return 0
     except PlanarepError as e:
         internal = "internal " if e.exit_code == PlanarepError.exit_code else ""

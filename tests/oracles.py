@@ -28,13 +28,26 @@ The ``*_fractions`` functions are the exact class arithmetic on
 id, the determinant test and its target phase, the rank-2 rule with its
 margin and signs, the torus point's phase check and the CLI's default
 class tuple.
+
+``build_parser`` is the argparse parser that planarep.cli used before its
+option table, with the same options, converters and defaults: the
+reference for ``cli._parse``.
 """
 
+import argparse
 from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
 
+from planarep.cli import (
+    cmd_analyze,
+    cmd_cohomology,
+    cmd_components,
+    cmd_momenttest,
+    cmd_solve,
+    cmd_symplectic,
+)
 from planarep.cohomology import CochainData, RepPoint, _rank, _svd_nullspace
 from planarep.config import DEFAULT_TOL, Tolerances
 from planarep.errors import NotACocycle
@@ -331,3 +344,50 @@ def default_classes_fractions(model, per_gen, target: str) -> list:
         out.append(c)
         need = (need - phase[c]) % 1
     return out
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    """Comma-separated integers; a blank string is the empty list."""
+    try:
+        return tuple(int(t) for t in text.split(",")) if text.strip() else ()
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}") from None
+
+
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--group", default="SU2")
+    sub.add_argument("--genus", type=int, default=1)
+    sub.add_argument("--torsion", type=_int_list, default="")
+    sub.add_argument("--seed", type=_nonnegative_int, default=0)
+    sub.add_argument("--tol-rank", type=float, default=1e-8)
+    sub.add_argument("--tol-grp", type=float, default=1e-8)
+    sub.add_argument("--json-out", default=None)
+    sub.add_argument("--no-timestamp", action="store_true")
+
+
+def _add_solve(sub: argparse.ArgumentParser) -> None:
+    _add_common(sub)
+    sub.add_argument("--classes", type=_int_list, default="")
+    sub.add_argument("--target", choices=("e", "-e"), default="e")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="planarep")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, func in [("analyze", cmd_analyze), ("cohomology", cmd_cohomology),
+                       ("symplectic", cmd_symplectic), ("components", cmd_components),
+                       ("solve", cmd_solve), ("momenttest", cmd_momenttest)]:
+        p = subs.add_parser(name)
+        (_add_common if name == "analyze" else _add_solve)(p)
+        p.set_defaults(func=func)
+    subs.choices["components"].add_argument("--with-point", action="store_true")
+    subs.choices["momenttest"].add_argument("--trials", type=int, default=5)
+    subs.choices["momenttest"].add_argument("--threshold", type=float, default=1e-8)
+    return parser

@@ -60,7 +60,8 @@ def test_bench_scaling_fits_slopes_for_every_model():
     # end to end through the CLI: every request of the rows succeeds
     cli = record["cli"]
     assert cli["genera"] == [1, 2]
-    assert set(cli) - {"genera", "analyze", "solve"} == set(module.CLI_COMMANDS)
+    assert set(cli) - {"genera", "analyze", "solve", "cohomology", "components"} == \
+        set(module.CLI_COMMANDS)
     for command in module.CLI_COMMANDS:
         assert set(cli[command]) == set(module.CLI_CASES)
         for r in cli[command].values():
@@ -74,13 +75,19 @@ def test_bench_scaling_fits_slopes_for_every_model():
     assert analyze["exit_codes"] == [0] * n
     assert len(analyze["times_s"]) == n and all(t > 0 for t in analyze["times_s"])
     assert analyze["spread_s"] == [0.0] * n and isinstance(analyze["slope"], float)
-    # whole genus-0 solve requests on component-scan's shapes, each solved
-    solve = cli["solve"]
-    assert set(solve) == set(module.CLI_SOLVE_CASES)
-    for case, r in solve.items():
-        assert (r["group"], tuple(r["torsion"]), tuple(r["classes"])) == \
-            module.CLI_SOLVE_CASES[case]
-        assert r["exit_code"] == 0 and r["time_s"] > 0 and r["spread_s"] == 0.0
+    # whole requests on the shapes of component-scan (genus-0 solves, each
+    # solved), long-relator (cohomology) and moment-batch (components)
+    for command, cases in [("solve", module.CLI_SOLVE_CASES),
+                           ("cohomology", module.CLI_COHOMOLOGY_CASES),
+                           ("components", module.CLI_COMPONENTS_CASES)]:
+        assert set(cli[command]) == set(cases)
+        for case, r in cli[command].items():
+            assert (r["group"], r["genus"], tuple(r["torsion"]), tuple(r["classes"]),
+                    tuple(r["extra"])) == cases[case]
+            assert r["exit_code"] == 0 and r["time_s"] > 0 and r["spread_s"] == 0.0
+    assert cli["solve"].keys() == {"SU2/boundary", "SU2/interior", "U2"}
+    assert {r["genus"] for r in cli["cohomology"].values()} == {16, 32, 64}
+    assert cli["components"]["SU2/with-point"]["extra"] == ["--with-point"]
     # degeneracy_report alone, on the cli rows' cases and genera
     degeneracy = record["degeneracy_report"]
     assert degeneracy["genera"] == [1, 2]

@@ -1,20 +1,29 @@
 import argparse
+import contextlib
+import io
 import json
+import os
+import re
+import subprocess
+import sys
 from itertools import combinations_with_replacement, product
+from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import planarep.cli
 from planarep import cohomology, symplectic
 from planarep.cli import main
 from planarep.components import finite_order_classes
-from planarep.errors import PlanarepError
+from planarep.errors import MalformedInput, PlanarepError
 from planarep.liegroup import get_model
 from planarep.presentations import PlanarPresentation
 from planarep.solver import SolveSpec, _feasibility_oracle
 
-from oracles import det_certificate
+from oracles import build_parser, det_certificate
 
 
 def _run(capsys, *argv):
@@ -214,22 +223,27 @@ def test_unwritable_json_out_exits_2(tmp_path, capsys, where):
     assert out == ""
 
 
-def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+def test_main_builds_no_argument_parser(capsys, monkeypatch):
+    # argv is parsed from the option table: no argparse parser is built, at
+    # the first request or at any later one
     argvs = [("analyze", "--genus", "0", "--torsion", "2,3,7", "--no-timestamp"),
              ("solve", "--torsion", "3", "--classes", "1", "--no-timestamp")]
-    before = [_run(capsys, *argv) for argv in argvs]
-    assert [code for code, _ in before] == [0, 0]
 
     def no_new_parser(self, *args, **kwargs):
-        raise AssertionError("main built a second argument parser")
+        raise AssertionError("main built an argument parser")
 
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", no_new_parser)
-    assert [_run(capsys, *argv) for argv in argvs] == before
+    with monkeypatch.context() as patch:
+        patch.setattr(argparse.ArgumentParser, "__init__", no_new_parser)
+        first = [_run(capsys, *argv) for argv in argvs]
+    assert [code for code, _ in first] == [0, 0]
+    assert [_run(capsys, *argv) for argv in argvs] == first
+    assert "argparse" not in vars(planarep.cli)
 
 
 def test_reused_parser_carries_no_state(tmp_path, capsys):
     # each argv sets or omits an option its neighbour omits or sets, so an
-    # option that stuck to the parser would change the output in one order
+    # option value that stuck to the table between calls would change the
+    # output in one order
     path = tmp_path / "report.json"
     u2 = ("--group", "U2", "--torsion", "3", "--no-timestamp")
     argvs = [("components", *u2, "--with-point", "--json-out", str(path)),
@@ -246,9 +260,13 @@ def test_reused_parser_carries_no_state(tmp_path, capsys):
     assert forward[0][1] != forward[1][1]
 
 
-def test_argparse_exit_code():
-    # main() converts argparse's SystemExit into the parse exit code
-    assert main(["not-a-command"]) == 2
+def test_unknown_command_exits_2(capsys):
+    # the command comes first; options before it make it unknown too
+    for argv in (["not-a-command"], [], ["--genus", "2", "analyze"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown command"), argv
 
 
 def test_bad_input_exits_2(capsys):
@@ -271,6 +289,14 @@ def test_bad_input_exits_2(capsys):
         assert captured.out == ""
         assert "error:" in captured.err
     assert main(["analyze", "--seed", "-1"]) == 2
+    # integers past sys.maxsize are refused by the parser, not by numpy later
+    for argv in (["analyze", "--genus", "100000000000000000000"],
+                 ["analyze", "--torsion=99999999999999999999"]):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + argv[1].split("=")[0])
 
 
 @pytest.mark.parametrize("command", ["analyze", "components", "cohomology"])
@@ -520,3 +546,155 @@ def test_boundary_tuple_reports_the_reducible_stratum(capsys, classes):
     assert report["result"]["restarts_used"] == 0
     component = report["component"]
     assert (component["stabilizer_dim"], component["h1"], component["orbit_dim"]) == (1, 2, 2)
+
+
+# --- argv: the option table against the argparse parser it replaced -------------
+
+_ORACLE = build_parser()
+_KIND = {planarep.cli._int: "int", planarep.cli._nonnegative_int: "int",
+         planarep.cli._int_list: "list", float: "float", planarep.cli._target: "target",
+         str: "str"}
+_TEXTS = {  # (well-formed, malformed) values of each kind of option
+    "int": (["0", "1", "2", "-1", "+3", " 4", "3_0", "9223372036854775807"],
+            ["x", "1.5", "", "2,3", "-"]),
+    "list": (["2,3,7", "3", "", " ", "2, 3", "-2,3", "3,-1"], [",", "a", "2,,3", "1.5"]),
+    "float": (["1e-8", "0.5", "nan", "inf", "-.5", "-1e-8", "1_0"], ["x", "", "1e-8x"]),
+    "target": (["e", "-e"], ["x", "E", "", " e"]),
+    "str": (["SU2", "U3", "bogus", "", "out.json", "-x", "a b"], []),
+}
+_UNKNOWN = ["--bogus", "-g", "--genus2", "--no-timestamps", "--tol", "--", "-", "---genus"]
+_STRAY = ["x", "3", "", "=3", "e"]
+
+
+def _argparse_reads_as_option(text: str) -> bool:
+    """Whether argparse takes a spaced value for an option (its negative
+    number and space rules), so that the option is left without a value."""
+    return (text.startswith("-") and " " not in text
+            and not re.fullmatch(r"-\d+|-\d*\.\d+", text))
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from([*planarep.cli.COMMANDS, "bogus", ""]))
+    options = planarep.cli.COMMANDS.get(command, planarep.cli.COMMANDS["momenttest"])[1]
+    argv = [command]
+    for _ in range(draw(st.integers(0, 5))):
+        part = draw(st.sampled_from(["spaced"] * 4 + ["joined"] * 4 + ["unknown", "stray"]))
+        opt = draw(st.sampled_from(sorted(options)))
+        convert = options[opt][0]
+        if part == "unknown":
+            argv.append(draw(st.sampled_from(_UNKNOWN)))
+        elif part == "stray":
+            argv.append(draw(st.sampled_from(_STRAY)))
+        elif convert is None:  # a flag, now and then given a value
+            argv.append(opt + draw(st.sampled_from(["", "", "", "", "=", "=1"])))
+        else:
+            good, bad = _TEXTS[_KIND[convert]]
+            text = draw(st.sampled_from(good + bad if draw(st.integers(0, 4)) == 0 else good))
+            if part == "spaced" and not _argparse_reads_as_option(text):
+                argv += [opt, text]
+            else:
+                argv.append(f"{opt}={text}")
+    if draw(st.integers(0, 4)) == 0:  # an option without its value, at the end
+        argv.append(draw(st.sampled_from([o for o, (c, _) in options.items() if c])))
+    return argv
+
+
+def _table_parse(argv):
+    try:
+        func, args = planarep.cli._parse(argv)
+    except MalformedInput:
+        return None
+    return func, {k: repr(v) for k, v in vars(args).items()}  # repr: nan equals nan
+
+
+def _oracle_parse(argv):
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            values = vars(_ORACLE.parse_args(argv))
+    except SystemExit:
+        return None
+    func = values.pop("func")
+    values.pop("command")
+    return func, {k: repr(v) for k, v in values.items()}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_argvs())
+def test_table_parses_as_the_argparse_parser(argv):
+    # both refuse, or both give the same command and the same value for
+    # every option; the deliberate differences are pinned below
+    assert _table_parse(argv) == _oracle_parse(argv)
+
+
+def test_every_table_option_is_drawn():
+    options = {o for _, opts in planarep.cli.COMMANDS.values() for o in opts}
+    assert {convert for _, opts in planarep.cli.COMMANDS.values()
+            for convert, _ in opts.values() if convert} <= set(_KIND)
+    assert options == {a.option_strings[0] for p in _ORACLE._subparsers._group_actions[0]
+                       .choices.values() for a in p._actions if a.dest != "help"}
+
+
+def test_prefix_abbreviation_exits_2(capsys):
+    # argparse read --gen as --genus; the table knows options only in full
+    assert vars(_ORACLE.parse_args(["analyze", "--gen", "2"]))["genus"] == 2
+    assert main(["analyze", "--gen", "2", "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unknown option" in captured.err
+
+
+def test_spaced_minus_e_target_is_the_joined_one(capsys):
+    # argparse refused --target -e (spaced); it is now the same request
+    argv = ["solve", "--group", "SU2", "--genus", "0", "--torsion=3,3,3,3",
+            "--classes=1,1,1,1", "--no-timestamp"]
+    joined = _run(capsys, *argv, "--target=-e")
+    assert joined[0] == 0
+    assert json.loads(joined[1])["spec"]["zeta"][0][0] == [-1.0, 0.0]  # zeta = -e
+    assert _run(capsys, *argv, "--target", "-e") == joined
+    assert _oracle_parse(["solve", "--target", "-e"]) is None
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--torsion", "-2,3"),              # refused by the presentation
+    ("solve", "--torsion=3,3", "--classes", "-1,1"),  # refused as a class index
+    ("solve", "--torsion=3", "--classes=1", "--tol-rank", "-1e-8"),  # by Tolerances
+    ("solve", "--torsion=3", "--classes=1", "--target", "-x"),       # by its converter
+    ("components", "--group", "-x", "--torsion=3"),                  # as a group name
+])
+def test_dash_value_is_taken_verbatim_then_refused(capsys, argv):
+    # argparse read a spaced value that starts with "-" as a missing value;
+    # the table takes it as the value, and the value is refused after
+    assert _oracle_parse(list(argv)) is None
+    assert main([*argv, "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert "unknown option" not in captured.err and "needs a value" not in captured.err
+
+
+def test_last_repeat_wins(capsys):
+    once = _run(capsys, "analyze", "--genus=0", "--torsion=2,3,7", "--no-timestamp")
+    twice = _run(capsys, "analyze", "--genus", "5", "--torsion=3", "--genus=0",
+                 "--torsion", "2,3,7", "--no-timestamp", "--no-timestamp")
+    assert once[0] == 0 and twice == once
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["solve", "-h"],
+                                  ["momenttest", "--genus", "2", "--help"]])
+def test_help_prints_the_table(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: planarep COMMAND") and captured.err == ""
+    for command, (func, options) in planarep.cli.COMMANDS.items():
+        assert f"{command}: {func.__doc__}" in captured.out
+        assert all(opt in captured.out for opt in options)
+
+
+def test_module_entry_point_reads_sys_argv(capsys):
+    # main(None) parses sys.argv[1:], as `python -m planarep.cli` does
+    argv = ["analyze", "--genus", "0", "--torsion=2,3,7", "--no-timestamp"]
+    src = str(Path(planarep.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "planarep.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == _run(capsys, *argv)[1]

@@ -47,8 +47,8 @@ def test_setup_probe_ready():
 
 
 def test_tracer_sees_calls_through_a_parser_built_before_it(capsys):
-    # the parser is built once per process, before a benchmark installs its
-    # tracer; the command it dispatches to must still call the patched names
+    # the option table binds the command functions at import, before a
+    # benchmark installs its tracer; they must still call the patched names
     argv = ["solve", "--torsion", "3", "--classes", "1", "--no-timestamp"]
     assert planarep.cli.main(argv) == 0
     spans = _load("spans")
