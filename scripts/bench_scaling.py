@@ -39,6 +39,14 @@ from class 0 (e) and class 1 (rotation angle 2 pi / 3):
 - interior: (1, ..., 1) with target -e, strictly inside the rule, searched
   by the Levenberg-Marquardt restarts from seed 0.
 
+The solve_handles row times solve_relator at genus 1 ... 64
+(HANDLE_GENERA) on SU(2) t(3,5) classes (1, 2) and U(2) t(3) class 4,
+target e, seed 0, where the point is built in closed form (restarts_used
+0), against the Levenberg-Marquardt search of the same spec alone: the
+restarts of solver._solve_once from the seed, as solve_relator runs them
+where it searches.  Each side records its residuals, the search its
+restarts, and both a slope in 4l + n.
+
 An eighth row, spec_setup, times the set-up of a solve request per class
 tuple on SU(2) and U(2) t(3^k), k = 2 ... 8: the CLI's _pick_classes, the
 SolveSpec and the exact certificate (solver._feasibility_oracle), for every
@@ -87,7 +95,7 @@ quartiles per side and, per metric, how many pairs this checkout won,
 under "perfbench" / "<workload>/seed<seed>" in the same file.  A plain run
 keeps those entries; a paired run keeps the rows.
 
-Usage: python scripts/bench_scaling.py   (writes BENCH_30.json at the repo root)
+Usage: python scripts/bench_scaling.py   (writes BENCH_31.json at the repo root)
        python scripts/bench_scaling.py --paired ../parent --pairs 10 \
            --workload component-scan --seed 1
 """
@@ -120,7 +128,8 @@ from planarep.cohomology import RepPoint, cohomology_data  # noqa: E402
 from planarep.components import finite_order_classes  # noqa: E402
 from planarep.liegroup import get_model  # noqa: E402
 from planarep.presentations import PlanarPresentation  # noqa: E402
-from planarep.solver import SolveSpec, _feasibility_oracle, _jacobian, solve_relator  # noqa: E402
+from planarep.solver import (SolveSpec, _feasibility_oracle, _jacobian,  # noqa: E402
+                             _solve_once, solve_relator)
 from planarep.symplectic import cup_matrix, degeneracy_report, extend_point  # noqa: E402
 
 MODELS = ("U1", "SU2", "SL2R", "U2", "U3")
@@ -129,6 +138,8 @@ GENERA = (4, 8, 16, 32, 64, 128)
 REPEATS = 9
 SWEEPS = 3
 SOLVE_KS = tuple(range(3, 13))
+HANDLE_GENERA = (1, 2, 4, 8, 16, 32, 64)
+HANDLE_CASES = {"SU2": ((3, 5), (1, 2)), "U2": ((3,), (4,))}  # group -> (torsion, classes)
 SETUP_KS = tuple(range(2, 9))
 SETUP_GROUPS = ("SU2", "U2")
 CLI_COMMANDS = ("symplectic", "momenttest")
@@ -154,7 +165,7 @@ CLI_COMPONENTS_CASES = {
     "U3/t3,4": ("U3", 1, (3, 4), (0, 0), ()),
     "SU2/with-point": ("SU2", 1, (5,), (1,), ("--with-point",)),
 }
-OUT = ROOT / "BENCH_30.json"
+OUT = ROOT / "BENCH_31.json"
 
 
 def _drop_row_and_value(pt: RepPoint) -> None:
@@ -305,6 +316,51 @@ def measure_solve(ks: list[int], repeats: int, sweeps: int) -> dict:
             for kind, per_sweep in times.items()}
 
 
+def handle_spec(group: str, genus: int) -> SolveSpec:
+    """The solve_handles row's spec of this group at this genus."""
+    model, (torsion, classes) = get_model(group), HANDLE_CASES[group]
+    pres = PlanarPresentation(genus, torsion)
+    return SolveSpec(pres, model, _pick_classes(model, pres, classes, "e"), seed=0)
+
+
+def searched(spec: SolveSpec) -> tuple[float, int]:
+    """(residual, restarts) of the search alone, restart by restart from
+    spec.seed with the budget of a certified spec, as solve_relator searches."""
+    rng = np.random.default_rng(spec.seed)
+    for restart in range(max(spec.max_restarts, 60)):
+        _, resid = _solve_once(spec, rng)
+        if resid < spec.tol:
+            break
+    return resid, restart + 1
+
+
+def measure_handles(genera: list[int], repeats: int, sweeps: int) -> dict:
+    specs = {group: [handle_spec(group, g) for g in genera] for group in HANDLE_CASES}
+    kinds = {"built": solve_relator, "searched": searched}
+    times = {(group, kind): [[] for _ in range(sweeps)] for group in specs for kind in kinds}
+    for sweep in range(sweeps):
+        for group, by_genus in specs.items():
+            for spec in by_genus:
+                for kind, fn in kinds.items():
+                    times[group, kind][sweep].append(best_of(fn, spec, repeats))
+    out = {}
+    for group, by_genus in specs.items():
+        torsion, classes = HANDLE_CASES[group]
+        lengths = [4 * g + len(torsion) for g in genera]
+        built = [solve_relator(spec) for spec in by_genus]
+        search = [searched(spec) for spec in by_genus]
+        out[group] = {"torsion": list(torsion), "classes": list(classes)}
+        for kind, extra in [("built", {"residuals": [r.residual for r in built],
+                                       "restarts_used": [r.restarts_used for r in built]}),
+                            ("searched", {"residuals": [r for r, _ in search],
+                                          "restarts": [n for _, n in search]})]:
+            median = np.median(times[group, kind], axis=0)
+            out[group][kind] = {"times_s": median.tolist(),
+                                "spread_s": np.ptp(times[group, kind], axis=0).tolist(),
+                                **extra, "slope": _slope(lengths, median)}
+    return out
+
+
 def setup_requests(name: str, k: int) -> list[tuple]:
     """(model, presentation, class indices, target) of every tuple that
     spec_setup times on t(3^k) (module docstring)."""
@@ -452,6 +508,8 @@ def record(genera: list[int], repeats: int, sweeps: int = SWEEPS) -> dict:
         "retraction": {"genera": list(genera), **measure_retraction(genera, repeats, sweeps)},
         "solve_genus0": {"group": "SU2", "torsion_order": 3, "ks": list(SOLVE_KS),
                          **measure_solve(list(SOLVE_KS), repeats, sweeps)},
+        "solve_handles": {"genera": list(HANDLE_GENERA),
+                          **measure_handles(list(HANDLE_GENERA), repeats, sweeps)},
         "spec_setup": {"torsion_order": 3, "ks": list(SETUP_KS),
                        **measure_setup(list(SETUP_KS), repeats, sweeps)},
         "cli": {"genera": cli_genera, **measure_cli(cli_genera, repeats, sweeps),
@@ -528,6 +586,11 @@ def main(argv=None) -> int:
             r = rec["solve_genus0"][kind]
             print(f"solve_genus0 {kind:8s} slope {r['slope']:.2f}  "
                   + " ".join(f"{t * 1e3:.3f}" for t in r["times_s"]) + " ms")
+        for group in HANDLE_CASES:
+            for kind in ("built", "searched"):
+                r = rec["solve_handles"][group][kind]
+                print(f"solve_handles {group:4s} {kind:8s} slope {r['slope']:.2f}  "
+                      + " ".join(f"{t * 1e3:.3f}" for t in r["times_s"]) + " ms")
         for name in SETUP_GROUPS:
             for mode, r in rec["spec_setup"][name].items():
                 print(f"spec_setup {name:4s} {mode} slope {r['slope']:.2f}  "

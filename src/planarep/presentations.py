@@ -17,6 +17,11 @@ from functools import cached_property
 from .errors import MalformedInput, TorsionOrderTooSmall
 from .words import Word, commutator, gen, w_mul, w_pow
 
+# the most generators 2l + n a presentation may have: the chain data of
+# analyze alone holds (1 + n)(2l + n) integers, so a larger request is
+# refused as input rather than run out of memory
+MAX_GENERATORS = 4096
+
 
 @dataclass(frozen=True)
 class PlanarPresentation:
@@ -29,6 +34,9 @@ class PlanarPresentation:
         for m in self.torsion:
             if m < 2:
                 raise TorsionOrderTooSmall(f"torsion order {m} < 2")
+        if self.num_generators > MAX_GENERATORS:
+            raise MalformedInput(f"{self.num_generators} generators, more than the "
+                                 f"{MAX_GENERATORS} a presentation may have")
 
     @property
     def n_torsion(self) -> int:

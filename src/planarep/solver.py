@@ -1,9 +1,20 @@
-"""Numerical search for representation points: solve r(phi) = e or -e over
-prescribed torsion classes.
+"""Representation points: solve r(phi) = e or -e over prescribed torsion
+classes.
 
 Torsion generators are parameterized exactly as k_j c_j k_j^{-1} with c_j the
-exact class representative, so class constraints hold by construction; the
-free generators and the conjugators are the optimization variables.  Descent
+exact class representative, so class constraints hold by construction.  A
+certified-feasible spec takes one of three routes (solve_relator):
+
+- built on the boundary of the rank-2 rule (genus 0, SU(2)/U(2)), where every
+  solution is reducible: a torus point (_torus_point);
+- built at genus >= 1 for SU(2)/U(2): the last handle solves [x, y] = w in
+  closed form (_handle_point), as in the proof that every element of SU(2)
+  is a commutator (Goto, J. Math. Soc. Japan 1, 1949);
+- searched otherwise (U(3), SL(2,R), genus-0 interior tuples, and specs no
+  theorem decides), with the free generators and the conjugators as the
+  optimization variables.
+
+A built point reports restarts_used 0.  The search's descent
 uses the Fox-derivative Jacobian through Ad: damped Gauss-Newton steps whose
 damping lam is the only globalization (Marquardt, SIAM J. Appl. Math. 11,
 1963), seeded random restarts from exp of Gaussian algebra elements.
@@ -34,7 +45,7 @@ from math import lcm
 import numpy as np
 
 from .components import TorsionClass
-from .cohomology import RepPoint
+from .cohomology import RepPoint, tree_product
 from .errors import InfeasibleSpec, NotFound
 from .liegroup import LieModel
 from .presentations import PlanarPresentation
@@ -219,6 +230,85 @@ def _torus_point(spec: SolveSpec) -> SolveResult | None:
     return SolveResult(pt, resid, 0, spec) if resid < spec.tol else None
 
 
+# the quaternion units 1, i, j, k as flattened SU(2) matrices: q = (q0, q1,
+# q2, q3) is [[q0 + i q1, q2 + i q3], [-q2 + i q3, q0 - i q1]], the product
+# of quaternions is the matrix product, and Re tr(Q_a^H Q_b) = 2 delta_ab
+_QUAT = np.array([[1, 0, 0, 1], [1j, 0, 0, -1j], [0, 1, -1, 0], [0, 1j, 1j, 0]])
+
+
+def _quat(q: np.ndarray) -> np.ndarray:
+    """The matrix of the quaternion q, or of the pure quaternion (0, q) for
+    a 3-vector q."""
+    return (q @ _QUAT[-len(q):]).reshape(2, 2)
+
+
+def _quat_coords(M: np.ndarray) -> np.ndarray:
+    """The quaternion of an SU(2) matrix, (Re tr(Q_a^H M) / 2)_a."""
+    return 0.5 * (_QUAT.conj() @ M.ravel()).real
+
+
+def _handle_point(spec: SolveSpec) -> SolveResult:
+    """A point of a genus >= 1 SU(2)/U(2) spec in closed form.
+
+    Every generator is drawn from spec.seed as the search's first start
+    point (_start); handles 1..l-1 and the torsion generators are kept, and
+    the last handle solves [x, y] = w for w = (c_1..c_{l-1})^-1 zeta
+    (z_1..z_n)^-1, in SU(2) (the determinant test puts it there for U(2)).
+    As quaternions, w = p and [x, y] = w reads x y x^-1 = w y: y and w y
+    must have the same real part, tr((w - I) y) = 0, the random unit y
+    orthogonal to n = (p_0 - 1, -p_1, -p_2, -p_3).  Then x is the rotation
+    taking the axis u of y to the axis v of w y, times a random element of
+    y's centralizer, so that w = e does not force x = I.  The rotation is
+    (1 - V U) / |.| for the unit pure quaternions U, V of u and v, ill
+    conditioned as u -> -v; for u.v < 0 it is taken as the half turn about
+    an axis a orthogonal to u, then (1 + V U) / |.| from -u to v.  At
+    w = -e every y is pure and v = -u, so that branch is the one taken.
+    U(2) multiplies x and y by random central phases.
+
+    Raises NotFound, a solver defect, if the point misses spec.tol: there
+    is no search to fall back on."""
+    model, f = spec.model, 2 * spec.pres.genus
+    rng = np.random.default_rng(spec.seed)
+    gens = _assemble(spec, _start(spec, rng)).gens
+    xs, ys = gens[0 : f - 2 : 2], gens[1 : f - 2 : 2]
+    C = tree_product(xs @ ys @ model.inverse(xs) @ model.inverse(ys))
+    w = model.inverse(C) @ spec.zeta @ model.inverse(tree_product(gens[f:]))
+    p = _quat_coords(w)
+    n = np.array([p[0] - 1.0, -p[1], -p[2], -p[3]])
+    q = rng.standard_normal(4)
+    if n @ n:
+        q -= (q @ n) / (n @ n) * n
+    q /= np.linalg.norm(q)
+    y = _quat(q)
+    v = _quat_coords(w @ y)[1:]
+    u, v = q[1:] / np.linalg.norm(q[1:]), v / np.linalg.norm(v)
+    U, V, c = _quat(u), _quat(v), u @ v
+    if c >= 0:
+        R = (np.eye(2) - V @ U) / np.sqrt(2.0 + 2.0 * c)
+    else:
+        k = np.argmin(np.abs(u))
+        a = -u[k] * u
+        a[k] += 1.0  # e_k minus its projection on u, |a|^2 = 1 - u_k^2 >= 2/3
+        R = (np.eye(2) + V @ U) @ _quat(a / np.linalg.norm(a)) / np.sqrt(2.0 - 2.0 * c)
+    theta = rng.uniform(-np.pi, np.pi)
+    xy = np.array([R @ _quat(np.array([np.cos(theta), *(np.sin(theta) * u)])), y])
+    if model.kind == "U":
+        xy *= np.exp(1j * rng.uniform(-np.pi, np.pi, 2))[:, None, None]
+    pt = RepPoint(spec.pres, model, np.concatenate([gens[: f - 2], xy, gens[f:]]))
+    resid = float(np.linalg.norm(_residual_matrix(spec, pt)))
+    if not resid < spec.tol:
+        raise NotFound(f"certified feasible but not solved by construction (solver defect); "
+                       f"residual {resid:.3e}")
+    return SolveResult(pt, resid, 0, spec)
+
+
+def _start(spec: SolveSpec, rng: np.random.Generator) -> np.ndarray:
+    """A start point: the free generators, then the class conjugators, each
+    exp of standard normal algebra coordinates."""
+    shape = (spec.pres.num_generators, spec.model.d)
+    return spec.model.exp(spec.model.unvec(rng.standard_normal(shape)))
+
+
 def _assemble(spec: SolveSpec, G: np.ndarray) -> RepPoint:
     """The point with free generators G[:2l] and torsion generators
     k_j c_j k_j^-1 for the conjugators k_j = G[2l:], all stacked."""
@@ -273,10 +363,8 @@ def _lm_step(J: np.ndarray, r: np.ndarray, lam: float) -> np.ndarray:
 
 
 def _solve_once(spec: SolveSpec, rng: np.random.Generator) -> tuple[RepPoint, float]:
-    model, p = spec.model, spec.pres
-    shape = (p.num_generators, model.d)
-    # the free generators, then the class conjugators
-    G = model.exp(model.unvec(rng.standard_normal(shape)))
+    model, shape = spec.model, (spec.pres.num_generators, spec.model.d)
+    G = _start(spec, rng)
     lam = 1e-8
     pt = _assemble(spec, G)
     E = _residual_matrix(spec, pt)
@@ -312,16 +400,23 @@ def _solve_once(spec: SolveSpec, rng: np.random.Generator) -> tuple[RepPoint, fl
 
 
 def solve_relator(spec: SolveSpec) -> SolveResult:
-    """Find phi with r(phi) = zeta and each phi(z_j) in its class: built,
-    with restarts_used 0, on the boundary of the rank-2 rule, else searched.
+    """Find phi with r(phi) = zeta and each phi(z_j) in its class by one of
+    three routes (module docstring): built, with restarts_used 0, on the
+    boundary of the rank-2 rule (_torus_point) and for SU(2)/U(2) at genus
+    >= 1 (_handle_point); searched by restarts otherwise.
 
     Raises InfeasibleSpec when an exact obstruction certifies emptiness and
     NotFound when the restart budget is exhausted: not a proof of emptiness,
-    and a solver defect when the spec is certified feasible.
+    and a solver defect when the spec is certified feasible.  SU(2)/U(2)
+    specs at genus >= 1 that pass the determinant test are built, never
+    searched, so that exit cannot fire for them; a built point that missed
+    spec.tol would raise its own solver defect.
     """
     feas = _feasibility_oracle(spec)
     if feas is False:
         raise InfeasibleSpec("certified infeasible by exact obstruction")
+    if feas and spec.pres.genus and spec.model.kind != "SL2R" and spec.model.n == 2:
+        return _handle_point(spec)
     if feas and (built := _torus_point(spec)) is not None:
         return built
     rng = np.random.default_rng(spec.seed)

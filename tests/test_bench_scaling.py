@@ -46,6 +46,20 @@ def test_bench_scaling_fits_slopes_for_every_model():
     assert all(n >= 1 for n in solve["interior"]["restarts_used"])
     for r in (solve["boundary"], solve["interior"]):
         assert len(r["times_s"]) == 10 and isinstance(r["slope"], float)
+    # genus >= 1 on SU(2) and U(2): built in closed form against the search
+    handles = record["solve_handles"]
+    assert handles["genera"] == [1, 2, 4, 8, 16, 32, 64]
+    assert set(handles) - {"genera"} == set(module.HANDLE_CASES) == {"SU2", "U2"}
+    for group, by_kind in handles.items():
+        if group == "genera":
+            continue
+        assert (tuple(by_kind["torsion"]), tuple(by_kind["classes"])) == module.HANDLE_CASES[group]
+        built, search = by_kind["built"], by_kind["searched"]
+        assert built["restarts_used"] == [0] * 7 and all(n >= 1 for n in search["restarts"])
+        for r in (built, search):
+            assert len(r["times_s"]) == 7 and all(t > 0 for t in r["times_s"])
+            assert r["spread_s"] == [0.0] * 7 and isinstance(r["slope"], float)
+            assert all(res < 1e-10 for res in r["residuals"])
     # spec set-up per class tuple, with a cold class cache and a warm one
     setup = record["spec_setup"]
     assert setup["ks"] == list(range(2, 9))

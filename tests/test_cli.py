@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 
 import planarep.cli
-from planarep import cohomology, symplectic
+from planarep import cohomology, presentations, symplectic
 from planarep.cli import main
 from planarep.components import finite_order_classes
 from planarep.errors import MalformedInput, PlanarepError
@@ -297,6 +297,26 @@ def test_bad_input_exits_2(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: " + argv[1].split("=")[0])
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["analyze", "--genus", "1000000000000"], 2000000000000),  # once a MemoryError, exit 5
+    (["analyze", "--genus", "2047", "--torsion=3,5,7"], 4097),
+    (["solve", "--genus", "0", "--torsion=" + ",".join(["2"] * 4097)], 4097),
+])
+def test_presentation_past_the_generator_limit_exits_2(capsys, argv, count):
+    # the limit is a module constant, not an option; the message has the count
+    assert presentations.MAX_GENERATORS == 4096
+    assert main([*argv, "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {count} generators, more than the 4096 a presentation may have\n"
+
+
+def test_presentation_at_the_generator_limit_is_analyzed(capsys):
+    code, out = _run(capsys, "analyze", "--genus", "2047", "--torsion=3,5", "--no-timestamp")
+    assert code == 0
+    assert len(json.loads(out)["presentation"]["generators"]) == 4096
 
 
 @pytest.mark.parametrize("command", ["analyze", "components", "cohomology"])

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import time
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -13,9 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 
 from planarep import solver
-from planarep.cohomology import RepPoint, delta0
+from planarep.cohomology import RepPoint, cohomology_data, delta0
 from planarep.components import component_label, finite_order_classes
-from planarep.errors import InfeasibleSpec, NotFound
+from planarep.errors import InfeasibleSpec, NotFound, ToleranceAmbiguity
 from planarep.liegroup import get_model
 from planarep.presentations import PlanarPresentation
 from planarep.solver import SolveSpec, solve_relator, su2_product_rule
@@ -303,8 +304,9 @@ def _oracle_spec(group, genus, torsion, idx, target, seed, **kw):
 @pytest.mark.parametrize("case", ORACLE_SPECS, ids=lambda c: f"{c[0]}-g{c[1]}-{c[2]}-{c[4]}")
 def test_stacked_solver_follows_oracle_bitwise(case):
     # restart by restart from one generator state, as solve_relator draws
-    # them: this covers the search also at the specs on the boundary of the
-    # rank-2 rule, which solve_relator builds without it
+    # them: this covers the search also at the specs that solve_relator
+    # builds without it, on the boundary of the rank-2 rule and for SU(2)
+    # and U(2) at genus >= 1
     spec = _oracle_spec(*case)
     rng, ref_rng = np.random.default_rng(spec.seed), np.random.default_rng(spec.seed)
     for _ in range(60):
@@ -678,6 +680,103 @@ def test_boundary_tuple_is_built_exactly(case):
     assert sv[2] <= 4 * np.sqrt(res.residual)
 
 
+# --- the built point at genus >= 1 -------------------------------------------
+
+handle_specs = st.tuples(
+    st.sampled_from(["SU2", "U2"]),
+    st.integers(1, 8),
+    st.lists(st.tuples(st.integers(2, 7), st.integers(0, 10**4)), max_size=3),
+    st.sampled_from(["e", "-e"]),
+    st.integers(0, 10**6),
+)
+
+
+def _det_compatible_spec(group, genus, tuples, target, seed) -> SolveSpec:
+    """The spec of the drawn classes (index k modulo the class count), the
+    last one moved to the first class of its order that passes the
+    determinant test, and dropped if none does, until the tuple passes."""
+    model = get_model(group)
+    classes = [finite_order_classes(model, m)[k % len(finite_order_classes(model, m))]
+               for m, k in tuples]
+
+    def spec(classes):
+        return SolveSpec(PlanarPresentation(genus, tuple(c.order for c in classes)), model,
+                         classes, minus=target == "-e", seed=seed)
+
+    while not solver._feasibility_oracle(spec(classes)):
+        last = finite_order_classes(model, classes[-1].order)
+        classes = next(([*classes[:-1], c] for c in last
+                        if solver._feasibility_oracle(spec([*classes[:-1], c]))), classes[:-1])
+    return spec(classes)
+
+
+def _dims(pt):
+    """(h0, h1) at pt, and whether a rank decision hit the ambiguity band."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        data = cohomology_data(pt)
+        dims = (data.h0, data.h1)
+    return dims, any(issubclass(w.category, ToleranceAmbiguity) for w in caught)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(handle_specs)
+@example(("SU2", 1, [], "e", 0))  # w = e: a commuting pair
+@example(("U2", 1, [], "-e", 0))  # w = -e: the antipodal branch
+@example(("U2", 2, [(3, 4)], "e", 1))
+@example(("SU2", 8, [(2, 1), (3, 1), (7, 2)], "-e", 5))
+def test_handle_point_is_built_in_closed_form(case):
+    spec = _det_compatible_spec(*case)
+    res = solve_relator(spec)
+    assert res.restarts_used == 0 and res.residual <= 1e-12
+    assert component_label(res.point) == [c.class_id for c in spec.classes]
+    # handles 1..l-1 and the torsion generators are the search's first start
+    # point; only the last handle is replaced
+    f = 2 * spec.pres.genus
+    start = solver._assemble(spec, solver._start(spec, np.random.default_rng(spec.seed))).gens
+    keep = np.r_[0 : f - 2, f : spec.pres.num_generators]
+    assert np.array_equal(res.point.gens[keep], start[keep])
+    # the point's dims are those of a searched point of the same spec,
+    # wherever the search converges and reads its ranks outside the band
+    built, built_amb = _dims(res.point)
+    rng = np.random.default_rng(spec.seed)
+    for _ in range(spec.max_restarts):
+        pt, resid = solver._solve_once(spec, rng)
+        if resid < spec.tol:
+            searched, amb = _dims(pt)
+            if not amb:
+                assert built == searched
+            break
+    assert not built_amb
+
+
+@pytest.mark.parametrize("group", ["SU2", "U2"])
+@pytest.mark.parametrize("target", ["e", "-e"])
+def test_handle_point_at_a_central_w(group, target):
+    # genus 1 without torsion: w = zeta exactly.  At w = e every solution is
+    # a commuting pair; at w = -e, y is pure and w y = -y, so the axes are
+    # antipodal on every draw and x, y anticommute.  A redraw loop never
+    # ends there; the construction takes its half-turn branch at once
+    model, t0 = get_model(group), time.perf_counter()
+    for seed in range(20):
+        spec = SolveSpec(PlanarPresentation(1, ()), model, [], minus=target == "-e", seed=seed)
+        res = solve_relator(spec)
+        assert res.restarts_used == 0 and res.residual <= 1e-14
+        x, y = res.point.gens
+        sign = -1 if target == "-e" else 1
+        assert np.linalg.norm(x @ y - sign * y @ x) <= 1e-14
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_handle_point_off_tolerance_is_a_solver_defect(monkeypatch):
+    # no fallback to the search: a built point that misses spec.tol raises
+    spec = _oracle_spec("SU2", 2, (3,), (1,), "e", 0)
+    monkeypatch.setattr(solver, "_solve_once", lambda spec, rng: pytest.fail("searched"))
+    with pytest.raises(NotFound, match=r"certified feasible but not solved by "
+                       r"construction \(solver defect\); residual "):
+        solve_relator(replace(spec, tol=1e-300))
+
+
 # --- the step in the residual space -------------------------------------------
 
 
@@ -776,8 +875,9 @@ def test_jacobian_builds_no_algebra_element_per_column(monkeypatch):
 
 
 def test_solver_never_forms_the_normal_equations(monkeypatch):
-    # every linear system of a solve lives in the 2n^2-dimensional residual
-    # space (8 x 8 for SU2), never in the N = 3 * 130 unknowns of genus 64
+    # every linear system of a search lives in the 2n^2-dimensional residual
+    # space (8 x 8 for SU2), never in the N = 3 * 130 unknowns of genus 64.
+    # solve_relator builds this spec, so the search is driven directly
     shapes, solve = [], np.linalg.solve
 
     def recording_solve(a, b):
@@ -786,7 +886,8 @@ def test_solver_never_forms_the_normal_equations(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", recording_solve)
     spec = _oracle_spec("SU2", 64, (3, 5), (1, 1), "e", 1)
-    solve_relator(spec)
+    _, resid = solver._solve_once(spec, np.random.default_rng(spec.seed))
+    assert resid < spec.tol
     assert shapes and set(shapes) == {(8, 8)}
 
 
